@@ -808,6 +808,11 @@ VERIFY_CHECKS = ("caloric", "max_principle", "continuity", "positivity_spread",
 
 def _load_rundir(rundir: Path) -> tuple[HeatTrajectory, dict]:
     manifest = json.loads((rundir / "manifest.json").read_text())
+    mode = manifest.get("diagnostics", {}).get("mode")
+    if mode == "solve3d":
+        raise UsageError(f"{rundir}: a {mode} run directory stores front heights, "
+                         "not a heat trajectory; verify audits heat-trajectory "
+                         "directories")
     names = manifest.get("snapshots", [])
     if not names:
         raise UsageError(f"{rundir}: manifest lists no snapshots")
@@ -833,7 +838,8 @@ def _check_max_principle(traj: HeatTrajectory) -> dict:
     audit = max_principle_audit(traj)
     measured = float(audit["max_value"] - audit["parabolic_max"])
     scale = max(1.0, float(np.max(np.abs(traj.values_matrix()))))
-    return _check(measured, 1e-12 * scale, not audit["violation"],
+    tol = 1e-12 * scale
+    return _check(measured, tol, measured <= tol,
                   f"interior max excess; attained on the parabolic boundary: "
                   f"{bool(audit['attained_on_boundary'])}")
 

@@ -12,6 +12,7 @@ import pytest
 
 from meltfront import (
     Grid,
+    HeatTrajectory,
     OperatorCoefficients,
     TemperatureField,
     solve_dirichlet,
@@ -327,6 +328,37 @@ def test_verify_flags_mapped_melting_run(tmp_path):
     assert report["status"] == "fail"
     assert not report["diagnostics"]["caloric"]["pass"]
     assert report["diagnostics"]["max_principle"]["pass"]
+
+
+@pytest.mark.parametrize("excess, rc", [(1.1e-15, 0), (1e-6, 3)])
+def test_verify_max_principle_applies_its_tolerance(tmp_path, excess, rc):
+    """An interior maximum above the boundary one fails only beyond 1e-12."""
+    grid = Grid(origin=(0.0,), extent=(1.0,), counts=(8,))
+    u0 = np.where(grid.boundary_mask(), 1.0, 0.5)
+    u1 = u0.copy()
+    u1[4] = 1.0 + excess
+    traj = HeatTrajectory([TemperatureField(grid, 0.0, u0),
+                           TemperatureField(grid, 1e-3, u1)], 1e-3)
+    write_trajectory(traj, tmp_path / "run")
+    out = tmp_path / "v.json"
+    assert main(["verify", "--run", str(tmp_path / "run"), "--checks",
+                 "max_principle", "--out", str(out)]) == rc
+    check = json.loads(out.read_text())["diagnostics"]["max_principle"]
+    assert check["measured"] == pytest.approx(excess, rel=0.01)
+    assert check["tolerance"] == pytest.approx(1e-12)
+    assert check["pass"] is (rc == 0)
+    assert check["notes"].endswith(str(rc == 0))
+
+
+def test_verify_refuses_solve3d_rundir(tmp_path, capsys):
+    out = tmp_path / "run3"
+    assert main(["solve3d", "--config", write_config(tmp_path, FLAT_3D),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--run", str(out), "--checks", "all"]) == 2
+    err = capsys.readouterr().err
+    assert "solve3d run directory" in err
+    assert "verify audits heat-trajectory directories" in err
 
 
 # ---------------------------------------------------------------------------

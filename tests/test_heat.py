@@ -192,6 +192,9 @@ def test_heat_kernel_argument_checks():
         heat_kernel_solution(phi, [0.0, 0.0], 1.0)
     with pytest.raises(ValueError):
         heat_kernel_field(phi, -1.0)
+    plane = Grid(origin=(-1.0, -1.0), extent=(2.0, 2.0), counts=(4, 4))
+    with pytest.raises(ValueError, match="2-d for a 1-d grid"):
+        heat_kernel_field(phi, 1.0, plane)
 
 
 def test_heat_kernel_field_matches_pointwise():
@@ -205,6 +208,50 @@ def test_heat_kernel_field_matches_pointwise():
         x = target.cell_centers()[idx]
         assert out.values[idx] == pytest.approx(
             heat_kernel_solution(phi, x, 0.5), rel=1e-13)
+
+
+def dense_heat_kernel(phi, t, target):
+    """Pairwise trapezoid sum over every (target, source) pair of centers."""
+    g = phi.grid
+    w = np.ones(g.counts)
+    for j, (n, h) in enumerate(zip(g.counts, g.spacing)):
+        wj = np.full(n, h)
+        wj[0] = wj[-1] = 0.5 * h
+        w = w * wj.reshape([n if k == j else 1 for k in range(g.dim)])
+    src, pts = g.cell_centers(), target.cell_centers()
+    r2 = ((pts[:, None, :] - src[None, :, :]) ** 2).sum(axis=2)
+    norm = (4.0 * math.pi * t) ** (-g.dim / 2.0)
+    return norm * (np.exp(-r2 / (4.0 * t)) @ (w.ravel() * phi.values))
+
+
+@pytest.mark.parametrize("source, target", [
+    # unequal spacings, offset target with other counts
+    (Grid(origin=(-3.0, -2.0), extent=(6.0, 5.0), counts=(30, 20)),
+     Grid(origin=(-1.3, -0.7), extent=(2.6, 1.9), counts=(7, 5))),
+    (Grid(origin=(-1.0, 0.0, 0.5), extent=(2.0, 2.1, 2.4), counts=(6, 7, 8)), None),
+])
+def test_heat_kernel_field_matches_dense_sum(source, target):
+    rng = np.random.default_rng(5)
+    phi = TemperatureField(source, 0.0, rng.uniform(-1.0, 1.0, source.total_cells))
+    out = heat_kernel_field(phi, 0.3, target)
+    ref = dense_heat_kernel(phi, 0.3, target or source)
+    assert out.grid == (target or source)
+    assert np.max(np.abs(out.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_heat_kernel_gaussian_3d():
+    """Gaussian in, Gaussian out with variances added, on a 3D grid."""
+    g = Grid(origin=(-6.0,) * 3, extent=(12.0,) * 3, counts=(48, 48, 48))
+    pts = g.cell_centers()
+    r2 = (pts**2).sum(axis=1)
+    sigma0, t = 0.6, 0.2
+    evolved = heat_kernel_field(TemperatureField(g, 0.0, np.exp(-r2 / (2 * sigma0**2))), t)
+    var = sigma0**2 + 2.0 * t
+    exact = (sigma0**2 / var) ** 1.5 * np.exp(-r2 / (2 * var))
+    inside = np.all(np.abs(pts) <= 3.0, axis=1)
+    assert evolved.time == t
+    # the trapezoid rule is spectrally accurate on Gaussians at this spacing
+    assert np.max(np.abs(evolved.values[inside] - exact[inside])) <= 1e-10
 
 
 def test_conservation_residual_first_order_in_dt():
