@@ -53,7 +53,7 @@ from . import __version__
 from .grid import Grid, TemperatureField, discrete_laplacian, positivity_set, \
     read_field_csv, write_field_csv
 from .heat import HeatTrajectory, OperatorCoefficients, conservation_residual, \
-    solve_dirichlet, write_trajectory
+    eval_time, solve_dirichlet, write_trajectory
 from .mollifier import bump_profile, build_kernel, mollify, smoothness_report
 from .stefan1d import StefanSpec1D, similarity_oracle, solve_stefan, write_front_csv
 from .stefan3d import StefanSpec3D, front_field, solve3d
@@ -351,17 +351,13 @@ def _check(measured, tolerance, passed, notes: str | None = None) -> dict:
     return entry
 
 
-def _provenance(config: ExperimentConfig) -> dict:
+def _provenance(sha256: str, seed: int | None) -> dict:
     return {
-        "config_sha256": config.sha256(),
+        "config_sha256": sha256,
         "code_version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "seed": config.seed,
+        "seed": seed,
     }
-
-
-def _time_value(fn, t: float) -> float:
-    return float(fn(t)) if callable(fn) else float(fn)
 
 
 def _time_func(node) -> float | Callable[[float], float]:
@@ -375,11 +371,21 @@ def _time_func(node) -> float | Callable[[float], float]:
 
 
 def _constant_value(node, where: str) -> float:
-    if isinstance(node, (int, float)):
-        return float(node)
-    if node["kind"] == "constant":
-        return float(node["value"])
-    raise UsageError(f"config error at {where}: similarity data needs a constant value")
+    value = _time_func(node)
+    if callable(value):
+        raise UsageError(f"config error at {where}: similarity data needs a constant value")
+    return value
+
+
+def _similarity_start(payload: Mapping, key: str):
+    """Constant heating ``f0`` from ``payload[key]`` and the closed form at
+    Stefan number ``k1 f0`` for a run started on the similarity profile."""
+    if float(payload.get("t0", 0.0)) <= 0:
+        raise UsageError("config error at $.t0: similarity start needs t0 > 0")
+    f0 = _constant_value(payload.get(key, 1.0), f"$.{key}")
+    if f0 <= 0:
+        raise UsageError(f"config error at $.{key}: similarity start needs f > 0")
+    return f0, similarity_oracle(float(payload["k1"]) * f0)
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +407,7 @@ def _build_spec1d(payload: Mapping):
     initial = None
     b = payload.get("b")
     if kind == "similarity":
-        if t0 <= 0:
-            raise UsageError("config error at $.t0: similarity start needs t0 > 0")
-        f0 = _constant_value(payload.get("boundary", 1.0), "$.boundary")
-        if f0 <= 0:
-            raise UsageError("config error at $.boundary: similarity start needs f > 0")
-        sim = similarity_oracle(float(payload["k1"]) * f0)
+        f0, sim = _similarity_start(payload, "boundary")
         b_sim = float(sim.front(t0))
         if b is None:
             b = b_sim
@@ -449,7 +450,7 @@ def _build_spec1d(payload: Mapping):
     return spec, sim
 
 
-def _run_solve1d(config: ExperimentConfig, outdir: Path) -> RunReport:
+def _run_solve1d(config: ExperimentConfig, outdir: Path) -> tuple[dict, list[str], dict]:
     spec, sim = _build_spec1d(config.payload)
     result = solve_stefan(spec)
     rep = result.report
@@ -502,7 +503,7 @@ def _run_solve1d(config: ExperimentConfig, outdir: Path) -> RunReport:
         "warmup_steps": int(rep["warmup_steps"]),
         "dt": float(rep["dt"]),
     }
-    return RunReport("solve1d", diagnostics, _provenance(config), files, data)
+    return diagnostics, files, data
 
 
 # ---------------------------------------------------------------------------
@@ -534,13 +535,10 @@ def _build_spec3d(payload: Mapping):
             return _h + _a * math.e * bump_profile(r)
 
     initial = None
+    t0 = float(payload.get("t0", 0.0))
     node = payload.get("initial")
     if isinstance(node, Mapping) and node["kind"] == "similarity":
-        t0 = float(payload.get("t0", 0.0))
-        if t0 <= 0:
-            raise UsageError("config error at $.t0: similarity start needs t0 > 0")
-        f0 = _constant_value(payload.get("bottom", 1.0), "$.bottom")
-        sim = similarity_oracle(float(payload["k1"]) * f0)
+        f0, sim = _similarity_start(payload, "bottom")
         z0 = grid.origin[2]
         initial = lambda pts: f0 * sim.temperature(pts[:, 2] - z0, t0)
 
@@ -553,7 +551,7 @@ def _build_spec3d(payload: Mapping):
             initial_front=initial_front,
             initial=initial,
             dt=payload.get("dt"),
-            t0=float(payload.get("t0", 0.0)),
+            t0=t0,
             snapshot_every=payload.get("snapshot_every"),
         )
     except ValueError as exc:
@@ -561,7 +559,7 @@ def _build_spec3d(payload: Mapping):
     return spec
 
 
-def _run_solve3d(config: ExperimentConfig, outdir: Path) -> RunReport:
+def _run_solve3d(config: ExperimentConfig, outdir: Path) -> tuple[dict, list[str], dict]:
     spec = _build_spec3d(config.payload)
     result = solve3d(spec)
     rep = result.report
@@ -587,7 +585,7 @@ def _run_solve3d(config: ExperimentConfig, outdir: Path) -> RunReport:
     (outdir / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
-    scale = max(1.0, abs(_time_value(spec.bottom, spec.t0)))
+    scale = max(1.0, abs(eval_time(spec.bottom, spec.t0)))
     diagnostics = {
         "speed_consistency": _check(
             rep["consistency_max"], 1e-10,
@@ -618,7 +616,7 @@ def _run_solve3d(config: ExperimentConfig, outdir: Path) -> RunReport:
         "lipschitz_max": float(rep["lipschitz_max"]),
         "thin_cell_steps": int(rep["thin_cell_steps"]),
     }
-    return RunReport("solve3d", diagnostics, _provenance(config), files, data)
+    return diagnostics, files, data
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +691,7 @@ def _residual_ratios(ladder):
     return values, ratios
 
 
-def _run_benchmark(config: ExperimentConfig, outdir: Path) -> RunReport:
+def _run_benchmark(config: ExperimentConfig, outdir: Path) -> tuple[dict, list[str], dict]:
     payload = config.payload
     ladder = list(payload.get("ladder", [32, 64, 128]))
     stefan = float(payload.get("stefan", 1.0))
@@ -723,14 +721,14 @@ def _run_benchmark(config: ExperimentConfig, outdir: Path) -> RunReport:
         "residual": {"ladder": ladder, "value": [float(v) for v in res_values],
                      "ratios": [float(r) for r in res_ratios]},
     }
-    return RunReport("benchmark", diagnostics, _provenance(config),
-                     ["config.json", "report.json"], data)
+    return diagnostics, ["config.json", "report.json"], data
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
 
+# each runner writes its mode's data files and returns (diagnostics, files, data)
 _RUNNERS = {
     "solve1d": _run_solve1d,
     "solve3d": _run_solve3d,
@@ -748,7 +746,9 @@ def run(config: ExperimentConfig, outdir: str | Path) -> RunReport:
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.json").write_text(
         json.dumps(config.payload, sort_keys=True, indent=2) + "\n")
-    report = _RUNNERS[config.mode](config, outdir)
+    diagnostics, files, data = _RUNNERS[config.mode](config, outdir)
+    report = RunReport(config.mode, diagnostics,
+                       _provenance(config.sha256(), config.seed), files, data)
     report.write(outdir / "report.json")
     return report
 
@@ -792,7 +792,7 @@ def run_mollify(input_path: str | Path, epsilon: float, order: int,
     payload = {"mode": "mollify", "input": str(input_path),
                "epsilon": float(epsilon), "order": int(order)}
     config = ExperimentConfig("mollify", payload, None)
-    rep = RunReport("mollify", diagnostics, _provenance(config), files,
+    rep = RunReport("mollify", diagnostics, _provenance(config.sha256(), None), files,
                     {"epsilon": float(epsilon), "order": int(order)})
     rep.write(out)
     return rep
@@ -901,16 +901,14 @@ def run_verify(rundir: str | Path, checks: str = "all",
         if unknown:
             raise UsageError(f"unknown checks {unknown}; "
                              f"available: {', '.join(VERIFY_CHECKS)}")
+        if not names:
+            raise UsageError(f"no checks given; available: {', '.join(VERIFY_CHECKS)}")
     traj, manifest = _load_rundir(rundir)
 
     diagnostics = {name: _CHECK_RUNNERS[name](traj) for name in names}
     manifest_bytes = (rundir / "manifest.json").read_bytes()
-    provenance = {
-        "config_sha256": hashlib.sha256(manifest_bytes).hexdigest(),
-        "code_version": __version__,
-        "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "seed": manifest.get("diagnostics", {}).get("seed"),
-    }
+    provenance = _provenance(hashlib.sha256(manifest_bytes).hexdigest(),
+                             manifest.get("diagnostics", {}).get("seed"))
     files = [] if out is None else [Path(out).name]
     rep = RunReport("verify", diagnostics, provenance, files,
                     {"rundir": str(rundir), "levels": len(traj)})
@@ -1015,13 +1013,7 @@ def compare_runs(dir_a: str | Path, dir_b: str | Path,
     digest = hashlib.sha256(
         (dir_a / "manifest.json").read_bytes() + (dir_b / "manifest.json").read_bytes()
     ).hexdigest()
-    provenance = {
-        "config_sha256": digest,
-        "code_version": __version__,
-        "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "seed": None,
-    }
-    return RunReport("compare", diagnostics, provenance, sorted(names_a),
+    return RunReport("compare", diagnostics, _provenance(digest, None), sorted(names_a),
                      {"a": str(dir_a), "b": str(dir_b), "per_file": per_file})
 
 
@@ -1029,17 +1021,17 @@ def compare_runs(dir_a: str | Path, dir_b: str | Path,
 # command wrappers
 # ---------------------------------------------------------------------------
 
-def _cmd_solve(args, mode: str) -> int:
+def _cmd_solve(args) -> int:
     config = ExperimentConfig.from_file(args.config).with_seed(args.seed)
-    if config.mode != mode:
-        raise UsageError(f"config mode is {config.mode!r}, expected {mode!r}")
+    if config.mode != args.mode:
+        raise UsageError(f"config mode is {config.mode!r}, expected {args.mode!r}")
     outdir = Path(args.out)
     try:
         report = run(config, outdir)
     except (ValueError, RuntimeError) as exc:
         marker = {
             "error": str(exc),
-            "mode": mode,
+            "mode": config.mode,
             "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         }
         outdir.mkdir(parents=True, exist_ok=True)
@@ -1047,20 +1039,8 @@ def _cmd_solve(args, mode: str) -> int:
             json.dumps(marker, sort_keys=True, indent=2) + "\n")
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    print(f"{mode}: {report.status} ({outdir / 'report.json'})")
+    print(f"{config.mode}: {report.status} ({outdir / 'report.json'})")
     return 0 if report.status == "pass" else 3
-
-
-def _cmd_solve1d(args) -> int:
-    return _cmd_solve(args, "solve1d")
-
-
-def _cmd_solve3d(args) -> int:
-    return _cmd_solve(args, "solve3d")
-
-
-def _cmd_benchmark(args) -> int:
-    return _cmd_solve(args, "benchmark")
 
 
 def _cmd_mollify(args) -> int:
@@ -1093,14 +1073,13 @@ def _parser() -> argparse.ArgumentParser:
         description="Melting-front solvers, smoothing, and run verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn in (("solve1d", _cmd_solve1d), ("solve3d", _cmd_solve3d),
-                     ("benchmark", _cmd_benchmark)):
+    for name in _RUNNERS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment JSON")
         p.add_argument("--out", required=True, help="run directory")
         p.add_argument("--seed", type=int, default=None,
                        help="recorded in the manifest; overrides the config")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_cmd_solve, mode=name)
 
     p = sub.add_parser("mollify")
     p.add_argument("--input", required=True, help="field CSV")

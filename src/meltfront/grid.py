@@ -12,6 +12,10 @@ Conventions used throughout the package:
 * Stencil operations are defined on interior cells only.  The outermost
   layer of cells carries boundary data; operations that cannot produce a
   value there return a field whose ``valid`` mask excludes those cells.
+  Interior stencils in ``grid``, ``heat`` and ``stefan1d`` index through
+  the stencil core: ``interior_index`` (the interior block, shifted and
+  behind batch axes) and ``second_differences`` (the central second
+  difference per axis).
 
 Serialization: ``write_field_csv``/``read_field_csv`` implement the plain
 text format ``# grid dim=<d> counts=<...> spacing=<...> time=<t>`` followed
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -48,15 +52,6 @@ FLOAT_FMT = "%.17g"
 def format_float(x: float) -> str:
     """Render one float with 17 significant digits."""
     return FLOAT_FMT % float(x)
-
-
-def _as_tuple(x: Sequence[float] | float, dim: int, name: str) -> tuple[float, ...]:
-    if np.isscalar(x):
-        return tuple(float(x) for _ in range(dim))
-    t = tuple(float(v) for v in x)  # type: ignore[union-attr]
-    if len(t) != dim:
-        raise ValueError(f"{name} must have {dim} entries, got {len(t)}")
-    return t
 
 
 @dataclass(frozen=True)
@@ -144,7 +139,7 @@ class Grid:
     def interior_mask(self) -> np.ndarray:
         """Boolean flat mask of cells with a full stencil neighborhood."""
         m = np.zeros(self.counts, dtype=bool)
-        m[tuple(slice(1, -1) for _ in range(self.dim))] = True
+        m[interior_index(self.dim)] = True
         return m.ravel()
 
     def boundary_mask(self) -> np.ndarray:
@@ -238,6 +233,31 @@ class ParabolicCylinder:
 # stencil and set operations
 # ---------------------------------------------------------------------------
 
+def interior_index(dim: int, shift: Mapping[int, int] | None = None,
+                   lead: int = 0) -> tuple[slice, ...]:
+    """Index of the interior block shifted by ``shift[j]`` (-1, 0 or +1) cells
+    along axis ``j``, behind ``lead`` whole batch axes."""
+    shift = shift or {}
+    return (slice(None),) * lead + tuple(
+        slice(1 + shift.get(j, 0), (shift.get(j, 0) - 1) or None) for j in range(dim)
+    )
+
+
+def second_differences(u: np.ndarray, spacing: Sequence[float],
+                       lead: int = 0) -> Iterator[np.ndarray]:
+    """Yield ``(u[+e_j] - 2 u[0] + u[-e_j]) / h_j^2`` on the interior, axis by axis.
+
+    ``u`` is shaped like the grid behind ``lead`` batch axes; each yielded
+    term has the interior shape behind the same batch axes.
+    """
+    dim = len(spacing)
+    center = u[interior_index(dim, lead=lead)]
+    for j, h in enumerate(spacing):
+        up = u[interior_index(dim, {j: 1}, lead)]
+        dn = u[interior_index(dim, {j: -1}, lead)]
+        yield (up - 2.0 * center + dn) / h**2
+
+
 def discrete_laplacian(f: TemperatureField) -> TemperatureField:
     """Second-order Laplacian stencil, valid on interior cells.
 
@@ -252,18 +272,8 @@ def discrete_laplacian(f: TemperatureField) -> TemperatureField:
     if not np.all(np.isfinite(f.values)):
         raise ValueError("discrete_laplacian requires finite input values")
     g = f.grid
-    u = f.reshaped()
-    out = np.zeros_like(u)
-    interior = tuple(slice(1, -1) for _ in range(g.dim))
-    acc = np.zeros_like(u[interior])
-    for j in range(g.dim):
-        h2 = g.spacing[j] ** 2
-        up = [slice(1, -1)] * g.dim
-        dn = [slice(1, -1)] * g.dim
-        up[j] = slice(2, None)
-        dn[j] = slice(None, -2)
-        acc += (u[tuple(up)] - 2.0 * u[interior] + u[tuple(dn)]) / h2
-    out[interior] = acc
+    out = np.zeros(g.shape)
+    out[interior_index(g.dim)] = sum(second_differences(f.reshaped(), g.spacing))
     return TemperatureField(g, f.time, out.ravel(), g.interior_mask())
 
 
@@ -301,9 +311,22 @@ def neighborhood_radius(grid: Grid, cells_a: np.ndarray, cells_b: np.ndarray) ->
         return 0.0
     if not b.any():
         raise ValueError("reference set B is empty but A is not")
+    return radius_to(grid, b)(a)
+
+
+def radius_to(grid: Grid, cells_b: np.ndarray) -> Callable[[np.ndarray], float]:
+    """``cells_a -> neighborhood_radius(grid, cells_a, cells_b)`` for a fixed,
+    non-empty ``B``: every cell center is queried against one KD-tree over
+    ``B`` once, and each call takes the maximum over ``A`` of those distances."""
     pts = grid.cell_centers()
-    dists, _ = cKDTree(pts[b]).query(pts[a])
-    return float(np.max(dists))
+    dist_to_b, _ = cKDTree(pts[cells_b]).query(pts)
+
+    def radius(cells_a: np.ndarray) -> float:
+        if not cells_a.any():
+            return 0.0
+        return float(np.max(dist_to_b[cells_a]))
+
+    return radius
 
 
 # ---------------------------------------------------------------------------

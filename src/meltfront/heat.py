@@ -29,7 +29,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import Grid, TemperatureField, ParabolicCylinder, format_float
+from .grid import Grid, TemperatureField, ParabolicCylinder, interior_index, \
+    second_differences
 
 __all__ = [
     "OperatorCoefficients",
@@ -50,6 +51,12 @@ __all__ = [
 ]
 
 BoundaryData = float | Callable[[np.ndarray, float], np.ndarray]
+TimeFunc = float | Callable[[float], float]
+
+
+def eval_time(fn: TimeFunc, t: float) -> float:
+    """Value at time ``t`` of a constant or a function of time."""
+    return float(fn(t)) if callable(fn) else float(fn)
 
 
 def _eval_boundary(boundary: BoundaryData, points: np.ndarray, t: float) -> np.ndarray:
@@ -57,6 +64,16 @@ def _eval_boundary(boundary: BoundaryData, points: np.ndarray, t: float) -> np.n
         vals = np.asarray(boundary(points, t), dtype=float)
         return np.broadcast_to(vals, (points.shape[0],)).astype(float)
     return np.full(points.shape[0], float(boundary))
+
+
+def _sample(coeff, grid: Grid, t: float, shape: tuple[int, ...]) -> np.ndarray:
+    """A callable coefficient evaluated at the cell centers, otherwise the
+    array itself, broadcast to ``shape``."""
+    if callable(coeff):
+        vals = np.asarray(coeff(grid.cell_centers(), t), dtype=float)
+    else:
+        vals = np.asarray(coeff, dtype=float)
+    return np.broadcast_to(vals, shape)
 
 
 class OperatorCoefficients:
@@ -100,33 +117,20 @@ class OperatorCoefficients:
     def diffusion_matrix(self, grid: Grid, t: float) -> np.ndarray:
         """Diffusion matrices at all cell centers, shape ``(N, d, d)``."""
         d = grid.dim
-        if self.diffusion is None:
-            return np.broadcast_to(np.eye(d), (grid.total_cells, d, d))
-        if callable(self.diffusion):
-            a = np.asarray(self.diffusion(grid.cell_centers(), t), dtype=float)
-        else:
-            a = np.asarray(self.diffusion, dtype=float)
-            if a.ndim == 0:
-                a = a * np.eye(d)
-        return np.broadcast_to(a, (grid.total_cells, d, d))
+        a = np.eye(d) if self.diffusion is None else self.diffusion
+        if not callable(a) and np.ndim(a) == 0:
+            a = np.asarray(a, dtype=float) * np.eye(d)
+        return _sample(a, grid, t, (grid.total_cells, d, d))
 
     def drift_vector(self, grid: Grid, t: float) -> np.ndarray | None:
         if self.drift is None:
             return None
-        if callable(self.drift):
-            b = np.asarray(self.drift(grid.cell_centers(), t), dtype=float)
-        else:
-            b = np.asarray(self.drift, dtype=float)
-        return np.broadcast_to(b, (grid.total_cells, grid.dim))
+        return _sample(self.drift, grid, t, (grid.total_cells, grid.dim))
 
     def reaction_scalar(self, grid: Grid, t: float) -> np.ndarray | None:
         if self.reaction is None:
             return None
-        if callable(self.reaction):
-            c = np.asarray(self.reaction(grid.cell_centers(), t), dtype=float)
-        else:
-            c = np.asarray(self.reaction, dtype=float)
-        return np.broadcast_to(c, (grid.total_cells,))
+        return _sample(self.reaction, grid, t, (grid.total_cells,))
 
     def check_definite(self, grid: Grid, t: float) -> None:
         """Reject diffusion matrices that are asymmetric or not positive definite."""
@@ -162,43 +166,28 @@ def apply_operator(coeffs: OperatorCoefficients, f: TemperatureField) -> Tempera
     t = f.time
     coeffs.check_definite(g, t)
     u = f.reshaped()
-    interior = tuple(slice(1, -1) for _ in range(d))
-    acc = np.zeros(u[interior].shape)
+    interior = interior_index(d)
+    terms = second_differences(u, g.spacing)
 
     if coeffs.is_laplacian:
-        for j in range(d):
-            up, dn = [slice(1, -1)] * d, [slice(1, -1)] * d
-            up[j], dn[j] = slice(2, None), slice(None, -2)
-            acc += (u[tuple(up)] - 2.0 * u[interior] + u[tuple(dn)]) / g.spacing[j] ** 2
+        acc = sum(terms)
     else:
         a = coeffs.diffusion_matrix(g, t).reshape(g.shape + (d, d))
-        for j in range(d):
-            up, dn = [slice(1, -1)] * d, [slice(1, -1)] * d
-            up[j], dn[j] = slice(2, None), slice(None, -2)
-            d2 = (u[tuple(up)] - 2.0 * u[interior] + u[tuple(dn)]) / g.spacing[j] ** 2
-            acc += a[interior + (j, j)] * d2
+        acc = sum(a[interior + (j, j)] * d2 for j, d2 in enumerate(terms))
         for j in range(d):
             for k in range(j + 1, d):
-                pp = [slice(1, -1)] * d
-                mm = [slice(1, -1)] * d
-                pm = [slice(1, -1)] * d
-                mp = [slice(1, -1)] * d
-                pp[j], pp[k] = slice(2, None), slice(2, None)
-                mm[j], mm[k] = slice(None, -2), slice(None, -2)
-                pm[j], pm[k] = slice(2, None), slice(None, -2)
-                mp[j], mp[k] = slice(None, -2), slice(2, None)
-                cross = (u[tuple(pp)] + u[tuple(mm)] - u[tuple(pm)] - u[tuple(mp)]) / (
-                    4.0 * g.spacing[j] * g.spacing[k]
-                )
+                pp = u[interior_index(d, {j: 1, k: 1})]
+                mm = u[interior_index(d, {j: -1, k: -1})]
+                pm = u[interior_index(d, {j: 1, k: -1})]
+                mp = u[interior_index(d, {j: -1, k: 1})]
+                cross = (pp + mm - pm - mp) / (4.0 * g.spacing[j] * g.spacing[k])
                 acc += 2.0 * a[interior + (j, k)] * cross
         b = coeffs.drift_vector(g, t)
         if b is not None:
             b = b.reshape(g.shape + (d,))
             for j in range(d):
-                up, dn = [slice(1, -1)] * d, [slice(1, -1)] * d
-                up[j], dn[j] = slice(2, None), slice(None, -2)
-                d1 = (u[tuple(up)] - u[tuple(dn)]) / (2.0 * g.spacing[j])
-                acc += b[interior + (j,)] * d1
+                up, dn = u[interior_index(d, {j: 1})], u[interior_index(d, {j: -1})]
+                acc += b[interior + (j,)] * ((up - dn) / (2.0 * g.spacing[j]))
         c = coeffs.reaction_scalar(g, t)
         if c is not None:
             acc += c.reshape(g.shape)[interior] * u[interior]
@@ -324,22 +313,24 @@ def _trapezoid_1d(count: int, h: float) -> np.ndarray:
     return w
 
 
+def _tensor_trapezoid(counts: Sequence[int], spacing: Sequence[float]) -> np.ndarray:
+    """Tensor product of the 1D trapezoid rules, shaped ``counts``."""
+    w = np.ones(1)
+    for n, h in zip(counts, spacing):
+        w = np.outer(w, _trapezoid_1d(n, h)).ravel()
+    return w.reshape(tuple(counts))
+
+
 def trapezoid_weights(grid: Grid) -> np.ndarray:
     """Tensor-product trapezoid weights over cell centers (flat array)."""
-    w = np.ones(1)
-    for n, h in zip(grid.counts, grid.spacing):
-        w = np.outer(w, _trapezoid_1d(n, h)).ravel()
-    return w
+    return _tensor_trapezoid(grid.counts, grid.spacing).ravel()
 
 
 def interior_trapezoid_weights(grid: Grid) -> np.ndarray:
     """Trapezoid weights of the interior sub-box; zero on boundary cells."""
     full = np.zeros(grid.counts)
-    w = np.ones(1)
-    for n, h in zip(grid.counts, grid.spacing):
-        w = np.outer(w, _trapezoid_1d(n - 2, h)).ravel()
-    interior = tuple(slice(1, -1) for _ in range(grid.dim))
-    full[interior] = w.reshape(tuple(c - 2 for c in grid.counts))
+    full[interior_index(grid.dim)] = _tensor_trapezoid(
+        [c - 2 for c in grid.counts], grid.spacing)
     return full.ravel()
 
 
@@ -407,17 +398,10 @@ def conservation_residual(traj: HeatTrajectory) -> float:
     vals = traj.values_matrix().reshape((len(traj),) + g.counts)
     w_space = interior_trapezoid_weights(g).reshape(g.counts)
 
-    interior = tuple(slice(1, -1) for _ in range(g.dim))
+    interior = interior_index(g.dim)
     # per-level integral of the discrete Laplacian over the interior box
     lap_int = np.zeros(len(traj))
-    for j in range(g.dim):
-        up, dn = [slice(1, -1)] * g.dim, [slice(1, -1)] * g.dim
-        up[j], dn[j] = slice(2, None), slice(None, -2)
-        term = (
-            vals[(slice(None),) + tuple(up)]
-            - 2.0 * vals[(slice(None),) + interior]
-            + vals[(slice(None),) + tuple(dn)]
-        ) / g.spacing[j] ** 2
+    for term in second_differences(vals, g.spacing, lead=1):
         lap_int += (term * w_space[interior]).reshape(len(traj), -1).sum(axis=1)
 
     du = ((vals[-1] - vals[0]) * w_space)[interior].sum()
@@ -440,20 +424,11 @@ def cylinder_masks(grid: Grid, cyl: ParabolicCylinder) -> tuple[np.ndarray, np.n
     pts = grid.cell_centers()
     c = np.asarray(cyl.center)
     ball = ((pts - c) ** 2).sum(axis=1) < cyl.radius**2
-    ball_nd = ball.reshape(grid.counts)
-    lateral_nd = np.zeros_like(ball_nd)
-    for j in range(grid.dim):
-        for shift in (1, -1):
-            neighbor_outside = np.ones_like(ball_nd)
-            src = [slice(None)] * grid.dim
-            dst = [slice(None)] * grid.dim
-            if shift == 1:
-                src[j], dst[j] = slice(1, None), slice(None, -1)
-            else:
-                src[j], dst[j] = slice(None, -1), slice(1, None)
-            neighbor_outside[tuple(dst)] = ~ball_nd[tuple(src)]
-            lateral_nd |= ball_nd & neighbor_outside
-    lateral = lateral_nd.ravel()
+    # one layer of outside cells around the grid, so off-grid neighbors count
+    padded = np.pad(ball.reshape(grid.counts), 1)
+    neighbors = [padded[interior_index(grid.dim, {j: s})]
+                 for j in range(grid.dim) for s in (1, -1)]
+    lateral = ball & ~np.logical_and.reduce(neighbors).ravel()
     return ball, lateral, ball & ~lateral
 
 
@@ -485,7 +460,7 @@ def caloric_replacement(w: HeatTrajectory, cyl: ParabolicCylinder) -> HeatTrajec
     """
     g = w.grid
     _require_resolved(g, cyl)
-    limit = 1.0 / (2.0 * sum(1.0 / h**2 for h in g.spacing))
+    limit = stability_limit(OperatorCoefficients.laplacian(), g)
     if w.dt > limit * (1.0 + 1e-12):
         raise ValueError(
             f"trajectory step dt={w.dt:g} violates the stability limit {limit:g}"
@@ -502,20 +477,11 @@ def caloric_replacement(w: HeatTrajectory, cyl: ParabolicCylinder) -> HeatTrajec
     if not interior.any():
         raise ValueError("cylinder ball has no interior cells at this resolution")
 
-    ball_nd = ball.reshape(g.counts)
-    int_nd = interior.reshape(g.counts)
     z = w.snapshots[i_bot].values.copy()
     out = [TemperatureField(g, times[i_bot], z.copy())]
     for k in range(i_bot, i_top):
-        z_nd = z.reshape(g.counts)
-        lap = np.zeros_like(z_nd)
-        for j in range(g.dim):
-            up, dn = [slice(1, -1)] * g.dim, [slice(1, -1)] * g.dim
-            up[j], dn[j] = slice(2, None), slice(None, -2)
-            inter = tuple(slice(1, -1) for _ in range(g.dim))
-            lap[inter] += (
-                z_nd[tuple(up)] - 2.0 * z_nd[inter] + z_nd[tuple(dn)]
-            ) / g.spacing[j] ** 2
+        lap = np.zeros(g.counts)
+        lap[interior_index(g.dim)] = sum(second_differences(z.reshape(g.counts), g.spacing))
         z_next = w.snapshots[k + 1].values.copy()
         stepped = z + w.dt * lap.ravel()
         z_next[interior] = stepped[interior]

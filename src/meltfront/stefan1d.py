@@ -37,8 +37,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import erf
 
-from .grid import Grid, TemperatureField, format_float
-from .heat import HeatTrajectory
+from .grid import Grid, TemperatureField, format_float, second_differences
+from .heat import HeatTrajectory, TimeFunc, eval_time
 
 __all__ = [
     "StefanSpec1D",
@@ -55,12 +55,7 @@ __all__ = [
     "write_front_csv",
 ]
 
-TimeFunc = float | Callable[[float], float]
 SpaceFunc = Callable[[np.ndarray], np.ndarray]
-
-
-def _eval_time(fn: TimeFunc, t: float) -> float:
-    return float(fn(t)) if callable(fn) else float(fn)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +306,16 @@ def _xi_interior(n: int) -> np.ndarray:
     return xi
 
 
+def _mapped_rate(spec: StefanSpec1D, s: float, v: float, h: float) -> float:
+    """Combined diffusion/advection rate of the mapped update; ``1 / rate``
+    is the largest stable step for front ``s`` moving at speed ``v``."""
+    rate = 2.0 / (s * s * h * h) + abs(v) / (s * h)
+    if spec.two_phase:
+        d = spec.length - s
+        rate = max(rate, 2.0 / (d * d * h * h) + abs(v) / (d * h))
+    return rate
+
+
 def _advance(spec: StefanSpec1D, t: float, s: float, liquid: np.ndarray,
              solid: np.ndarray | None, dt: float):
     """One explicit step; returns (s_new, liquid_new, solid_new, v, ut_interior).
@@ -323,10 +328,7 @@ def _advance(spec: StefanSpec1D, t: float, s: float, liquid: np.ndarray,
     v = _front_speed(spec, s, liquid, solid)
     length = spec.length
 
-    rate = 2.0 / (s * s * h * h) + abs(v) / (s * h)
-    if spec.two_phase:
-        d = length - s
-        rate = max(rate, 2.0 / (d * d * h * h) + abs(v) / (d * h))
+    rate = _mapped_rate(spec, s, v, h)
     if dt * rate > 1.0 + 1e-12:
         raise ValueError(
             f"dt={dt:g} violates the mapped-grid stability limit {1.0 / rate:g} "
@@ -345,7 +347,7 @@ def _advance(spec: StefanSpec1D, t: float, s: float, liquid: np.ndarray,
     ut = d2 / (s * s * h * h)
     new_liq = np.empty_like(liquid)
     new_liq[1:-1] = liquid[1:-1] + dt * ut + (dt * v / (2.0 * h * s)) * (xi_int * d1)
-    f_val = _eval_time(spec.boundary, t + dt)
+    f_val = eval_time(spec.boundary, t + dt)
     if f_val < 0:
         raise ValueError(f"boundary heating must stay nonnegative, got {f_val:g}")
     new_liq[0] = f_val
@@ -360,7 +362,7 @@ def _advance(spec: StefanSpec1D, t: float, s: float, liquid: np.ndarray,
         new_sol[1:-1] = solid[1:-1] + (dt / (d * d * h * h)) * d2s \
             + (dt * v / (2.0 * h * d)) * ((1.0 - xi_int) * d1s)
         new_sol[0] = 0.0
-        new_sol[-1] = _eval_time(spec.far_boundary, t + dt)
+        new_sol[-1] = eval_time(spec.far_boundary, t + dt)
     return s_new, new_liq, new_sol, v, ut
 
 
@@ -405,7 +407,7 @@ def _initial_nodes(spec: StefanSpec1D) -> tuple[np.ndarray, np.ndarray | None]:
         if np.any(liq < -1e-12 * scale):
             raise ValueError("initial liquid profile must be nonnegative")
         liq[-1] = 0.0
-    liq[0] = _eval_time(spec.boundary, spec.t0)
+    liq[0] = eval_time(spec.boundary, spec.t0)
     sol = None
     if spec.two_phase:
         xs = spec.b + xi * (spec.length - spec.b)
@@ -419,7 +421,7 @@ def _initial_nodes(spec: StefanSpec1D) -> tuple[np.ndarray, np.ndarray | None]:
             if np.any(sol > 1e-12 * scale):
                 raise ValueError("initial solid profile must be nonpositive")
             sol[0] = 0.0
-        sol[-1] = _eval_time(spec.far_boundary, spec.t0)
+        sol[-1] = eval_time(spec.far_boundary, spec.t0)
     return liq, sol
 
 
@@ -430,9 +432,8 @@ def _initial_heat_table(spec: StefanSpec1D) -> tuple[np.ndarray, np.ndarray]:
     if spec.initial is None:
         return x, np.zeros_like(x)
     phi = np.asarray(spec.initial(x), dtype=float)
-    dx = x[1] - x[0]
     rate = np.zeros_like(phi)
-    rate[1:-1] = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dx**2
+    rate[1:-1], = second_differences(phi, (x[1] - x[0],))
     rate[0], rate[-1] = rate[1], rate[-2]
     return x, rate
 
@@ -454,17 +455,12 @@ def solve_stefan(spec: StefanSpec1D) -> StefanResult:
     s = spec.b
     t = spec.t0
 
-    v0 = _front_speed(spec, s, liquid, solid)
-    rate0 = 2.0 / (s * s * h * h) + abs(v0) / (s * h)
-    if spec.two_phase:
-        d0 = spec.length - s
-        rate0 = max(rate0, 2.0 / (d0 * d0 * h * h) + abs(v0) / (d0 * h))
-    limit0 = 1.0 / rate0
+    limit0 = 1.0 / _mapped_rate(spec, s, _front_speed(spec, s, liquid, solid), h)
     dt = spec.dt if spec.dt is not None else 0.8 * limit0
 
     n_steps = max(1, int(math.ceil(spec.duration / dt - 1e-12)))
     snap_every = spec.snapshot_every or max(1, n_steps // 200)
-    degenerate = spec.initial is None and _eval_time(spec.boundary, spec.t0) > 0
+    degenerate = spec.initial is None and eval_time(spec.boundary, spec.t0) > 0
     warm_steps = 5 if degenerate else 0
 
     grid = _mapped_grid(n)
@@ -480,8 +476,7 @@ def solve_stefan(spec: StefanSpec1D) -> StefanResult:
     step_umin = np.empty(n_steps)
     step_utmin = np.empty(n_steps)
     step_utmax = np.empty(n_steps)
-    f_seen = _eval_time(spec.boundary, spec.t0)
-    f_max = f_min = f_seen
+    f_max = f_min = eval_time(spec.boundary, spec.t0)
     phi_max = float(np.max(liquid))
     phi_min = min(0.0, float(np.min(liquid)))
     if solid is not None:

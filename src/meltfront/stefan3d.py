@@ -48,6 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import Grid, TemperatureField
+from .heat import TimeFunc, eval_time
 
 __all__ = [
     "GraphFront",
@@ -63,16 +64,15 @@ __all__ = [
     "front_field",
 ]
 
-TimeFunc = float | Callable[[float], float]
-
-
-def _eval_time(fn: TimeFunc, t: float) -> float:
-    return float(fn(t)) if callable(fn) else float(fn)
-
 
 # ---------------------------------------------------------------------------
 # front and domain containers
 # ---------------------------------------------------------------------------
+
+def _liquid(heights: np.ndarray, zc: np.ndarray) -> np.ndarray:
+    """Liquid cells of a column stack: cell center strictly below the front."""
+    return zc[None, None, :] < heights[:, :, None]
+
 
 @dataclass(frozen=True)
 class GraphFront:
@@ -148,8 +148,7 @@ class PhaseDomain:
         object.__setattr__(self, "values", v)
 
     def _liquid_cube(self) -> np.ndarray:
-        zc = self.grid.axis_centers(2)
-        return zc[None, None, :] < self.front.heights[:, :, None]
+        return _liquid(self.front.heights, self.grid.axis_centers(2))
 
     def liquid_mask(self) -> np.ndarray:
         """Flat boolean mask of liquid cells."""
@@ -191,8 +190,7 @@ def _mirror_pad_xy(arr: np.ndarray) -> np.ndarray:
 def _front_offsets(heights: np.ndarray, zc: np.ndarray,
                    dz: float) -> tuple[np.ndarray, np.ndarray]:
     """Top liquid layer index ``m`` and front offset ``theta`` per column."""
-    liquid = zc[None, None, :] < heights[:, :, None]
-    layers = liquid.sum(axis=2)
+    layers = _liquid(heights, zc).sum(axis=2)
     if np.any(layers < 3):
         raise ValueError(
             f"front handling needs at least 3 liquid layers per column, "
@@ -356,7 +354,7 @@ def _heat_step_3d(domain: PhaseDomain, bottom_value: float,
     zc = grid.axis_centers(2)
     u = domain.cube()
     rho = domain.front.heights
-    liquid = zc[None, None, :] < rho[:, :, None]
+    liquid = _liquid(rho, zc)
     m, theta = _front_offsets(rho, zc, dz)
 
     pad_x = np.pad(u, ((1, 1), (0, 0), (0, 0)), mode="edge")
@@ -410,7 +408,7 @@ def coupled_step_3d(domain: PhaseDomain, k1: float, bottom: TimeFunc, dt: float,
         raise ValueError(
             f"dt={dt:g} violates the 3D stability limit {limit:g}"
         )
-    f_val = _eval_time(bottom, domain.time)
+    f_val = eval_time(bottom, domain.time)
     if f_val < 0:
         raise ValueError(f"bottom heating must stay nonnegative, got {f_val:g}")
 
@@ -421,8 +419,8 @@ def coupled_step_3d(domain: PhaseDomain, k1: float, bottom: TimeFunc, dt: float,
     w = move_info["speed"]
 
     zc = grid.axis_centers(2)
-    old_liquid = zc[None, None, :] < domain.front.heights[:, :, None]
-    new_liquid = zc[None, None, :] < new_front.heights[:, :, None]
+    old_liquid = _liquid(domain.front.heights, zc)
+    new_liquid = _liquid(new_front.heights, zc)
     removed = old_liquid & ~new_liquid
     n_old = int(old_liquid.sum())
     removed_frac = removed.sum() / max(n_old, 1)
@@ -462,7 +460,6 @@ class StefanSpec3D:
     dt: float | None = None
     t0: float = 0.0
     snapshot_every: int | None = None
-    clamp_melting: bool = True
 
     def __post_init__(self):
         if self.grid.dim != 3:
@@ -496,8 +493,7 @@ def _initial_domain(spec: StefanSpec3D) -> PhaseDomain:
         heights = np.full(fx.shape, float(spec.initial_front))
     front = GraphFront(fx, heights)
 
-    zc = grid.axis_centers(2)
-    liquid = zc[None, None, :] < heights[:, :, None]
+    liquid = _liquid(heights, grid.axis_centers(2))
     if np.any(liquid.sum(axis=2) < 3):
         raise ValueError("initial front must leave at least 3 liquid layers")
     vals = np.zeros(grid.shape)
@@ -533,8 +529,7 @@ def solve3d(spec: StefanSpec3D) -> Stefan3DResult:
     lipschitz_max = domain.front.lipschitz_constant
     u_min = float(domain.values.min())
     for k in range(n_steps):
-        domain, info = coupled_step_3d(domain, spec.k1, spec.bottom, dt,
-                                       spec.clamp_melting)
+        domain, info = coupled_step_3d(domain, spec.k1, spec.bottom, dt)
         consistency_max = max(consistency_max, info["consistency"])
         removed_max = max(removed_max, info["removed_fraction"])
         thin_total += info["thin_cells"]

@@ -35,8 +35,8 @@ import numpy as np
 from .grid import (
     TemperatureField,
     discrete_laplacian,
-    neighborhood_radius,
     positivity_set,
+    radius_to,
 )
 from .heat import HeatTrajectory, trapezoid_weights
 
@@ -75,6 +75,16 @@ class BarrierParams:
     @property
     def coefficient(self) -> float:
         return 1.0 / (8.0 * self.dimension)
+
+
+def _grid_mask(grid, mask, name: str) -> np.ndarray:
+    """``mask`` as a flat boolean array, checked to cover ``grid`` and be non-empty."""
+    mask = np.asarray(mask, dtype=bool).reshape(-1)
+    if mask.size != grid.total_cells:
+        raise ValueError(f"{name} mask does not conform to the grid")
+    if not mask.any():
+        raise ValueError(f"{name} mask is empty")
+    return mask
 
 
 def barrier_residual_constant(dim: int) -> float:
@@ -142,12 +152,7 @@ def max_principle_audit(traj: HeatTrajectory, region: np.ndarray | None = None) 
     grid = traj.snapshots[0].grid
     if region is None:
         region = np.ones(grid.total_cells, dtype=bool)
-    else:
-        region = np.asarray(region, dtype=bool).reshape(-1)
-        if region.size != grid.total_cells:
-            raise ValueError("region mask does not conform to the grid")
-        if not region.any():
-            raise ValueError("region mask is empty")
+    region = _grid_mask(grid, region, "region")
     lateral = grid.boundary_mask() & region
 
     values = traj.values_matrix()
@@ -196,14 +201,7 @@ def initial_continuity_metric(
         h_vals = np.asarray(heating, dtype=float).reshape(-1)
     if h_vals.size != grid.total_cells:
         raise ValueError("heating rate does not conform to the grid")
-    if region is None:
-        region = grid.interior_mask()
-    else:
-        region = np.asarray(region, dtype=bool).reshape(-1)
-        if region.size != grid.total_cells:
-            raise ValueError("region mask does not conform to the grid")
-    if not region.any():
-        raise ValueError("region mask is empty")
+    region = _grid_mask(grid, grid.interior_mask() if region is None else region, "region")
 
     weights = trapezoid_weights(grid) * region
     values = traj.values_matrix()
@@ -228,17 +226,10 @@ def delta_of_t(traj: HeatTrajectory, reference: np.ndarray,
         If the reference mask is empty.
     """
     grid = traj.snapshots[0].grid
-    reference = np.asarray(reference, dtype=bool).reshape(-1)
-    if reference.size != grid.total_cells:
-        raise ValueError("reference mask does not conform to the grid")
-    if not reference.any():
-        raise ValueError("reference mask is empty")
+    reference = _grid_mask(grid, reference, "reference")
     if times is None:
         levels = list(traj.snapshots)
     else:
         levels = [traj.snapshots[traj.level_near(t)] for t in np.atleast_1d(times)]
-    out = np.empty(len(levels))
-    for i, snap in enumerate(levels):
-        pos = positivity_set(snap)
-        out[i] = neighborhood_radius(grid, pos, reference)
-    return out
+    radius = radius_to(grid, reference)
+    return np.array([radius(positivity_set(snap)) for snap in levels])

@@ -192,6 +192,21 @@ def test_unstable_dt_leaves_failure_marker(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("cfg, key", [
+    (dict(SIM_1D, boundary=0.0), "boundary"),
+    (dict(FLAT_3D, t0=0.25, initial={"kind": "similarity"}, bottom=0.0), "bottom"),
+])
+def test_similarity_start_rejects_zero_heating(tmp_path, capsys, cfg, key):
+    """Both modes refuse a similarity start without heating as a config error."""
+    out = tmp_path / "run"
+    rc = main([cfg["mode"], "--config", write_config(tmp_path, cfg),
+               "--out", str(out)])
+    assert rc == 2
+    assert f"config error at $.{key}: similarity start needs f > 0" in \
+        capsys.readouterr().err
+    assert not (out / "FAILED.json").exists()
+
+
 def test_solve3d_run_and_seed(tmp_path):
     out = tmp_path / "run3"
     rc = main(["solve3d", "--config", write_config(tmp_path, FLAT_3D),
@@ -309,6 +324,13 @@ def test_verify_unknown_check(tmp_path, capsys):
     rc = main(["verify", "--run", str(rundir), "--checks", "entropy"])
     assert rc == 2
     assert "unknown checks" in capsys.readouterr().err
+
+
+def test_verify_refuses_empty_check_list(tmp_path, capsys):
+    rundir = heat_rundir(tmp_path)
+    rc = main(["verify", "--run", str(rundir), "--checks", ","])
+    assert rc == 2
+    assert "no checks given" in capsys.readouterr().err
 
 
 def test_verify_missing_rundir(tmp_path):

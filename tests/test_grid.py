@@ -15,6 +15,7 @@ from meltfront import (
     read_field_csv,
     write_field_csv,
 )
+from meltfront.grid import interior_index, second_differences
 
 
 def test_grid_basic_geometry():
@@ -149,6 +150,22 @@ def test_discrete_laplacian_rejects_nonfinite():
     f = TemperatureField(g, 0.0, vals, np.isfinite(vals))
     with pytest.raises(ValueError):
         discrete_laplacian(f)
+
+
+@pytest.mark.parametrize("counts, extent", [
+    ((9,), (1.3,)),
+    ((6, 8), (1.0, 2.1)),
+    ((5, 6, 7), (0.7, 1.0, 1.9)),
+])
+def test_batched_second_differences_match_laplacian(counts, extent):
+    """A leading batch axis gives every level's Laplacian bit for bit."""
+    g = Grid(origin=(0.0,) * len(counts), extent=extent, counts=counts)
+    stack = np.random.default_rng(3).standard_normal((4,) + counts)
+    batched = sum(second_differences(stack, g.spacing, lead=1))
+    assert batched.shape == (4,) + tuple(c - 2 for c in counts)
+    for level, lap_level in zip(stack, batched):
+        lap = discrete_laplacian(TemperatureField(g, 0.0, level))
+        assert np.array_equal(lap.reshaped()[interior_index(g.dim)], lap_level)
 
 
 def test_parabolic_distance():
