@@ -59,13 +59,6 @@ def eval_time(fn: TimeFunc, t: float) -> float:
     return float(fn(t)) if callable(fn) else float(fn)
 
 
-def _eval_boundary(boundary: BoundaryData, points: np.ndarray, t: float) -> np.ndarray:
-    if callable(boundary):
-        vals = np.asarray(boundary(points, t), dtype=float)
-        return np.broadcast_to(vals, (points.shape[0],)).astype(float)
-    return np.full(points.shape[0], float(boundary))
-
-
 def _sample(coeff, grid: Grid, t: float, shape: tuple[int, ...]) -> np.ndarray:
     """A callable coefficient evaluated at the cell centers, otherwise the
     array itself, broadcast to ``shape``."""
@@ -228,13 +221,12 @@ def step_explicit(
         raise ValueError(
             f"dt={dt:g} violates the stability limit {limit:g} for this grid/operator"
         )
-    lu = apply_operator(coeffs, u)
-    g = u.grid
-    new = u.values + dt * np.where(lu.valid_mask(), lu.values, 0.0)
+    g, t = u.grid, u.time + dt
+    # apply_operator holds 0 on the boundary layer, which is overwritten next
+    new = u.values + dt * apply_operator(coeffs, u).values
     bmask = g.boundary_mask()
-    pts = g.cell_centers()[bmask]
-    new[bmask] = _eval_boundary(boundary, pts, u.time + dt)
-    return TemperatureField(g, u.time + dt, new)
+    new[bmask] = boundary(g.cell_centers()[bmask], t) if callable(boundary) else boundary
+    return TemperatureField(g, t, new)
 
 
 class HeatTrajectory:
@@ -249,7 +241,7 @@ class HeatTrajectory:
         g = snaps[0].grid
         t0 = snaps[0].time
         for k, s in enumerate(snaps):
-            if not s.grid.grids_match(g):
+            if s.grid is not g and not s.grid.grids_match(g):
                 raise ValueError("all snapshots must share one grid")
             expected = t0 + k * dt
             if abs(s.time - expected) > 1e-9 * max(1.0, abs(expected)):

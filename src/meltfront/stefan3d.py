@@ -35,8 +35,18 @@ neighbor fits evaluated at the column's own front height, so columns of
 different depth compare values at a common level.
 
 The stability limit ``dt <= 1 / (2/dx^2 + 2/dy^2 + 4/dz^2)`` covers the
-worst stepped stencil (``theta = 1/2`` and the bottom row) and is checked
-every step.
+worst stepped stencil (``theta = 1/2`` and the bottom row).
+
+Checks
+------
+``solve3d`` steps raw arrays and builds a ``PhaseDomain`` only at
+snapshots; ``coupled_step_3d`` wraps the same step's result in one.  Every
+step checks what one step can break: ``dt`` against the stability limit,
+bottom heating >= 0, finite temperatures that are nonnegative in the liquid
+up to ``1e-12 max(1, max|u|)``, at least 3 liquid layers per column, the
+moved front inside the box, and at most 20% of the liquid lost to
+re-masking.  What holds by construction (solid cells exactly 0, the front
+grid matching the box section) is checked when a ``PhaseDomain`` is built.
 """
 
 from __future__ import annotations
@@ -47,7 +57,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Grid, TemperatureField
+from .grid import Grid, TemperatureField, interior_index
 from .heat import TimeFunc, eval_time
 
 __all__ = [
@@ -74,6 +84,29 @@ def _liquid(heights: np.ndarray, zc: np.ndarray) -> np.ndarray:
     return zc[None, None, :] < heights[:, :, None]
 
 
+def _check_temperatures(cube: np.ndarray, liquid: np.ndarray) -> None:
+    """Finite temperatures, nonnegative in the liquid up to ``1e-12 max(1, max|u|)``."""
+    if not np.all(np.isfinite(cube)):
+        raise ValueError("temperature values must be finite")
+    if np.any(cube[liquid] < -1e-12 * max(1.0, float(np.max(np.abs(cube))))):
+        raise ValueError("liquid cells must hold nonnegative temperatures")
+
+
+def _require_positive(**values: float) -> None:
+    for name, v in values.items():
+        if v <= 0:
+            raise ValueError(f"{name} must be positive, got {v}")
+
+
+def _slopes(heights: np.ndarray, spacing) -> tuple[np.ndarray, ...]:
+    """Central-difference slopes per horizontal axis, one-sided at the walls."""
+    return tuple(np.gradient(heights, h, axis=j) for j, h in enumerate(spacing))
+
+
+def _lipschitz(heights: np.ndarray, spacing) -> float:
+    return float(max(np.max(np.abs(s)) for s in _slopes(heights, spacing)))
+
+
 @dataclass(frozen=True)
 class GraphFront:
     """Front heights over a 2D horizontal grid (one value per column)."""
@@ -93,17 +126,12 @@ class GraphFront:
         h.setflags(write=False)
         object.__setattr__(self, "heights", h)
 
-    def slopes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Central-difference slopes, one-sided at the walls."""
-        dx, dy = self.grid.spacing
-        rx = np.gradient(self.heights, dx, axis=0)
-        ry = np.gradient(self.heights, dy, axis=1)
-        return rx, ry
+    def slopes(self) -> tuple[np.ndarray, ...]:
+        return _slopes(self.heights, self.grid.spacing)
 
     @property
     def lipschitz_constant(self) -> float:
-        rx, ry = self.slopes()
-        return float(max(np.max(np.abs(rx)), np.max(np.abs(ry))))
+        return _lipschitz(self.heights, self.grid.spacing)
 
 
 @dataclass(frozen=True)
@@ -134,15 +162,11 @@ class PhaseDomain:
         v = np.asarray(self.values, dtype=float)
         if v.size != self.grid.total_cells:
             raise ValueError(f"expected {self.grid.total_cells} values, got {v.size}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("temperature values must be finite")
         cube = v.reshape(self.grid.shape)
-        solid = ~self._liquid_cube()
-        if np.any(cube[solid] != 0.0):
+        liquid = self._liquid_cube()
+        _check_temperatures(cube, liquid)
+        if np.any(cube[~liquid] != 0.0):
             raise ValueError("solid cells must hold exactly 0")
-        liquid = ~solid
-        if np.any(cube[liquid] < -1e-12 * max(1.0, float(np.max(np.abs(v))))):
-            raise ValueError("liquid cells must hold nonnegative temperatures")
         v = v.reshape(-1).copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -183,33 +207,28 @@ def front_normal(front: GraphFront) -> np.ndarray:
     return n
 
 
-def _mirror_pad_xy(arr: np.ndarray) -> np.ndarray:
-    return np.pad(arr, ((1, 1), (1, 1)), mode="edge")
-
-
-def _front_offsets(heights: np.ndarray, zc: np.ndarray,
-                   dz: float) -> tuple[np.ndarray, np.ndarray]:
-    """Top liquid layer index ``m`` and front offset ``theta`` per column."""
-    layers = _liquid(heights, zc).sum(axis=2)
+def _front_offsets(heights: np.ndarray, liquid: np.ndarray,
+                   grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Top liquid layer ``m`` and front offset ``theta`` per column of a liquid mask."""
+    layers = liquid.sum(axis=2)
     if np.any(layers < 3):
         raise ValueError(
             f"front handling needs at least 3 liquid layers per column, "
             f"found a column with {int(layers.min())}"
         )
     m = layers - 1
-    theta = (heights - zc[m]) / dz
+    theta = (heights - grid.axis_centers(2)[m]) / grid.spacing[2]
     return m, theta
 
 
-def _column_fits(cube: np.ndarray, heights: np.ndarray, zc: np.ndarray,
-                 dz: float) -> tuple[np.ndarray, ...]:
+def _column_fits(cube: np.ndarray, m: np.ndarray, theta: np.ndarray,
+                 dz: float) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares quadratic through the top three liquid samples per column.
 
-    Returns ``(a, b, theta, m)`` with the fit ``a d + b d^2`` in the signed
-    front distance ``d = z - rho``, ``theta`` the front offset of the top
-    liquid cell, and ``m`` its layer index.
+    Returns ``(a, b)`` with the fit ``a d + b d^2`` in the signed front
+    distance ``d = z - rho``, for top liquid layer ``m`` at front offset
+    ``theta``.
     """
-    m, theta = _front_offsets(heights, zc, dz)
     u0 = np.take_along_axis(cube, m[:, :, None], axis=2)[:, :, 0]
     u1 = np.take_along_axis(cube, (m - 1)[:, :, None], axis=2)[:, :, 0]
     u2 = np.take_along_axis(cube, (m - 2)[:, :, None], axis=2)[:, :, 0]
@@ -224,57 +243,69 @@ def _column_fits(cube: np.ndarray, heights: np.ndarray, zc: np.ndarray,
     det = s2 * s4 - s3 * s3
     a = (s4 * t1 - s3 * t2) / det
     b = (s2 * t2 - s3 * t1) / det
-    return a, b, theta, m
+    return a, b
 
 
-def _front_gradients(domain: PhaseDomain):
-    """Per-column gradient samples ``(gx, gy, gz)`` and slopes ``(rx, ry)``.
+def _front_derivative(grid: Grid, cube: np.ndarray, rho: np.ndarray, m: np.ndarray,
+                      theta: np.ndarray, clamp_melting: bool):
+    """Directional derivative ``D = u_z - rho_x u_x - rho_y u_y`` and slopes.
 
-    Horizontal derivatives difference neighbor fits evaluated at the
-    column's own front height; a column's own fit vanishes there, which
-    makes the wall mirror image contribute exactly 0.
+    ``D`` equals ``grad(u) . n`` times the metric factor ``J``.  Horizontal
+    derivatives difference neighbor fits evaluated at the column's own front
+    height; a column's own fit vanishes there, which makes the wall mirror
+    image contribute exactly 0.  With ``clamp_melting`` the estimate is
+    capped at 0: nonnegative liquid temperatures vanishing on the front force
+    the true derivative along the outward normal to be nonpositive, while
+    the quadratic fit can briefly invert the sign where heat has only just
+    reached the sample layers.
     """
-    grid = domain.grid
     dx, dy, dz = grid.spacing
-    zc = grid.axis_centers(2)
-    cube = domain.cube()
-    rho = domain.front.heights
-    a, b, theta, m = _column_fits(cube, rho, zc, dz)
+    a, b = _column_fits(cube, m, theta, dz)
 
-    ap = _mirror_pad_xy(a)
-    bp = _mirror_pad_xy(b)
-    rp = _mirror_pad_xy(rho)
+    # mirror images across the insulated walls
+    ap, bp, rp = np.pad(np.stack([a, b, rho]), ((0, 0), (1, 1), (1, 1)), mode="edge")
 
     def fit_value(sx, sy):
         # neighbor fit evaluated at this column's front height
-        d = rho - rp[1 + sx:rp.shape[0] - 1 + sx, 1 + sy:rp.shape[1] - 1 + sy]
-        an = ap[1 + sx:ap.shape[0] - 1 + sx, 1 + sy:ap.shape[1] - 1 + sy]
-        bn = bp[1 + sx:bp.shape[0] - 1 + sx, 1 + sy:bp.shape[1] - 1 + sy]
-        return an * d + bn * d * d
+        nb = interior_index(2, {0: sx, 1: sy})
+        d = rho - rp[nb]
+        return ap[nb] * d + bp[nb] * d * d
 
     gx = (fit_value(1, 0) - fit_value(-1, 0)) / (2.0 * dx)
     gy = (fit_value(0, 1) - fit_value(0, -1)) / (2.0 * dy)
-    gz = a
-
-    rxp = (rp[2:, 1:-1] - rp[:-2, 1:-1]) / (2.0 * dx)
-    ryp = (rp[1:-1, 2:] - rp[1:-1, :-2]) / (2.0 * dy)
-    return gx, gy, gz, rxp, ryp, theta, m
-
-
-def _front_derivative(domain: PhaseDomain, clamp_melting: bool):
-    """Directional derivative ``D = u_z - rho_x u_x - rho_y u_y`` and slopes.
-
-    ``D`` equals ``grad(u) . n`` times the metric factor ``J``.  With
-    ``clamp_melting`` the estimate is capped at 0: nonnegative liquid
-    temperatures vanishing on the front force the true derivative along the
-    outward normal to be nonpositive, while the quadratic fit can briefly
-    invert the sign where heat has only just reached the sample layers.
-    """
-    gx, gy, gz, rx, ry, _, _ = _front_gradients(domain)
-    d = gz - rx * gx - ry * gy
+    rx = (rp[2:, 1:-1] - rp[:-2, 1:-1]) / (2.0 * dx)
+    ry = (rp[1:-1, 2:] - rp[1:-1, :-2]) / (2.0 * dy)
+    d = a - rx * gx - ry * gy
     if clamp_melting:
         d = np.minimum(d, 0.0)
     return d, rx, ry
+
+
+def _domain_derivative(domain: PhaseDomain, clamp_melting: bool):
+    """:func:`_front_derivative` of a validated domain."""
+    grid, rho = domain.grid, domain.front.heights
+    m, theta = _front_offsets(rho, domain._liquid_cube(), grid)
+    return _front_derivative(grid, domain.cube(), rho, m, theta, clamp_melting)
+
+
+def _move_front(grid: Grid, heights: np.ndarray, d: np.ndarray, rx: np.ndarray,
+                ry: np.ndarray, k1: float, dt: float, t: float):
+    """Forward Euler on the graph law; returns ``(heights, w, consistency)``
+    with ``w`` the vertical rate and ``consistency`` the gap to the
+    normal-speed form.  Errors name the time ``t``."""
+    w = -k1 * d
+    j = np.sqrt(1.0 + rx * rx + ry * ry)
+    vn = -k1 * d / j
+    consistency = float(np.max(np.abs(dt * w - dt * vn * j)))
+
+    dz = grid.spacing[2]
+    new_heights = heights + dt * w
+    z_top = grid.origin[2] + grid.extent[2]
+    if np.any(new_heights >= z_top - dz):
+        raise RuntimeError(f"front reached the top of the box at t={t:g}")
+    if np.any(new_heights <= grid.axis_centers(2)[2] + 1e-12 * dz):
+        raise RuntimeError(f"front dropped below 3 liquid layers at t={t:g}")
+    return new_heights, w, consistency
 
 
 def normal_velocity(domain: PhaseDomain, k1: float,
@@ -289,9 +320,8 @@ def normal_velocity(domain: PhaseDomain, k1: float,
     ValueError
         If any column has fewer than 3 liquid layers.
     """
-    if k1 <= 0:
-        raise ValueError(f"k1 must be positive, got {k1}")
-    d, rx, ry = _front_derivative(domain, clamp_melting)
+    _require_positive(k1=k1)
+    d, rx, ry = _domain_derivative(domain, clamp_melting)
     j = np.sqrt(1.0 + rx * rx + ry * ry)
     return -k1 * d / j
 
@@ -311,29 +341,11 @@ def evolve_front(domain: PhaseDomain, k1: float, dt: float,
         If the moved front leaves the usable vertical extent (fewer than 3
         liquid layers somewhere, or within one cell of the box top).
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if k1 <= 0:
-        raise ValueError(f"k1 must be positive, got {k1}")
-    d, rx, ry = _front_derivative(domain, clamp_melting)
-    w = -k1 * d
-    j = np.sqrt(1.0 + rx * rx + ry * ry)
-    vn = -k1 * d / j
-    consistency = float(np.max(np.abs(dt * w - dt * vn * j)))
-
-    grid = domain.grid
-    dz = grid.spacing[2]
-    zc = grid.axis_centers(2)
-    new_heights = domain.front.heights + dt * w
-    z_top = grid.origin[2] + grid.extent[2]
-    if np.any(new_heights >= z_top - dz):
-        raise RuntimeError(f"front reached the top of the box at t={domain.time:g}")
-    if np.any(new_heights <= zc[2] + 1e-12 * dz):
-        raise RuntimeError(
-            f"front dropped below 3 liquid layers at t={domain.time:g}"
-        )
-    info = {"consistency": consistency, "speed": w}
-    return GraphFront(domain.front.grid, new_heights), info
+    _require_positive(dt=dt, k1=k1)
+    d, rx, ry = _domain_derivative(domain, clamp_melting)
+    heights, w, consistency = _move_front(domain.grid, domain.front.heights,
+                                          d, rx, ry, k1, dt, domain.time)
+    return GraphFront(domain.front.grid, heights), {"consistency": consistency, "speed": w}
 
 
 # ---------------------------------------------------------------------------
@@ -347,20 +359,13 @@ def stability_limit_3d(grid: Grid) -> float:
     return 1.0 / (2.0 / dx**2 + 2.0 / dy**2 + 4.0 / dz**2)
 
 
-def _heat_step_3d(domain: PhaseDomain, bottom_value: float,
+def _heat_step_3d(grid: Grid, u: np.ndarray, liquid: np.ndarray, m: np.ndarray,
+                  theta: np.ndarray, bottom_value: float,
                   dt: float) -> tuple[np.ndarray, int]:
-    grid = domain.grid
     dx, dy, dz = grid.spacing
-    zc = grid.axis_centers(2)
-    u = domain.cube()
-    rho = domain.front.heights
-    liquid = _liquid(rho, zc)
-    m, theta = _front_offsets(rho, zc, dz)
-
-    pad_x = np.pad(u, ((1, 1), (0, 0), (0, 0)), mode="edge")
-    pad_y = np.pad(u, ((0, 0), (1, 1), (0, 0)), mode="edge")
-    uxx = (pad_x[2:] - 2.0 * u + pad_x[:-2]) / dx**2
-    uyy = (pad_y[:, 2:] - 2.0 * u + pad_y[:, :-2]) / dy**2
+    pad = np.pad(u, ((1, 1), (1, 1), (0, 0)), mode="edge")
+    uxx = (pad[2:, 1:-1] - 2.0 * u + pad[:-2, 1:-1]) / dx**2
+    uyy = (pad[1:-1, 2:] - 2.0 * u + pad[1:-1, :-2]) / dy**2
     uzz = np.zeros_like(u)
     uzz[:, :, 1:-1] = (u[:, :, 2:] - 2.0 * u[:, :, 1:-1] + u[:, :, :-2]) / dz**2
     uzz[:, :, 0] = (8.0 * bottom_value + 4.0 * u[:, :, 1] - 12.0 * u[:, :, 0]) \
@@ -391,6 +396,46 @@ def _heat_step_3d(domain: PhaseDomain, bottom_value: float,
     return new, int(np.sum(thin))
 
 
+def _coupled_step(grid: Grid, cube: np.ndarray, heights: np.ndarray,
+                  liquid: np.ndarray, t: float, k1: float, bottom: TimeFunc,
+                  dt: float, clamp_melting: bool = True):
+    """One coupled step on raw arrays: ``(cube, heights, liquid)`` at ``t`` to
+    the same at ``t + dt``, plus the info dict.  ``liquid`` is the mask of
+    ``heights``; the returned mask serves the next step."""
+    limit = stability_limit_3d(grid)
+    if dt > limit * (1.0 + 1e-12):
+        raise ValueError(f"dt={dt:g} violates the 3D stability limit {limit:g}")
+    f_val = eval_time(bottom, t)
+    if f_val < 0:
+        raise ValueError(f"bottom heating must stay nonnegative, got {f_val:g}")
+
+    m, theta = _front_offsets(heights, liquid, grid)
+    new, thin_count = _heat_step_3d(grid, cube, liquid, m, theta, f_val, dt)
+    _check_temperatures(new, liquid)
+    d, rx, ry = _front_derivative(grid, new, heights, m, theta, clamp_melting)
+    new_heights, w, consistency = _move_front(grid, heights, d, rx, ry, k1, dt,
+                                              t + dt)
+
+    new_liquid = _liquid(new_heights, grid.axis_centers(2))
+    # every column keeps at least 3 liquid layers, so the count is positive
+    removed_frac = (liquid & ~new_liquid).sum() / liquid.sum()
+    if removed_frac > 0.2:
+        raise RuntimeError(
+            f"front retreat removed {removed_frac:.0%} of the liquid in one "
+            f"step at t={t:g}; graph description broke down"
+        )
+    new[~new_liquid] = 0.0
+
+    info = {
+        "consistency": consistency,
+        "removed_fraction": float(removed_frac),
+        "thin_cells": thin_count,
+        "front_speed_max": float(np.max(np.abs(w))),
+        "front_min_increment": float(np.min(new_heights - heights)),
+    }
+    return new, new_heights, new_liquid, info
+
+
 def coupled_step_3d(domain: PhaseDomain, k1: float, bottom: TimeFunc, dt: float,
                     clamp_melting: bool = True):
     """One coupled step: conforming heat update, front move, re-mask.
@@ -402,45 +447,12 @@ def coupled_step_3d(domain: PhaseDomain, k1: float, bottom: TimeFunc, dt: float,
     Returns ``(domain, info)`` with ``info`` carrying the consistency gap,
     the removed-liquid fraction and the thin-cell count.
     """
-    grid = domain.grid
-    limit = stability_limit_3d(grid)
-    if dt > limit * (1.0 + 1e-12):
-        raise ValueError(
-            f"dt={dt:g} violates the 3D stability limit {limit:g}"
-        )
-    f_val = eval_time(bottom, domain.time)
-    if f_val < 0:
-        raise ValueError(f"bottom heating must stay nonnegative, got {f_val:g}")
-
-    new_vals, thin_count = _heat_step_3d(domain, f_val, dt)
-    stepped = PhaseDomain(grid, domain.front, new_vals.reshape(-1),
-                          time=domain.time + dt)
-    new_front, move_info = evolve_front(stepped, k1, dt, clamp_melting)
-    w = move_info["speed"]
-
-    zc = grid.axis_centers(2)
-    old_liquid = _liquid(domain.front.heights, zc)
-    new_liquid = _liquid(new_front.heights, zc)
-    removed = old_liquid & ~new_liquid
-    n_old = int(old_liquid.sum())
-    removed_frac = removed.sum() / max(n_old, 1)
-    if removed_frac > 0.2:
-        raise RuntimeError(
-            f"front retreat removed {removed_frac:.0%} of the liquid in one "
-            f"step at t={domain.time:g}; graph description broke down"
-        )
-    cube = new_vals
-    cube[~new_liquid] = 0.0
-
-    info = {
-        "consistency": move_info["consistency"],
-        "removed_fraction": float(removed_frac),
-        "thin_cells": thin_count,
-        "front_speed_max": float(np.max(np.abs(w))),
-        "front_min_increment": float(np.min(new_front.heights - domain.front.heights)),
-    }
-    out = PhaseDomain(grid, new_front, cube.reshape(-1), time=domain.time + dt)
-    return out, info
+    _require_positive(dt=dt, k1=k1)
+    cube, heights, _, info = _coupled_step(
+        domain.grid, domain.cube(), domain.front.heights, domain._liquid_cube(),
+        domain.time, k1, bottom, dt, clamp_melting)
+    return PhaseDomain(domain.grid, GraphFront(domain.front.grid, heights), cube,
+                       time=domain.time + dt), info
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +476,9 @@ class StefanSpec3D:
     def __post_init__(self):
         if self.grid.dim != 3:
             raise ValueError("3D runs need a 3D grid")
-        if self.k1 <= 0:
-            raise ValueError(f"k1 must be positive, got {self.k1}")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        _require_positive(k1=self.k1, duration=self.duration)
+        if self.dt is not None:
+            _require_positive(dt=self.dt)
 
 
 @dataclass(frozen=True)
@@ -480,7 +489,8 @@ class Stefan3DResult:
     spec: StefanSpec3D
 
 
-def _initial_domain(spec: StefanSpec3D) -> PhaseDomain:
+def _initial_domain(spec: StefanSpec3D) -> tuple[PhaseDomain, np.ndarray]:
+    """The validated start and its liquid mask."""
     grid = spec.grid
     fx = Grid(origin=grid.origin[:2], extent=grid.extent[:2], counts=grid.counts[:2])
     if callable(spec.initial_front):
@@ -493,7 +503,7 @@ def _initial_domain(spec: StefanSpec3D) -> PhaseDomain:
         heights = np.full(fx.shape, float(spec.initial_front))
     front = GraphFront(fx, heights)
 
-    liquid = _liquid(heights, grid.axis_centers(2))
+    liquid = _liquid(front.heights, grid.axis_centers(2))
     if np.any(liquid.sum(axis=2) < 3):
         raise ValueError("initial front must leave at least 3 liquid layers")
     vals = np.zeros(grid.shape)
@@ -503,7 +513,7 @@ def _initial_domain(spec: StefanSpec3D) -> PhaseDomain:
         if np.any(sampled[liquid] < -1e-12):
             raise ValueError("initial temperature must be nonnegative in the liquid")
         vals[liquid] = sampled[liquid]
-    return PhaseDomain(grid, front, vals.reshape(-1), time=spec.t0)
+    return PhaseDomain(grid, front, vals.reshape(-1), time=spec.t0), liquid
 
 
 def solve3d(spec: StefanSpec3D) -> Stefan3DResult:
@@ -513,48 +523,45 @@ def solve3d(spec: StefanSpec3D) -> Stefan3DResult:
     front-speed forms, re-mask statistics, thin-cell counts, the front
     Lipschitz constant, and the enforced stability limit.
     """
-    domain = _initial_domain(spec)
-    limit = stability_limit_3d(spec.grid)
+    domain, liquid = _initial_domain(spec)
+    grid, fx = spec.grid, domain.front.grid
+    limit = stability_limit_3d(grid)
     dt = spec.dt if spec.dt is not None else 0.8 * limit
     n_steps = max(1, int(math.ceil(spec.duration / dt - 1e-12)))
     snap_every = spec.snapshot_every or max(1, n_steps // 50)
 
+    cube, heights, t = domain.cube(), domain.front.heights, domain.time
     snapshots = [domain]
-    times = [spec.t0]
-    consistency_max = 0.0
-    removed_max = 0.0
-    thin_total = 0
-    speed_max = 0.0
-    min_increment = math.inf
-    lipschitz_max = domain.front.lipschitz_constant
-    u_min = float(domain.values.min())
+    times = [t]
+    infos = []
+    lipschitz_max = _lipschitz(heights, fx.spacing)
+    u_min = float(cube.min())
     for k in range(n_steps):
-        domain, info = coupled_step_3d(domain, spec.k1, spec.bottom, dt)
-        consistency_max = max(consistency_max, info["consistency"])
-        removed_max = max(removed_max, info["removed_fraction"])
-        thin_total += info["thin_cells"]
-        speed_max = max(speed_max, info["front_speed_max"])
-        min_increment = min(min_increment, info["front_min_increment"])
-        lipschitz_max = max(lipschitz_max, domain.front.lipschitz_constant)
-        u_min = min(u_min, float(domain.values.min()))
+        cube, heights, liquid, info = _coupled_step(
+            grid, cube, heights, liquid, t, spec.k1, spec.bottom, dt)
+        t = t + dt
+        infos.append(info)
+        lipschitz_max = max(lipschitz_max, _lipschitz(heights, fx.spacing))
+        u_min = min(u_min, float(cube.min()))
         if (k + 1) % snap_every == 0 or k + 1 == n_steps:
-            snapshots.append(domain)
-            times.append(domain.time)
+            snapshots.append(PhaseDomain(grid, GraphFront(fx, heights),
+                                         cube.reshape(-1), time=t))
+            times.append(t)
 
     report = {
         "dt": dt,
         "stability_limit": limit,
         "steps": n_steps,
-        "consistency_max": consistency_max,
-        "removed_fraction_max": removed_max,
-        "thin_cell_steps": thin_total,
-        "front_speed_max": speed_max,
-        "front_min_increment": min_increment,
+        "consistency_max": max(i["consistency"] for i in infos),
+        "removed_fraction_max": max(i["removed_fraction"] for i in infos),
+        "thin_cell_steps": sum(i["thin_cells"] for i in infos),
+        "front_speed_max": max(i["front_speed_max"] for i in infos),
+        "front_min_increment": min(i["front_min_increment"] for i in infos),
         "u_min": u_min,
-        "front_min": float(domain.front.heights.min()),
-        "front_max": float(domain.front.heights.max()),
+        "front_min": float(heights.min()),
+        "front_max": float(heights.max()),
         "lipschitz_max": lipschitz_max,
-        "lipschitz_final": domain.front.lipschitz_constant,
+        "lipschitz_final": _lipschitz(heights, fx.spacing),
     }
     return Stefan3DResult(snapshots=tuple(snapshots), times=np.asarray(times),
                           report=report, spec=spec)

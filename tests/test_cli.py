@@ -207,6 +207,20 @@ def test_similarity_start_rejects_zero_heating(tmp_path, capsys, cfg, key):
     assert not (out / "FAILED.json").exists()
 
 
+def test_two_phase_similarity_start_skips_one_phase_front_check(tmp_path):
+    """The closed form is one-phase; a run that also conducts heat into a
+    cold solid moves its front off it, so that check is not made."""
+    cfg = dict(SIM_1D, k2=0.5, length=2.0, far_boundary=-0.5,
+               initial_solid={"kind": "linear"}, duration=0.2, nx=100)
+    out = tmp_path / "run"
+    rc = main(["solve1d", "--config", write_config(tmp_path, cfg),
+               "--out", str(out)])
+    assert rc == 0
+    diag = json.loads((out / "report.json").read_text())["diagnostics"]
+    assert "similarity_front_error" not in diag
+    assert all(entry["pass"] for entry in diag.values())
+
+
 def test_solve3d_run_and_seed(tmp_path):
     out = tmp_path / "run3"
     rc = main(["solve3d", "--config", write_config(tmp_path, FLAT_3D),
@@ -269,6 +283,25 @@ def test_mollify_command(tmp_path):
     assert diag["unit_mass"]["measured"] <= 1e-8
     assert "derivative_order_1" in diag and "derivative_order_2" in diag
     assert smoothed.exists()
+
+
+def test_mollify_command_mollifies_once(tmp_path, monkeypatch):
+    import meltfront.cli
+    import meltfront.mollifier
+
+    calls = []
+    original = meltfront.mollifier.mollify
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(meltfront.mollifier, "mollify", counting)
+    monkeypatch.setattr(meltfront.cli, "mollify", counting)
+    rc = main(["mollify", "--input", smooth_field_csv(tmp_path),
+               "--epsilon", "0.125", "--out", str(tmp_path / "m.json")])
+    assert rc == 0
+    assert len(calls) == 1
 
 
 def test_mollify_rejects_coarse_grid(tmp_path, capsys):

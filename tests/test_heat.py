@@ -121,6 +121,23 @@ def test_step_explicit_boundary_evaluated_at_new_time():
     assert out.values[-1] == pytest.approx(10.0 * 1e-3)
 
 
+@pytest.mark.parametrize("boundary", [lambda pts, t: 2.0, 0])
+def test_step_explicit_scalar_boundary_broadcasts(boundary):
+    """A scalar from a boundary callable, or an integer constant, fills the
+    whole boundary layer; the interior is the plain operator update."""
+    g = Grid(origin=(0.0, 0.0), extent=(1.0, 1.0), counts=(6, 7))
+    f = TemperatureField(g, 0.0, np.random.default_rng(1).random(42))
+    coeffs = OperatorCoefficients.laplacian()
+    dt = 0.4 * stability_limit(coeffs, g)
+    out = step_explicit(coeffs, f, dt, boundary=boundary)
+    value = boundary(None, dt) if callable(boundary) else boundary
+    bmask = g.boundary_mask()
+    assert np.all(out.values[bmask] == value)
+    interior = ~bmask
+    expected = f.values + dt * apply_operator(coeffs, f).values
+    np.testing.assert_array_equal(out.values[interior], expected[interior])
+
+
 def test_step_explicit_enforces_cfl():
     g = Grid(origin=(0.0,), extent=(1.0,), counts=(8,))
     f = TemperatureField(g, 0.0, np.zeros(8))

@@ -254,6 +254,22 @@ def test_spec3d_validation():
                              initial=lambda p: -np.ones(len(p)), dt=1e-5))
 
 
+@pytest.mark.parametrize("dt_factor, late_bottom, match", [
+    (1.01, 1.0, "stability"),
+    (0.5, -1.0, "nonnegative"),
+    (0.5, float("nan"), "finite"),
+])
+def test_solve3d_step_guards(dt_factor, late_bottom, match):
+    """The checks one step can fail fire inside solve3d's own loop; the
+    bottom data turns bad only after three good steps."""
+    dt = dt_factor * stability_limit_3d(BOX)
+    spec = StefanSpec3D(grid=BOX, k1=1.0, duration=10 * dt, dt=dt,
+                        initial_front=0.6,
+                        bottom=lambda t: 1.0 if t < 2.5 * dt else late_bottom)
+    with pytest.raises(ValueError, match=match):
+        solve3d(spec)
+
+
 def test_solve3d_flat_linear_start():
     spec = StefanSpec3D(grid=BOX, k1=1.0, duration=5e-3, bottom=0.5,
                         initial_front=0.5, dt=2e-4,
