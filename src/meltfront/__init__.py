@@ -49,14 +49,12 @@ from .mollifier import (
 from .stefan1d import (
     FrontTrajectory,
     SimilaritySolution,
-    Stefan1DState,
     StefanResult,
     StefanSpec1D,
     front_gradient,
     physical_trajectory,
     similarity_oracle,
     solve_stefan,
-    step_stefan,
     transcendental_residual,
     write_front_csv,
 )
@@ -99,10 +97,9 @@ __all__ = [
     "MollifierKernel", "build_kernel", "bump_profile", "admissible_mask",
     "mollify", "smoothness_report", "l2_convergence",
     # stefan1d
-    "StefanSpec1D", "Stefan1DState", "StefanResult", "FrontTrajectory",
-    "SimilaritySolution", "similarity_oracle", "transcendental_residual",
-    "front_gradient", "step_stefan", "solve_stefan", "physical_trajectory",
-    "write_front_csv",
+    "StefanSpec1D", "StefanResult", "FrontTrajectory", "SimilaritySolution",
+    "similarity_oracle", "transcendental_residual", "front_gradient",
+    "solve_stefan", "physical_trajectory", "write_front_csv",
     # stefan3d
     "StefanSpec3D", "Stefan3DResult", "GraphFront", "PhaseDomain",
     "front_normal", "normal_velocity", "evolve_front", "coupled_step_3d",

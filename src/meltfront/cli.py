@@ -26,6 +26,10 @@ numerical failure or a failed check, 4 unreadable or unwritable path.  A
 solver abort still leaves partial outputs in the run directory next to a
 ``FAILED.json`` marker.
 
+Every diagnostic that compares a number with a tolerance takes its ``pass``
+from its printed ``measured`` and ``tolerance`` under one named rule of
+``_RULES``, so a reported tolerance is always the applied one.
+
 Reports follow ``REPORT_SCHEMA`` and are validated against it before they
 are written.  Everything except the ``created_utc`` provenance field is a
 pure function of (config, seed), so repeated runs produce byte-identical
@@ -351,6 +355,22 @@ def _check(measured, tolerance, passed, notes: str | None = None) -> dict:
     return entry
 
 
+# the closed set of pass rules, each a test of measured m against tolerance tol
+_RULES: dict[str, Callable[[float, float], bool]] = {
+    "at_most": lambda m, tol: m <= tol,
+    "at_least": lambda m, tol: m >= tol,
+    "at_least_minus": lambda m, tol: m >= -tol,
+    "at_most_rounding": lambda m, tol: m <= tol * (1 + 1e-12),
+    "abs_at_most": lambda m, tol: abs(m) <= tol,
+}
+
+
+def _rule(rule: str, measured, tolerance, notes: str | None = None) -> dict:
+    """Diagnostic whose ``pass`` is ``_RULES[rule]`` of the values it prints."""
+    passed = _RULES[rule](float(measured), float(tolerance))
+    return _check(measured, tolerance, passed, notes)
+
+
 def _provenance(sha256: str, seed: int | None) -> dict:
     return {
         "config_sha256": sha256,
@@ -471,38 +491,29 @@ def _run_solve1d(config: ExperimentConfig, outdir: Path) -> tuple[dict, list[str
             write_field_csv(snap, outdir / name)
             files.append(name)
 
+    bounds = f"bounds [{rep['bound_low']:.6g}, {rep['bound_high']:.6g}]"
     diagnostics = {
-        "front_monotone": _check(
-            rep["front_min_increment"], 1e-12,
-            rep["front_min_increment"] >= -1e-12,
-            "smallest per-step front increment; melting must not retreat"),
-        "max_principle": _check(
-            rep["max_principle_violations"], 0,
-            rep["max_principle_violations"] == 0,
-            f"bounds [{rep['bound_low']:.6g}, {rep['bound_high']:.6g}]"),
-        "interior_heating": _check(
-            rep["ut_min"], rep["ut_tol"],
-            rep["ut_violation_steps"] == 0,
+        "max_principle": _rule("at_most", rep["max_principle_violations"], 0, bounds),
+        "interior_heating": _rule(
+            "at_least_minus", rep["ut_min"], rep["ut_tol"],
             f"steps with u_t below -tol: {rep['ut_violation_steps']}"),
-        "stability": _check(
-            rep["dt"], rep["stability_limit_initial"],
-            rep["dt"] <= rep["stability_limit_initial"] * (1 + 1e-12),
-            "explicit step against the initial mapped-grid limit"),
+        "stability": _rule("at_most_rounding", rep["dt"], rep["stability_limit_initial"],
+                           "explicit step against the initial mapped-grid limit"),
     }
-    if sim is not None and not spec.two_phase:
-        t_end = float(result.front.times[-1])
-        s_ref = float(sim.front(t_end))
-        err = abs(float(result.front.positions[-1]) - s_ref) / s_ref
-        diagnostics["similarity_front_error"] = _check(
-            err, 1e-2, err <= 1e-2, "relative front error against the closed form")
+    # both one-phase rules: a cold solid can refreeze the front and pull it
+    # off the closed form
+    if not spec.two_phase:
+        diagnostics["front_monotone"] = _rule(
+            "at_least_minus", rep["front_min_increment"], 1e-12,
+            "smallest per-step front increment; melting must not retreat")
+        if sim is not None:
+            s_ref = float(sim.front(float(result.front.times[-1])))
+            err = abs(float(result.front.positions[-1]) - s_ref) / s_ref
+            diagnostics["similarity_front_error"] = _rule(
+                "at_most", err, 1e-2, "relative front error against the closed form")
 
-    data = {
-        "front_initial": float(rep["front_initial"]),
-        "front_final": float(rep["front_final"]),
-        "steps": int(rep["steps"]),
-        "warmup_steps": int(rep["warmup_steps"]),
-        "dt": float(rep["dt"]),
-    }
+    data = {k: rep[k] for k in ("front_initial", "front_final", "steps", "warmup_steps")}
+    data["dt"] = float(rep["dt"])  # a config may give an integer step
     return diagnostics, files, data
 
 
@@ -587,35 +598,21 @@ def _run_solve3d(config: ExperimentConfig, outdir: Path) -> tuple[dict, list[str
 
     scale = max(1.0, abs(eval_time(spec.bottom, spec.t0)))
     diagnostics = {
-        "speed_consistency": _check(
-            rep["consistency_max"], 1e-10,
-            rep["consistency_max"] <= 1e-10,
+        "speed_consistency": _rule(
+            "at_most", rep["consistency_max"], 1e-10,
             "gap per step between the graph update and V_n along the normal"),
-        "front_monotone": _check(
-            rep["front_min_increment"], 1e-12,
-            rep["front_min_increment"] >= -1e-12,
-            "smallest per-step height increment over all columns"),
-        "liquid_sign": _check(
-            rep["u_min"], 1e-12 * scale,
-            rep["u_min"] >= -1e-12 * scale,
-            "minimum liquid temperature over the run"),
-        "removed_fraction": _check(
-            rep["removed_fraction_max"], 0.2,
-            rep["removed_fraction_max"] <= 0.2,
+        "front_monotone": _rule("at_least_minus", rep["front_min_increment"], 1e-12,
+                                "smallest per-step height increment over all columns"),
+        "liquid_sign": _rule("at_least_minus", rep["u_min"], 1e-12 * scale,
+                             "minimum liquid temperature over the run"),
+        "removed_fraction": _rule(
+            "at_most", rep["removed_fraction_max"], 0.2,
             "largest single-step fraction of liquid cells lost to re-masking"),
-        "stability": _check(
-            rep["dt"], rep["stability_limit"],
-            rep["dt"] <= rep["stability_limit"] * (1 + 1e-12)),
+        "stability": _rule("at_most_rounding", rep["dt"], rep["stability_limit"]),
     }
-    data = {
-        "steps": int(rep["steps"]),
-        "dt": float(rep["dt"]),
-        "front_min": float(rep["front_min"]),
-        "front_max": float(rep["front_max"]),
-        "lipschitz_final": float(rep["lipschitz_final"]),
-        "lipschitz_max": float(rep["lipschitz_max"]),
-        "thin_cell_steps": int(rep["thin_cell_steps"]),
-    }
+    data = {k: rep[k] for k in ("steps", "front_min", "front_max", "lipschitz_final",
+                                "lipschitz_max", "thin_cell_steps")}
+    data["dt"] = float(rep["dt"])  # a config may give an integer step
     return diagnostics, files, data
 
 
@@ -707,12 +704,12 @@ def _run_benchmark(config: ExperimentConfig, outdir: Path) -> tuple[dict, list[s
     res_values, res_ratios = _residual_ratios(ladder)
 
     diagnostics = {
-        "space_order": _check(space_order, 1.8, space_order >= 1.8,
-                              "fitted front-error order in h with dt = O(h^2)"),
-        "time_order": _check(time_order, 0.9, time_order >= 0.9,
-                             "fitted error order in dt against the semi-discrete decay"),
-        "residual_ratio_min": _check(
-            min(res_ratios), 3.5, min(res_ratios) >= 3.5,
+        "space_order": _rule("at_least", space_order, 1.8,
+                             "fitted front-error order in h with dt = O(h^2)"),
+        "time_order": _rule("at_least", time_order, 0.9,
+                            "fitted error order in dt against the semi-discrete decay"),
+        "residual_ratio_min": _rule(
+            "at_least", min(res_ratios), 3.5,
             "conservation residual shrink per grid halving (4 expected)"),
     }
     data = {
@@ -770,17 +767,15 @@ def run_mollify(input_path: str | Path, epsilon: float, order: int,
     offsets, weights = kernel.taps(f.grid.spacing)
     mass_err = abs(float(np.sum(weights)) - 1.0)
     diagnostics = {
-        "unit_mass": _check(mass_err, 1e-8, mass_err <= 1e-8,
-                            "renormalized tap sum against 1"),
+        "unit_mass": _rule("at_most", mass_err, 1e-8, "renormalized tap sum against 1"),
         "admissible_cells": _check(
             int(np.count_nonzero(admissible_mask(f.grid, kernel.epsilon))), None, True,
             "cells at least epsilon from the boundary"),
     }
     for m in range(1, order + 1):
         entry = report[m]
-        diagnostics[f"derivative_order_{m}"] = _check(
-            entry["measured"], entry["bound"],
-            entry["measured"] <= entry["bound"] * (1 + 1e-12),
+        diagnostics[f"derivative_order_{m}"] = _rule(
+            "at_most_rounding", entry["measured"], entry["bound"],
             f"kernel constant {entry['kernel_constant']:.6g}")
 
     files = [Path(out).name]
@@ -801,12 +796,18 @@ def run_mollify(input_path: str | Path, epsilon: float, order: int,
 # verify
 # ---------------------------------------------------------------------------
 
-VERIFY_CHECKS = ("caloric", "max_principle", "continuity", "positivity_spread",
-                 "barrier")
+def _read_manifest(rundir: Path) -> dict:
+    """``manifest.json`` as an object with a numeric ``dt``, else a usage error."""
+    try:
+        manifest = json.loads((rundir / "manifest.json").read_text())
+        float(manifest["dt"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"{rundir}: unreadable manifest.json: {exc!r}") from exc
+    return manifest
 
 
 def _load_rundir(rundir: Path) -> tuple[HeatTrajectory, dict]:
-    manifest = json.loads((rundir / "manifest.json").read_text())
+    manifest = _read_manifest(rundir)
     mode = manifest.get("diagnostics", {}).get("mode")
     if mode == "solve3d":
         raise UsageError(f"{rundir}: a {mode} run directory stores front heights, "
@@ -815,7 +816,10 @@ def _load_rundir(rundir: Path) -> tuple[HeatTrajectory, dict]:
     names = manifest.get("snapshots", [])
     if not names:
         raise UsageError(f"{rundir}: manifest lists no snapshots")
-    snaps = [read_field_csv(rundir / name) for name in names]
+    try:
+        snaps = [read_field_csv(rundir / name) for name in names]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     return HeatTrajectory(snaps, float(manifest["dt"])), manifest
 
 
@@ -828,29 +832,26 @@ def _caloric_tolerance(traj: HeatTrajectory) -> float:
 def _check_caloric(traj: HeatTrajectory) -> dict:
     residuals = heat_residual_field(traj)
     measured = max(float(np.max(np.abs(r.values[r.valid_mask()]))) for r in residuals)
-    tol = _caloric_tolerance(traj)
-    return _check(measured, tol, measured <= tol,
-                  "sup interior |Lu - u_t| over all recorded steps")
+    return _rule("at_most", measured, _caloric_tolerance(traj),
+                 "sup interior |Lu - u_t| over all recorded steps")
 
 
 def _check_max_principle(traj: HeatTrajectory) -> dict:
     audit = max_principle_audit(traj)
     measured = float(audit["max_value"] - audit["parabolic_max"])
     scale = max(1.0, float(np.max(np.abs(traj.values_matrix()))))
-    tol = 1e-12 * scale
-    return _check(measured, tol, measured <= tol,
-                  f"interior max excess; attained on the parabolic boundary: "
-                  f"{bool(audit['attained_on_boundary'])}")
+    return _rule("at_most", measured, 1e-12 * scale,
+                 f"interior max excess; attained on the parabolic boundary: "
+                 f"{bool(audit['attained_on_boundary'])}")
 
 
 def _check_continuity(traj: HeatTrajectory) -> dict:
     heating = discrete_laplacian(traj.snapshots[0])
     times, metric = initial_continuity_metric(traj, heating)
     measured = float(metric[0])
-    tol = _caloric_tolerance(traj)
-    return _check(measured, tol, measured <= tol,
-                  f"heating mismatch at the first recorded step; "
-                  f"peak over the run {float(np.max(metric)):.6g}")
+    return _rule("at_most", measured, _caloric_tolerance(traj),
+                 f"heating mismatch at the first recorded step; "
+                 f"peak over the run {float(np.max(metric)):.6g}")
 
 
 def _check_positivity_spread(traj: HeatTrajectory) -> dict:
@@ -874,9 +875,8 @@ def _check_barrier(traj: HeatTrajectory) -> dict:
     vals = np.concatenate([r.values[r.valid_mask()] for r in residuals])
     measured = float(np.mean(vals))
     const = barrier_residual_constant(grid.dim)
-    tol = _caloric_tolerance(traj) + 1e-12
-    return _check(measured - const, tol, abs(measured - const) <= tol,
-                  f"mean interior barrier residual against {const!r}")
+    return _rule("abs_at_most", measured - const, _caloric_tolerance(traj) + 1e-12,
+                 f"mean interior barrier residual against {const!r}")
 
 
 _CHECK_RUNNERS = {
@@ -886,6 +886,7 @@ _CHECK_RUNNERS = {
     "positivity_spread": _check_positivity_spread,
     "barrier": _check_barrier,
 }
+VERIFY_CHECKS = tuple(_CHECK_RUNNERS)
 
 
 def run_verify(rundir: str | Path, checks: str = "all",
@@ -958,8 +959,7 @@ def compare_runs(dir_a: str | Path, dir_b: str | Path,
     provenance field removed.
     """
     dir_a, dir_b = Path(dir_a), Path(dir_b)
-    ma = json.loads((dir_a / "manifest.json").read_text())
-    mb = json.loads((dir_b / "manifest.json").read_text())
+    ma, mb = _read_manifest(dir_a), _read_manifest(dir_b)
     reason = _manifest_compatible(ma, mb)
     if reason is not None:
         raise UsageError(f"manifest mismatch: {reason}")
@@ -1000,9 +1000,9 @@ def compare_runs(dir_a: str | Path, dir_b: str | Path,
         reports_match = ra == rb
 
     diagnostics = {
-        "csv_max_abs": _check(max_abs, tolerance, max_abs <= tolerance),
-        "csv_max_rel": _check(max_rel, tolerance, max_rel <= tolerance,
-                              "relative to the larger magnitude per value"),
+        "csv_max_abs": _rule("at_most", max_abs, tolerance),
+        "csv_max_rel": _rule("at_most", max_rel, tolerance,
+                             "relative to the larger magnitude per value"),
     }
     if reports_match is not None:
         diagnostics["reports_match"] = _check(

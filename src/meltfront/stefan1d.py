@@ -42,14 +42,12 @@ from .heat import HeatTrajectory, TimeFunc, eval_time
 
 __all__ = [
     "StefanSpec1D",
-    "Stefan1DState",
     "FrontTrajectory",
     "StefanResult",
     "SimilaritySolution",
     "similarity_oracle",
     "transcendental_residual",
     "front_gradient",
-    "step_stefan",
     "solve_stefan",
     "physical_trajectory",
     "write_front_csv",
@@ -120,7 +118,7 @@ def similarity_oracle(stefan_number: float) -> SimilaritySolution:
 
 
 # ---------------------------------------------------------------------------
-# problem specification and state
+# problem specification and results
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -190,27 +188,6 @@ class StefanSpec1D:
     @property
     def two_phase(self) -> bool:
         return self.k2 is not None
-
-
-@dataclass
-class Stefan1DState:
-    """Mapped-grid state: node samples per phase plus the front position."""
-
-    time: float
-    front: float
-    liquid: np.ndarray
-    solid: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.liquid = np.asarray(self.liquid, dtype=float)
-        if self.solid is not None:
-            self.solid = np.asarray(self.solid, dtype=float)
-            if self.solid.shape != self.liquid.shape:
-                raise ValueError("solid and liquid phases must share the mapped grid")
-        if self.front <= 0:
-            raise ValueError(f"front must be positive, got {self.front}")
-        if self.liquid.ndim != 1 or self.liquid.size < 4:
-            raise ValueError("liquid state needs at least 4 nodes")
 
 
 @dataclass(frozen=True)
@@ -364,25 +341,6 @@ def _advance(spec: StefanSpec1D, t: float, s: float, liquid: np.ndarray,
         new_sol[0] = 0.0
         new_sol[-1] = eval_time(spec.far_boundary, t + dt)
     return s_new, new_liq, new_sol, v, ut
-
-
-def step_stefan(spec: StefanSpec1D, state: Stefan1DState, dt: float) -> Stefan1DState:
-    """Advance one explicit step: front first, then the mapped heat update.
-
-    Raises
-    ------
-    ValueError
-        On a stability violation (message carries the computed limit).
-    RuntimeError
-        If the front leaves ``(0, L)``.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if spec.two_phase and state.solid is None:
-        raise ValueError("two-phase spec needs a solid phase in the state")
-    s_new, liq, sol, _, _ = _advance(spec, state.time, state.front, state.liquid,
-                                     state.solid, dt)
-    return Stefan1DState(time=state.time + dt, front=s_new, liquid=liq, solid=sol)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from meltfront.cli import (
     ExperimentConfig,
     RunReport,
     UsageError,
+    _RULES,
+    _rule,
     compare_runs,
     main,
 )
@@ -126,6 +128,27 @@ def test_report_schema_self_validation():
     assert failing.status == "fail"
 
 
+@pytest.mark.parametrize("rule, edge, past", [
+    ("at_most", 0.3, np.inf),
+    ("at_least", 0.3, -np.inf),
+    ("at_least_minus", -0.3, -np.inf),
+    ("at_most_rounding", 0.3 * (1 + 1e-12), np.inf),
+    ("abs_at_most", 0.3, np.inf),
+    ("abs_at_most", -0.3, -np.inf),
+])
+def test_rule_edges(rule, edge, past):
+    """Each pass rule holds on its edge and fails one float step beyond it,
+    and the entry prints the tolerance the rule applied."""
+    assert set(_RULES) == {"at_most", "at_least", "at_least_minus",
+                           "at_most_rounding", "abs_at_most"}
+    on = _rule(rule, edge, 0.3)
+    assert on == {"measured": edge, "tolerance": 0.3, "pass": True}
+    beyond = _rule(rule, np.nextafter(edge, past), 0.3, "note")
+    assert beyond["pass"] is False
+    assert beyond["tolerance"] == 0.3
+    assert beyond["notes"] == "note"
+
+
 def test_config_schemas_are_valid_json_schema():
     from jsonschema import Draft202012Validator
     for schema in CONFIG_SCHEMAS.values():
@@ -218,6 +241,21 @@ def test_two_phase_similarity_start_skips_one_phase_front_check(tmp_path):
     assert rc == 0
     diag = json.loads((out / "report.json").read_text())["diagnostics"]
     assert "similarity_front_error" not in diag
+    assert all(entry["pass"] for entry in diag.values())
+
+
+def test_two_phase_run_skips_one_phase_monotone_check(tmp_path):
+    """A cold solid refreezes the front while the liquid is cold; that
+    retreat is physical, so the one-phase monotonicity check is not made."""
+    cfg = {"mode": "solve1d", "k1": 1, "k2": 0.5, "length": 2, "b": 0.5,
+           "far_boundary": -0.5, "initial_solid": {"kind": "linear"},
+           "duration": 0.1, "nx": 100}
+    out = tmp_path / "run"
+    rc = main(["solve1d", "--config", write_config(tmp_path, cfg),
+               "--out", str(out)])
+    assert rc == 0
+    diag = json.loads((out / "report.json").read_text())["diagnostics"]
+    assert "front_monotone" not in diag
     assert all(entry["pass"] for entry in diag.values())
 
 
@@ -414,6 +452,39 @@ def test_verify_refuses_solve3d_rundir(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "solve3d run directory" in err
     assert "verify audits heat-trajectory directories" in err
+
+
+def _drop_manifest_dt(rundir):
+    manifest = json.loads((rundir / "manifest.json").read_text())
+    del manifest["dt"]
+    (rundir / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _garble_manifest(rundir):
+    (rundir / "manifest.json").write_text("{not json")
+
+
+def _strip_grid_header(rundir):
+    name = json.loads((rundir / "manifest.json").read_text())["snapshots"][0]
+    lines = (rundir / name).read_text().splitlines(keepends=True)
+    (rundir / name).write_text("".join(lines[1:]))
+
+
+@pytest.mark.parametrize("command, damage", [
+    ("verify", _drop_manifest_dt),
+    ("verify", _garble_manifest),
+    ("verify", _strip_grid_header),
+    ("compare", _drop_manifest_dt),
+])
+def test_unreadable_rundir_is_usage_error(tmp_path, capsys, command, damage):
+    """Run directories that cannot be interpreted exit 2, not 1 or 3."""
+    rundir = heat_rundir(tmp_path)
+    other = heat_rundir(tmp_path, "other")
+    damage(rundir)
+    argv = (["verify", "--run", str(rundir)] if command == "verify"
+            else ["compare", str(other), str(rundir)])
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,11 @@ from scipy.special import erf, erfc
 from meltfront import (
     FrontTrajectory,
     Grid,
-    Stefan1DState,
     StefanSpec1D,
     front_gradient,
     physical_trajectory,
     similarity_oracle,
     solve_stefan,
-    step_stefan,
     transcendental_residual,
     write_front_csv,
 )
@@ -123,15 +121,6 @@ def test_spec_validation():
         StefanSpec1D(k1=1.0, b=1.0, duration=1.0, k2=1.0, length=0.5)
 
 
-def test_state_validation():
-    with pytest.raises(ValueError):
-        Stefan1DState(time=0.0, front=-1.0, liquid=np.zeros(5))
-    with pytest.raises(ValueError):
-        Stefan1DState(time=0.0, front=1.0, liquid=np.zeros(3))
-    with pytest.raises(ValueError, match="mapped grid"):
-        Stefan1DState(time=0.0, front=1.0, liquid=np.zeros(5), solid=np.zeros(6))
-
-
 def test_front_trajectory_container():
     ft = FrontTrajectory(times=[0.0, 1.0], positions=[1.0, 2.0],
                          velocities=[1.0, 1.0])
@@ -145,30 +134,25 @@ def test_front_trajectory_container():
 def test_step_rejects_unstable_dt():
     sim = similarity_oracle(1.0)
     b = float(sim.front(0.25))
-    nodes = sim.temperature(np.linspace(0, 1, 201) * b, 0.25)
-    state = Stefan1DState(time=0.25, front=b, liquid=nodes)
-    spec = StefanSpec1D(k1=1.0, b=b, duration=1.0, nx=200, t0=0.25)
+    spec = StefanSpec1D(k1=1.0, b=b, duration=1.0, nx=200, dt=1e-4, t0=0.25,
+                        initial=lambda x: sim.temperature(x, 0.25))
     with pytest.raises(ValueError, match="stability"):
-        step_stefan(spec, state, 1e-4)
+        solve_stefan(spec)
     with pytest.raises(ValueError):
-        step_stefan(spec, state, 0.0)
-    with pytest.raises(ValueError, match="solid"):
-        two = StefanSpec1D(k1=1.0, b=b, duration=1.0, k2=1.0, length=2.0,
-                           nx=200, t0=0.25)
-        step_stefan(two, state, 1e-6)
+        StefanSpec1D(k1=1.0, b=b, duration=1.0, nx=200, dt=0.0, t0=0.25)
 
 
 def test_single_step_tracks_similarity():
     sim = similarity_oracle(1.0)
     t0 = 0.25
     b = float(sim.front(t0))
-    nodes = sim.temperature(np.linspace(0, 1, 201) * b, t0)
-    state = Stefan1DState(time=t0, front=b, liquid=nodes)
-    spec = StefanSpec1D(k1=1.0, b=b, duration=4e-6, nx=200, dt=4e-6, t0=t0)
-    out = step_stefan(spec, state, 4e-6)
-    assert abs(out.front - float(sim.front(t0 + 4e-6))) < 1e-9
-    assert out.liquid[0] == 1.0
-    assert out.liquid[-1] == 0.0
+    spec = StefanSpec1D(k1=1.0, b=b, duration=4e-6, nx=200, dt=4e-6, t0=t0,
+                        initial=lambda x: sim.temperature(x, t0))
+    res = solve_stefan(spec)
+    out = res.trajectory.snapshots[-1].values
+    assert abs(float(res.front.positions[-1]) - float(sim.front(t0 + 4e-6))) < 1e-9
+    assert out[0] == 1.0
+    assert out[-1] == 0.0
 
 
 # ---------------------------------------------------------------------------
