@@ -33,7 +33,6 @@ from .heat import (
     radial_average,
     solve_dirichlet,
     stability_limit,
-    step_explicit,
     trapezoid_weights,
     write_trajectory,
 )
@@ -89,7 +88,7 @@ __all__ = [
     "format_float", "field_to_csv_text", "read_field_csv", "write_field_csv",
     # heat
     "OperatorCoefficients", "HeatTrajectory", "apply_operator",
-    "stability_limit", "step_explicit", "solve_dirichlet",
+    "stability_limit", "solve_dirichlet",
     "heat_kernel_solution", "heat_kernel_field", "conservation_residual",
     "caloric_replacement", "cylinder_masks", "radial_average",
     "trapezoid_weights", "interior_trapezoid_weights", "write_trajectory",

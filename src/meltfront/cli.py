@@ -797,12 +797,19 @@ def run_mollify(input_path: str | Path, epsilon: float, order: int,
 # ---------------------------------------------------------------------------
 
 def _read_manifest(rundir: Path) -> dict:
-    """``manifest.json`` as an object with a numeric ``dt``, else a usage error."""
+    """``manifest.json`` as an object with a numeric ``dt``, an object
+    ``diagnostics`` and a list of string ``snapshots`` (each when present),
+    else a usage error."""
     try:
         manifest = json.loads((rundir / "manifest.json").read_text())
         float(manifest["dt"])
     except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"{rundir}: unreadable manifest.json: {exc!r}") from exc
+    if not isinstance(manifest.get("diagnostics", {}), dict):
+        raise UsageError(f"{rundir}: manifest.json diagnostics must be an object")
+    names = manifest.get("snapshots", [])
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise UsageError(f"{rundir}: manifest.json snapshots must be a list of file names")
     return manifest
 
 
@@ -937,6 +944,16 @@ def _split_csv(path: Path) -> tuple[list[str], np.ndarray]:
     return headers, np.array(rows)
 
 
+def _read_report(rundir: Path) -> dict:
+    """``report.json`` without its ``created_utc`` timestamp, else a usage error."""
+    try:
+        report = json.loads((rundir / "report.json").read_text())
+        report.get("provenance", {}).pop("created_utc", None)
+    except (ValueError, AttributeError, TypeError) as exc:
+        raise UsageError(f"{rundir}: unreadable report.json: {exc!r}") from exc
+    return report
+
+
 def _manifest_compatible(ma: dict, mb: dict) -> str | None:
     """Reason the two manifests cannot be compared, or None."""
     if set(ma.get("snapshots", [])) != set(mb.get("snapshots", [])):
@@ -993,11 +1010,7 @@ def compare_runs(dir_a: str | Path, dir_b: str | Path,
 
     reports_match = None
     if (dir_a / "report.json").exists() and (dir_b / "report.json").exists():
-        ra = json.loads((dir_a / "report.json").read_text())
-        rb = json.loads((dir_b / "report.json").read_text())
-        for r in (ra, rb):
-            r.get("provenance", {}).pop("created_utc", None)
-        reports_match = ra == rb
+        reports_match = _read_report(dir_a) == _read_report(dir_b)
 
     diagnostics = {
         "csv_max_abs": _rule("at_most", max_abs, tolerance),

@@ -8,9 +8,12 @@ central differences.  Coefficients are sampled at cell centers at the
 current time level.
 
 Time stepping is forward Euler on interior cells with Dirichlet data written
-into the boundary cell layer at the new time.  The stability limit
+into the boundary cell layer at the new time; :func:`solve_dirichlet` is the
+one stepping entry point and marches raw arrays.  The stability limit
 ``dt <= 1 / (2 sum_j max(a_jj) / h_j^2)`` is enforced, never assumed; it
-reduces to ``h^2 / (2 n max a)`` on isotropic grids.
+reduces to ``h^2 / (2 n max a)`` on isotropic grids.  A solve checks it, and
+the positive-definiteness of ``a``, at its first step, and again at every
+step when the diffusion is a callable of time.
 
 The module also carries the integral-identity tooling used by the
 verification layer: whole-space heat-kernel quadrature, the discrete
@@ -37,7 +40,6 @@ __all__ = [
     "HeatTrajectory",
     "apply_operator",
     "stability_limit",
-    "step_explicit",
     "solve_dirichlet",
     "heat_kernel_solution",
     "heat_kernel_field",
@@ -82,17 +84,12 @@ class OperatorCoefficients:
         ``b(points, t) -> (N, d)``; ``None`` means zero.
     reaction : callable or array-like or None
         ``c(points, t) -> (N,)``; ``None`` means zero.
-    constant_in_time : bool
-        Marks coefficients whose positive-definiteness only needs checking
-        once per grid.
     """
 
-    def __init__(self, diffusion=None, drift=None, reaction=None, constant_in_time=True):
+    def __init__(self, diffusion=None, drift=None, reaction=None):
         self.diffusion = diffusion
         self.drift = drift
         self.reaction = reaction
-        self.constant_in_time = bool(constant_in_time)
-        self._spd_cache: set[tuple] = set()
 
     @classmethod
     def laplacian(cls) -> "OperatorCoefficients":
@@ -101,7 +98,7 @@ class OperatorCoefficients:
 
     @classmethod
     def constant(cls, a=None, b=None, c=None) -> "OperatorCoefficients":
-        return cls(diffusion=a, drift=b, reaction=c, constant_in_time=True)
+        return cls(diffusion=a, drift=b, reaction=c)
 
     @property
     def is_laplacian(self) -> bool:
@@ -129,9 +126,6 @@ class OperatorCoefficients:
         """Reject diffusion matrices that are asymmetric or not positive definite."""
         if self.diffusion is None:
             return
-        key = (id(grid), grid.counts, None if self.constant_in_time else t)
-        if key in self._spd_cache:
-            return
         a = self.diffusion_matrix(grid, t)
         if not np.allclose(a, np.swapaxes(a, -1, -2), rtol=1e-12, atol=1e-12):
             raise ValueError("diffusion matrix must be symmetric")
@@ -141,7 +135,37 @@ class OperatorCoefficients:
             raise ValueError(
                 f"diffusion matrix is not positive definite (min eigenvalue {emin:g})"
             )
-        self._spd_cache.add(key)
+
+
+def _interior_operator(coeffs: OperatorCoefficients, grid: Grid, u: np.ndarray,
+                       t: float) -> np.ndarray:
+    """``L u`` on the interior block of the grid-shaped array ``u``; unchecked."""
+    d = grid.dim
+    interior = interior_index(d)
+    terms = second_differences(u, grid.spacing)
+    if coeffs.is_laplacian:
+        return sum(terms)
+
+    a = coeffs.diffusion_matrix(grid, t).reshape(grid.shape + (d, d))
+    acc = sum(a[interior + (j, j)] * d2 for j, d2 in enumerate(terms))
+    for j in range(d):
+        for k in range(j + 1, d):
+            pp = u[interior_index(d, {j: 1, k: 1})]
+            mm = u[interior_index(d, {j: -1, k: -1})]
+            pm = u[interior_index(d, {j: 1, k: -1})]
+            mp = u[interior_index(d, {j: -1, k: 1})]
+            cross = (pp + mm - pm - mp) / (4.0 * grid.spacing[j] * grid.spacing[k])
+            acc += 2.0 * a[interior + (j, k)] * cross
+    b = coeffs.drift_vector(grid, t)
+    if b is not None:
+        b = b.reshape(grid.shape + (d,))
+        for j in range(d):
+            up, dn = u[interior_index(d, {j: 1})], u[interior_index(d, {j: -1})]
+            acc += b[interior + (j,)] * ((up - dn) / (2.0 * grid.spacing[j]))
+    c = coeffs.reaction_scalar(grid, t)
+    if c is not None:
+        acc += c.reshape(grid.shape)[interior] * u[interior]
+    return acc
 
 
 def apply_operator(coeffs: OperatorCoefficients, f: TemperatureField) -> TemperatureField:
@@ -155,39 +179,10 @@ def apply_operator(coeffs: OperatorCoefficients, f: TemperatureField) -> Tempera
     if not np.all(np.isfinite(f.values)):
         raise ValueError("apply_operator requires finite input values")
     g = f.grid
-    d = g.dim
-    t = f.time
-    coeffs.check_definite(g, t)
-    u = f.reshaped()
-    interior = interior_index(d)
-    terms = second_differences(u, g.spacing)
-
-    if coeffs.is_laplacian:
-        acc = sum(terms)
-    else:
-        a = coeffs.diffusion_matrix(g, t).reshape(g.shape + (d, d))
-        acc = sum(a[interior + (j, j)] * d2 for j, d2 in enumerate(terms))
-        for j in range(d):
-            for k in range(j + 1, d):
-                pp = u[interior_index(d, {j: 1, k: 1})]
-                mm = u[interior_index(d, {j: -1, k: -1})]
-                pm = u[interior_index(d, {j: 1, k: -1})]
-                mp = u[interior_index(d, {j: -1, k: 1})]
-                cross = (pp + mm - pm - mp) / (4.0 * g.spacing[j] * g.spacing[k])
-                acc += 2.0 * a[interior + (j, k)] * cross
-        b = coeffs.drift_vector(g, t)
-        if b is not None:
-            b = b.reshape(g.shape + (d,))
-            for j in range(d):
-                up, dn = u[interior_index(d, {j: 1})], u[interior_index(d, {j: -1})]
-                acc += b[interior + (j,)] * ((up - dn) / (2.0 * g.spacing[j]))
-        c = coeffs.reaction_scalar(g, t)
-        if c is not None:
-            acc += c.reshape(g.shape)[interior] * u[interior]
-
-    out = np.zeros_like(u)
-    out[interior] = acc
-    return TemperatureField(g, t, out.ravel(), g.interior_mask())
+    coeffs.check_definite(g, f.time)
+    out = np.zeros(g.shape)
+    out[interior_index(g.dim)] = _interior_operator(coeffs, g, f.reshaped(), f.time)
+    return TemperatureField(g, f.time, out.ravel(), g.interior_mask())
 
 
 def stability_limit(coeffs: OperatorCoefficients, grid: Grid, t: float = 0.0) -> float:
@@ -199,34 +194,6 @@ def stability_limit(coeffs: OperatorCoefficients, grid: Grid, t: float = 0.0) ->
         diag_max = [float(a[:, j, j].max()) for j in range(grid.dim)]
     denom = 2.0 * sum(m / h**2 for m, h in zip(diag_max, grid.spacing))
     return 1.0 / denom
-
-
-def step_explicit(
-    coeffs: OperatorCoefficients,
-    u: TemperatureField,
-    dt: float,
-    boundary: BoundaryData,
-) -> TemperatureField:
-    """One forward-Euler step; boundary cells take Dirichlet data at ``t + dt``.
-
-    Raises
-    ------
-    ValueError
-        If ``dt`` exceeds the computed stability limit.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    limit = stability_limit(coeffs, u.grid, u.time)
-    if dt > limit * (1.0 + 1e-12):
-        raise ValueError(
-            f"dt={dt:g} violates the stability limit {limit:g} for this grid/operator"
-        )
-    g, t = u.grid, u.time + dt
-    # apply_operator holds 0 on the boundary layer, which is overwritten next
-    new = u.values + dt * apply_operator(coeffs, u).values
-    bmask = g.boundary_mask()
-    new[bmask] = boundary(g.cell_centers()[bmask], t) if callable(boundary) else boundary
-    return TemperatureField(g, t, new)
 
 
 class HeatTrajectory:
@@ -282,15 +249,43 @@ def solve_dirichlet(
     duration: float,
     dt: float,
 ) -> HeatTrajectory:
-    """March ``ceil(duration / dt)`` explicit steps from the initial field."""
+    """March ``ceil(duration / dt)`` forward-Euler steps from the initial field.
+
+    Interior cells take ``u + dt L u``, boundary cells the Dirichlet data at
+    the new time, and each level is a validated :class:`TemperatureField`.
+    The initial values and the boundary cells are checked once per solve;
+    positive-definiteness and the stability limit at the first step, and at
+    every step when ``coeffs.diffusion`` is callable, since only then can
+    time change them.  Each failed check raises ``ValueError``.
+    """
     if duration <= 0:
         raise ValueError(f"duration must be positive, got {duration}")
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if not np.all(np.isfinite(initial.values)):
+        raise ValueError("solve_dirichlet requires finite initial values")
+    g = initial.grid
     n_steps = max(1, int(math.ceil(duration / dt - 1e-12)))
+    interior = interior_index(g.dim)
+    bmask = g.boundary_mask().reshape(g.shape)
+    bpts = g.cell_centers()[bmask.ravel()]
+    bpts.setflags(write=False)  # every step's boundary call shares these centres
     snaps = [initial]
-    u = initial
-    for _ in range(n_steps):
-        u = step_explicit(coeffs, u, dt, boundary)
-        snaps.append(u)
+    u, t = initial.reshaped(), initial.time
+    for k in range(n_steps):
+        if k == 0 or callable(coeffs.diffusion):
+            coeffs.check_definite(g, t)
+            limit = stability_limit(coeffs, g, t)
+            if dt > limit * (1.0 + 1e-12):
+                raise ValueError(
+                    f"dt={dt:g} violates the stability limit {limit:g} for this grid/operator"
+                )
+        new = u.copy()
+        new[interior] += dt * _interior_operator(coeffs, g, u, t)
+        t += dt
+        new[bmask] = boundary(bpts, t) if callable(boundary) else boundary
+        snaps.append(TemperatureField(g, t, new))
+        u = snaps[-1].reshaped()
     return HeatTrajectory(snaps, dt)
 
 

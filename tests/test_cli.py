@@ -487,6 +487,23 @@ def test_unreadable_rundir_is_usage_error(tmp_path, capsys, command, damage):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("diagnostics", [1]),
+    ("diagnostics", "x"),
+    ("snapshots", 5),
+    ("snapshots", [3]),
+])
+def test_malformed_manifest_field_is_usage_error(tmp_path, capsys, field, value):
+    """A manifest whose diagnostics is not an object, or whose snapshots is
+    not a list of names, exits 2 rather than crashing."""
+    rundir = heat_rundir(tmp_path)
+    manifest = json.loads((rundir / "manifest.json").read_text())
+    manifest[field] = value
+    (rundir / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["verify", "--run", str(rundir)]) == 2
+    assert f"{field} must be" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # compare command
 # ---------------------------------------------------------------------------
@@ -546,6 +563,14 @@ def test_compare_file_set_mismatch(tmp_path, capsys):
     rc = main(["compare", str(a), str(b)])
     assert rc == 2
     assert "file sets differ" in capsys.readouterr().err
+
+
+def test_compare_unparsable_report_is_usage_error(tmp_path, capsys):
+    a, b = two_identical_runs(tmp_path)
+    (a / "report.json").write_text('{"x":')
+    capsys.readouterr()
+    assert main(["compare", str(a), str(b)]) == 2
+    assert "unreadable report.json" in capsys.readouterr().err
 
 
 def test_compare_missing_dir(tmp_path):

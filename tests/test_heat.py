@@ -23,7 +23,6 @@ from meltfront import (
     read_field_csv,
     solve_dirichlet,
     stability_limit,
-    step_explicit,
     trapezoid_weights,
     write_trajectory,
 )
@@ -96,6 +95,11 @@ def test_stability_limit_values():
 # stepping
 # ---------------------------------------------------------------------------
 
+def _one_step(coeffs, f, dt, boundary):
+    """The level after one explicit step of ``solve_dirichlet``."""
+    return solve_dirichlet(coeffs, f, boundary, duration=dt, dt=dt).snapshots[1]
+
+
 def test_step_explicit_matches_manual_update():
     g = Grid(origin=(0.0,), extent=(1.0,), counts=(8,))
     rng = np.random.default_rng(0)
@@ -103,7 +107,7 @@ def test_step_explicit_matches_manual_update():
     f = TemperatureField(g, 0.0, u0)
     coeffs = OperatorCoefficients.laplacian()
     dt = 0.4 * stability_limit(coeffs, g)
-    out = step_explicit(coeffs, f, dt, boundary=0.0)
+    out = _one_step(coeffs, f, dt, boundary=0.0)
     h2 = g.spacing[0] ** 2
     manual = u0.copy()
     manual[1:-1] = u0[1:-1] + dt * (u0[2:] - 2 * u0[1:-1] + u0[:-2]) / h2
@@ -115,21 +119,26 @@ def test_step_explicit_matches_manual_update():
 def test_step_explicit_boundary_evaluated_at_new_time():
     g = Grid(origin=(0.0,), extent=(1.0,), counts=(8,))
     f = TemperatureField(g, 0.0, np.zeros(8))
-    out = step_explicit(OperatorCoefficients.laplacian(), f, 1e-3,
-                        boundary=lambda pts, t: np.full(pts.shape[0], 10.0 * t))
+    out = _one_step(OperatorCoefficients.laplacian(), f, 1e-3,
+                    boundary=lambda pts, t: np.full(pts.shape[0], 10.0 * t))
     assert out.values[0] == pytest.approx(10.0 * 1e-3)
     assert out.values[-1] == pytest.approx(10.0 * 1e-3)
 
 
-@pytest.mark.parametrize("boundary", [lambda pts, t: 2.0, 0])
-def test_step_explicit_scalar_boundary_broadcasts(boundary):
-    """A scalar from a boundary callable, or an integer constant, fills the
-    whole boundary layer; the interior is the plain operator update."""
+@pytest.mark.parametrize("boundary, coeffs", [
+    pytest.param(lambda pts, t: 2.0, OperatorCoefficients.laplacian(), id="<lambda>"),
+    pytest.param(0, OperatorCoefficients.laplacian(), id="0"),
+    pytest.param(0.5, OperatorCoefficients.constant(
+        a=[[1.0, 0.3], [0.3, 2.0]], b=[0.7, -1.2], c=-0.4), id="constant_abc"),
+])
+def test_step_explicit_scalar_boundary_broadcasts(boundary, coeffs):
+    """A scalar from a boundary callable, or a constant, fills the whole
+    boundary layer; the interior is the plain operator update, also for an
+    anisotropic operator with drift and reaction."""
     g = Grid(origin=(0.0, 0.0), extent=(1.0, 1.0), counts=(6, 7))
     f = TemperatureField(g, 0.0, np.random.default_rng(1).random(42))
-    coeffs = OperatorCoefficients.laplacian()
     dt = 0.4 * stability_limit(coeffs, g)
-    out = step_explicit(coeffs, f, dt, boundary=boundary)
+    out = _one_step(coeffs, f, dt, boundary=boundary)
     value = boundary(None, dt) if callable(boundary) else boundary
     bmask = g.boundary_mask()
     assert np.all(out.values[bmask] == value)
@@ -144,11 +153,29 @@ def test_step_explicit_enforces_cfl():
     coeffs = OperatorCoefficients.laplacian()
     limit = stability_limit(coeffs, g)
     with pytest.raises(ValueError, match="stability"):
-        step_explicit(coeffs, f, 1.01 * limit, boundary=0.0)
+        _one_step(coeffs, f, 1.01 * limit, boundary=0.0)
     with pytest.raises(ValueError):
-        step_explicit(coeffs, f, -1.0, boundary=0.0)
+        _one_step(coeffs, f, -1.0, boundary=0.0)
     # the limit itself is allowed
-    step_explicit(coeffs, f, limit, boundary=0.0)
+    _one_step(coeffs, f, limit, boundary=0.0)
+
+
+def test_time_dependent_diffusion_is_checked_at_every_time():
+    """``a(t) = [[1, 2t], [2t, 1]]`` loses definiteness at t = 1/2; neither
+    the operator nor the solver may accept it after an earlier good time."""
+    def a(pts, t):
+        return np.broadcast_to([[1.0, 2.0 * t], [2.0 * t, 1.0]], (len(pts), 2, 2))
+
+    g = Grid(origin=(0.0, 0.0), extent=(1.0, 1.0), counts=(6, 6))
+    f = TemperatureField(g, 0.0, np.zeros(36))
+    coeffs = OperatorCoefficients(diffusion=a)
+    apply_operator(coeffs, f)
+    with pytest.raises(ValueError, match="positive definite"):
+        apply_operator(coeffs, f.with_values(f.values, time=1.0))
+    dt = 0.4 * stability_limit(coeffs, g)
+    with pytest.raises(ValueError, match="positive definite"):
+        solve_dirichlet(OperatorCoefficients(diffusion=a), f, 0.0, 0.6, dt)
+    assert solve_dirichlet(coeffs, f, 0.0, 0.4, dt).times[-1] < 0.5
 
 
 def test_solve_dirichlet_step_count_and_times():
