@@ -641,19 +641,24 @@ def _space_errors(ladder, stefan, t0, duration) -> list[float]:
         errs.append(abs(float(result.front.positions[-1]) - float(sim.front(t_end))))
     return errs
 
+def _sine_start(nx: int) -> TemperatureField:
+    """``sin(pi x)`` at the centers of ``nx`` cells on ``[0, 1]``, zeroed on
+    the two boundary cells."""
+    grid = Grid(origin=(0.0,), extent=(1.0,), counts=(nx,))
+    u0 = np.sin(math.pi * grid.axis_centers(0))
+    u0[0] = u0[-1] = 0.0
+    return TemperatureField(grid, 0.0, u0)
+
 def _time_order(nx: int, refinements: int):
     """Error of explicit stepping against the exact semi-discrete decay.
 
-    The initial sine is zeroed on the two boundary cells, so the march is
-    forward Euler on the interior system exactly and the measured error is
-    purely temporal.
+    The sine start vanishes on the boundary cells, so the march is forward
+    Euler on the interior system exactly and the measured error is purely
+    temporal.
     """
-    grid = Grid(origin=(0.0,), extent=(1.0,), counts=(nx,))
-    h = grid.spacing[0]
-    xc = grid.axis_centers(0)
-    u0 = np.sin(math.pi * xc)
-    u0[0] = u0[-1] = 0.0
-    initial = TemperatureField(grid, 0.0, u0)
+    initial = _sine_start(nx)
+    h = initial.grid.spacing[0]
+    u0 = initial.values
 
     n_int = nx - 2
     a_mat = (np.diag(np.full(n_int - 1, 1.0), -1)
@@ -677,12 +682,9 @@ def _residual_ratios(ladder):
     coeffs = OperatorCoefficients.laplacian()
     values = []
     for nx in ladder:
-        grid = Grid(origin=(0.0,), extent=(1.0,), counts=(nx,))
-        xc = grid.axis_centers(0)
-        u0 = np.sin(math.pi * xc)
-        u0[0] = u0[-1] = 0.0
-        dt = grid.spacing[0] ** 2 / 5.0
-        traj = solve_dirichlet(coeffs, TemperatureField(grid, 0.0, u0), 0.0, 0.025, dt)
+        start = _sine_start(nx)
+        dt = start.grid.spacing[0] ** 2 / 5.0
+        traj = solve_dirichlet(coeffs, start, 0.0, 0.025, dt)
         values.append(abs(conservation_residual(traj)))
     ratios = [values[k] / values[k + 1] for k in range(len(values) - 1)]
     return values, ratios
@@ -797,14 +799,16 @@ def run_mollify(input_path: str | Path, epsilon: float, order: int,
 # ---------------------------------------------------------------------------
 
 def _read_manifest(rundir: Path) -> dict:
-    """``manifest.json`` as an object with a numeric ``dt``, an object
+    """``manifest.json`` as an object with a finite positive ``dt``, an object
     ``diagnostics`` and a list of string ``snapshots`` (each when present),
     else a usage error."""
     try:
         manifest = json.loads((rundir / "manifest.json").read_text())
-        float(manifest["dt"])
+        dt = float(manifest["dt"])
     except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"{rundir}: unreadable manifest.json: {exc!r}") from exc
+    if not (math.isfinite(dt) and dt > 0):
+        raise UsageError(f"{rundir}: manifest.json dt must be finite and positive, got {dt!r}")
     if not isinstance(manifest.get("diagnostics", {}), dict):
         raise UsageError(f"{rundir}: manifest.json diagnostics must be an object")
     names = manifest.get("snapshots", [])
@@ -825,9 +829,9 @@ def _load_rundir(rundir: Path) -> tuple[HeatTrajectory, dict]:
         raise UsageError(f"{rundir}: manifest lists no snapshots")
     try:
         snaps = [read_field_csv(rundir / name) for name in names]
+        return HeatTrajectory(snaps, float(manifest["dt"])), manifest
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    return HeatTrajectory(snaps, float(manifest["dt"])), manifest
+        raise UsageError(f"{rundir}: {exc}") from exc
 
 
 def _caloric_tolerance(traj: HeatTrajectory) -> float:

@@ -12,10 +12,12 @@ Conventions used throughout the package:
 * Stencil operations are defined on interior cells only.  The outermost
   layer of cells carries boundary data; operations that cannot produce a
   value there return a field whose ``valid`` mask excludes those cells.
-  Interior stencils in ``grid``, ``heat`` and ``stefan1d`` index through
-  the stencil core: ``interior_index`` (the interior block, shifted and
-  behind batch axes) and ``second_differences`` (the central second
-  difference per axis).
+  Interior stencils in ``grid`` and ``heat`` index through the stencil
+  core: ``interior_index`` (the interior block, shifted and behind batch
+  axes) and ``second_differences`` (the central second difference per
+  axis).  The mapped step in ``stefan1d`` keeps its own hand-sliced
+  difference: ``second_differences`` divides by ``h^2`` first, and that
+  would move the bits of every 1D run.
 
 Serialization: ``write_field_csv``/``read_field_csv`` implement the plain
 text format ``# grid dim=<d> counts=<...> spacing=<...> time=<t>`` followed

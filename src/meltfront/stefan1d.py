@@ -3,23 +3,23 @@
 The liquid phase occupies ``0 < x < s(t)`` with unit diffusivity,
 ``u(0,t) = f(t) >= 0`` and ``u(s(t),t) = 0`` enforced exactly at every step.
 The front moves by the gradient law ``s' = -k1 u_x(s-, t)``; with an
-optional second (solid) phase on ``s < x < L`` the law becomes the jump
-``s' = k2 u_x(s+, t) - k1 u_x(s-, t)``.
+optional second (solid) phase on ``s < x < L``, held at ``g(t) <= 0`` on
+``x = L``, the law becomes the jump ``s' = k2 u_x(s+, t) - k1 u_x(s-, t)``.
 
-Each phase is mapped onto the unit interval (``xi = x / s`` for the liquid,
-``zeta = (x - s)/(L - s)`` for the solid) and discretized on nodes
-``xi_i = i / nx``.  The mapping turns the moving domain into a fixed one at
-the price of an advection term:
+Each phase is mapped onto the unit interval with its far edge at node 0 and
+the front at node ``nx``: ``eta = x / s`` for the liquid and the mirrored
+``eta = (L - x) / (L - s)`` for the solid, on nodes ``eta_i = i / nx``.
+With ``w`` the phase width (``s`` or ``L - s``) and ``sigma = +1`` for the
+liquid, ``-1`` for the solid, both phases solve one equation, the fixed
+domain costing an advection term:
 
-    liquid:  U_t = U_xixi / s^2 + (xi  s' / s) U_xi
-    solid:   W_t = W_zz / d^2  + ((1 - zeta) s' / d) W_z,   d = L - s.
+    U_t = U_etaeta / w^2 + sigma eta (s' / w) U_eta,
 
-Time stepping is forward Euler (front first, then the mapped heat update
-with frozen coefficients).  The combined diffusion/advection stability
-bound is checked every step, never assumed.
-
-Front gradients use the one-sided second-order 3-point stencil at the front
-node, exact on linear and quadratic profiles.
+and the front law reads ``s' = -sum_p k_p D(U_p) / w_p``, where ``D`` is
+the one-sided second-order 3-point difference at the front node (exact on
+linear and quadratic profiles).  Time stepping is forward Euler (front
+first, then the mapped heat update with frozen coefficients); the combined
+diffusion/advection stability bound is checked every step, never assumed.
 
 ``similarity_oracle`` provides the classical similarity solution
 ``u = 1 - erf(x / 2 sqrt(t)) / erf(lambda)``, ``s = 2 lambda sqrt(t)``,
@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import erf
 
-from .grid import Grid, TemperatureField, format_float, second_differences
+from .grid import Grid, TemperatureField, format_float
 from .heat import HeatTrajectory, TimeFunc, eval_time
 
 __all__ = [
@@ -230,170 +230,153 @@ class StefanResult:
 # gradients and stepping
 # ---------------------------------------------------------------------------
 
+_SIGN_RULE = {1: "nonnegative", -1: "nonpositive"}
+
+
+@dataclass(frozen=True, slots=True)
+class _Phase:
+    """One mapped phase.  Node 0 sits on the far edge ``x = anchor`` and
+    node ``nx`` on the front, so ``x = anchor + eta (s - anchor)`` and the
+    phase width is ``sigma (s - anchor)``; edge and initial data keep ``sigma U >= 0``."""
+
+    name: str
+    k: float
+    sigma: int
+    anchor: float
+    edge: TimeFunc
+    edge_name: str
+    initial: SpaceFunc | None
+
+
+def _phases(spec: StefanSpec1D) -> list[_Phase]:
+    phases = [_Phase("liquid", spec.k1, 1, 0.0, spec.boundary, "boundary heating",
+                     spec.initial)]
+    if spec.two_phase:
+        phases.append(_Phase("solid", spec.k2, -1, spec.length, spec.far_boundary,
+                             "far boundary", spec.initial_solid))
+    return phases
+
+
+def _edge_value(p: _Phase, t: float) -> float:
+    """Far-edge data of phase ``p`` at time ``t``, held to its sign rule."""
+    g = eval_time(p.edge, t)
+    if p.sigma * g < 0:
+        raise ValueError(f"{p.edge_name} must stay {_SIGN_RULE[p.sigma]}, got {g:g}")
+    return g
+
+
+def _front_difference(vals: np.ndarray, h: float, width: float) -> float:
+    """One-sided second-order 3-point ``dU/deta`` at the last node, over ``width``
+    (in Python floats: numpy's IEEE arithmetic at a fraction of the call cost)."""
+    return (3.0 * vals.item(-1) - 4.0 * vals.item(-2) + vals.item(-3)) / (2.0 * h * width)
+
+
 def front_gradient(u: np.ndarray | TemperatureField, s: float, side: str = "liquid",
                    width: float | None = None) -> float:
     """One-sided second-order ``du/dx`` at the front.
 
-    ``u`` holds mapped node samples on ``[0, 1]``; the front is the last node
-    for the liquid phase and the first node for the solid phase.  ``width``
-    is the physical extent of the mapped phase (defaults to ``s`` for the
-    liquid; required for the solid).
-
-    Raises
-    ------
-    ValueError
-        For fewer than 3 nodes or a missing solid width.
+    ``u`` holds mapped node samples in x order on ``[0, 1]``; the front is
+    the last node for the liquid phase and the first node for the solid
+    phase.  ``width`` is the physical extent of the mapped phase (defaults
+    to ``s`` for the liquid; required for the solid, else ``ValueError``,
+    as for fewer than 3 nodes).
     """
     vals = u.values if isinstance(u, TemperatureField) else np.asarray(u, dtype=float)
     if vals.size < 3:
         raise ValueError("front gradient needs at least 3 nodes per phase")
-    h = 1.0 / (vals.size - 1)
-    if side == "liquid":
-        if width is None:
-            width = s
-        num = 3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]
-    elif side == "solid":
-        if width is None:
-            raise ValueError("solid-side gradient needs the phase width L - s")
-        num = -(3.0 * vals[0] - 4.0 * vals[1] + vals[2])
-    else:
+    if side not in ("liquid", "solid"):
         raise ValueError(f"side must be 'liquid' or 'solid', got {side!r}")
+    if width is None:
+        if side == "solid":
+            raise ValueError("solid-side gradient needs the phase width L - s")
+        width = s
     if width <= 0:
         raise ValueError(f"phase width must be positive, got {width}")
-    return float(num / (2.0 * h * width))
+    h = 1.0 / (vals.size - 1)
+    if side == "liquid":
+        return _front_difference(vals, h, width)
+    # mirrored onto eta = (L - x)/(L - s), which runs against x
+    return -_front_difference(vals[::-1], h, width)
 
 
-def _front_speed(spec: StefanSpec1D, s: float, liquid: np.ndarray,
-                 solid: np.ndarray | None) -> float:
-    v = -spec.k1 * front_gradient(liquid, s)
-    if spec.two_phase:
-        v += spec.k2 * front_gradient(solid, s, side="solid", width=spec.length - s)
-    return v
+def _front_speed(phases: list[_Phase], fields: list[np.ndarray], s: float,
+                 h: float) -> tuple[list[float], float]:
+    """Phase widths ``w_p`` and the front law ``s' = -sum_p k_p D(U_p) / w_p``."""
+    widths = []
+    v = -0.0  # a still front keeps the sign -k1 * 0 gives it
+    for p, vals in zip(phases, fields):
+        w = p.sigma * (s - p.anchor)
+        widths.append(w)
+        v -= p.k * _front_difference(vals, h, w)
+    return widths, v
 
 
-_XI_CACHE: dict[int, np.ndarray] = {}
-
-
-def _xi_interior(n: int) -> np.ndarray:
-    xi = _XI_CACHE.get(n)
-    if xi is None:
-        xi = np.linspace(0.0, 1.0, n + 1)[1:-1].copy()
-        xi.setflags(write=False)
-        _XI_CACHE[n] = xi
-    return xi
-
-
-def _mapped_rate(spec: StefanSpec1D, s: float, v: float, h: float) -> float:
+def _mapped_rate(width: float, v: float, h: float) -> float:
     """Combined diffusion/advection rate of the mapped update; ``1 / rate``
-    is the largest stable step for front ``s`` moving at speed ``v``."""
-    rate = 2.0 / (s * s * h * h) + abs(v) / (s * h)
-    if spec.two_phase:
-        d = spec.length - s
-        rate = max(rate, 2.0 / (d * d * h * h) + abs(v) / (d * h))
-    return rate
+    is the largest stable step for front speed ``v``.  The rate falls with
+    the width, so the narrowest phase sets it."""
+    return 2.0 / (width * width * h * h) + abs(v) / (width * h)
 
 
-def _advance(spec: StefanSpec1D, t: float, s: float, liquid: np.ndarray,
-             solid: np.ndarray | None, dt: float):
-    """One explicit step; returns (s_new, liquid_new, solid_new, v, ut_interior).
-
-    ``v`` is the front speed evaluated on the pre-step state and ``ut`` the
-    interior heating rate ``u_xixi / s^2`` of that state.
-    """
-    n = liquid.size - 1
-    h = 1.0 / n
-    v = _front_speed(spec, s, liquid, solid)
-    length = spec.length
-
-    rate = _mapped_rate(spec, s, v, h)
+def _advance(phases: list[_Phase], fields: list[np.ndarray], t: float, s: float,
+             dt: float, h: float, eta_int: np.ndarray):
+    """One explicit step; returns ``(s_new, fields_new, v, uts)``, with the front
+    speed ``v`` and interior heating rates ``U_etaeta / w^2`` of the pre-step state."""
+    widths, v = _front_speed(phases, fields, s, h)
+    rate = _mapped_rate(min(widths), v, h)
     if dt * rate > 1.0 + 1e-12:
         raise ValueError(
             f"dt={dt:g} violates the mapped-grid stability limit {1.0 / rate:g} "
             f"at t={t:g} (front {s:g}, speed {v:g})"
         )
 
-    s_new = s + dt * v
-    if s_new <= 0:
-        raise RuntimeError(f"front collapsed to {s_new:g} at t={t + dt:g}")
-    if spec.two_phase and s_new >= length:
-        raise RuntimeError(f"front reached the far wall at t={t + dt:g}")
-
-    xi_int = _xi_interior(n)
-    d2 = liquid[2:] - 2.0 * liquid[1:-1] + liquid[:-2]
-    d1 = liquid[2:] - liquid[:-2]
-    ut = d2 / (s * s * h * h)
-    new_liq = np.empty_like(liquid)
-    new_liq[1:-1] = liquid[1:-1] + dt * ut + (dt * v / (2.0 * h * s)) * (xi_int * d1)
-    f_val = eval_time(spec.boundary, t + dt)
-    if f_val < 0:
-        raise ValueError(f"boundary heating must stay nonnegative, got {f_val:g}")
-    new_liq[0] = f_val
-    new_liq[-1] = 0.0
-
-    new_sol = None
-    if spec.two_phase:
-        d = length - s
-        d2s = solid[2:] - 2.0 * solid[1:-1] + solid[:-2]
-        d1s = solid[2:] - solid[:-2]
-        new_sol = np.empty_like(solid)
-        new_sol[1:-1] = solid[1:-1] + (dt / (d * d * h * h)) * d2s \
-            + (dt * v / (2.0 * h * d)) * ((1.0 - xi_int) * d1s)
-        new_sol[0] = 0.0
-        new_sol[-1] = eval_time(spec.far_boundary, t + dt)
-    return s_new, new_liq, new_sol, v, ut
+    ds = dt * v
+    s_new = s + ds
+    new_fields, uts = [], []
+    for p, vals, w in zip(phases, fields, widths):
+        if p.sigma * (s_new - p.anchor) <= 0:
+            raise RuntimeError(f"front {s_new:g} reached the {p.name}'s far edge "
+                               f"x={p.anchor:g} at t={t + dt:g}")
+        d2 = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
+        d1 = vals[2:] - vals[:-2]
+        ut = d2 / (w * w * h * h)
+        new = np.empty_like(vals)
+        new[1:-1] = vals[1:-1] + dt * ut + (p.sigma * ds / (2.0 * h * w)) * (eta_int * d1)
+        new[0] = _edge_value(p, t + dt)
+        new[-1] = 0.0
+        new_fields.append(new)
+        uts.append(ut)
+    return s_new, new_fields, v, uts
 
 
 # ---------------------------------------------------------------------------
 # full solve
 # ---------------------------------------------------------------------------
 
-def _mapped_grid(nx: int) -> Grid:
-    # nodes xi_i = i/nx realized as cell centers of a half-cell-shifted grid
-    h = 1.0 / nx
-    return Grid(origin=(-0.5 * h,), extent=(1.0 + h,), counts=(nx + 1,))
-
-
-def _initial_nodes(spec: StefanSpec1D) -> tuple[np.ndarray, np.ndarray | None]:
-    xi = np.linspace(0.0, 1.0, spec.nx + 1)
-    if spec.initial is None:
-        liq = np.zeros(spec.nx + 1)
-    else:
-        liq = np.asarray(spec.initial(xi * spec.b), dtype=float).copy()
-        scale = max(1.0, float(np.max(np.abs(liq))))
-        if abs(liq[-1]) > 1e-9 * scale:
-            raise ValueError(f"initial liquid profile must vanish at x=b, got {liq[-1]:g}")
-        if np.any(liq < -1e-12 * scale):
-            raise ValueError("initial liquid profile must be nonnegative")
-        liq[-1] = 0.0
-    liq[0] = eval_time(spec.boundary, spec.t0)
-    sol = None
-    if spec.two_phase:
-        xs = spec.b + xi * (spec.length - spec.b)
-        if spec.initial_solid is None:
-            sol = np.zeros(spec.nx + 1)
+def _initial_nodes(spec: StefanSpec1D, phases: list[_Phase],
+                   eta: np.ndarray) -> list[np.ndarray]:
+    fields = []
+    for p in phases:
+        if p.initial is None:
+            vals = np.zeros(spec.nx + 1)
         else:
-            sol = np.asarray(spec.initial_solid(xs), dtype=float).copy()
-            scale = max(1.0, float(np.max(np.abs(sol))))
-            if abs(sol[0]) > 1e-9 * scale:
-                raise ValueError("initial solid profile must vanish at x=b")
-            if np.any(sol > 1e-12 * scale):
-                raise ValueError("initial solid profile must be nonpositive")
-            sol[0] = 0.0
-        sol[-1] = eval_time(spec.far_boundary, spec.t0)
-    return liq, sol
+            vals = np.asarray(p.initial(p.anchor + eta * (spec.b - p.anchor)), dtype=float).copy()
+            scale = max(1.0, float(np.max(np.abs(vals))))
+            if abs(vals[-1]) > 1e-9 * scale:
+                raise ValueError(f"initial {p.name} profile must vanish at x=b, got {vals[-1]:g}")
+            if np.any(p.sigma * vals < -1e-12 * scale):
+                raise ValueError(f"initial {p.name} profile must be {_SIGN_RULE[p.sigma]}")
+            vals[-1] = 0.0
+        vals[0] = _edge_value(p, spec.t0)
+        fields.append(vals)
+    return fields
 
 
-def _initial_heat_table(spec: StefanSpec1D) -> tuple[np.ndarray, np.ndarray]:
-    """Tabulated heating rate of the initial data (its second derivative)."""
-    m = max(4 * spec.nx, 512)
-    x = np.linspace(0.0, spec.b, m + 1)
-    if spec.initial is None:
-        return x, np.zeros_like(x)
-    phi = np.asarray(spec.initial(x), dtype=float)
-    rate = np.zeros_like(phi)
-    rate[1:-1], = second_differences(phi, (x[1] - x[0],))
-    rate[0], rate[-1] = rate[1], rate[-2]
-    return x, rate
+def _record(snapshots: list[list[TemperatureField]], phases: list[_Phase],
+            fields: list[np.ndarray], grid: Grid, t: float) -> None:
+    # stored snapshots keep x order: the mirrored solid is flipped back
+    for snaps, p, vals in zip(snapshots, phases, fields):
+        snaps.append(TemperatureField(grid, t, vals[::p.sigma].copy()))
 
 
 def solve_stefan(spec: StefanSpec1D) -> StefanResult:
@@ -401,19 +384,22 @@ def solve_stefan(spec: StefanSpec1D) -> StefanResult:
 
     The report records the discrete heating-rate sign check
     (``u_t >= -tol`` with ``tol = 10 (h^2 + dt) * scale``), maximum-principle
-    excursions on the mapped grid, front monotonicity, and the L1 metric of
-    ``u_t`` against the heating rate of the initial data.
+    excursions on the mapped grid, and front monotonicity.
 
     A degenerate start (zero initial data with positive heating) integrates
     each of the first 5 recorded steps as 10 substeps of ``dt / 10``.
     """
-    liquid, solid = _initial_nodes(spec)
+    phases = _phases(spec)
     n = spec.nx
     h = 1.0 / n
+    eta = np.linspace(0.0, 1.0, n + 1)
+    eta_int = eta[1:-1]
+    fields = _initial_nodes(spec, phases, eta)
     s = spec.b
     t = spec.t0
 
-    limit0 = 1.0 / _mapped_rate(spec, s, _front_speed(spec, s, liquid, solid), h)
+    widths, v = _front_speed(phases, fields, s, h)
+    limit0 = 1.0 / _mapped_rate(min(widths), v, h)
     dt = spec.dt if spec.dt is not None else 0.8 * limit0
 
     n_steps = max(1, int(math.ceil(spec.duration / dt - 1e-12)))
@@ -421,9 +407,10 @@ def solve_stefan(spec: StefanSpec1D) -> StefanResult:
     degenerate = spec.initial is None and eval_time(spec.boundary, spec.t0) > 0
     warm_steps = 5 if degenerate else 0
 
-    grid = _mapped_grid(n)
-    snapshots = [TemperatureField(grid, t, liquid.copy())]
-    snapshots_solid = [TemperatureField(grid, t, solid.copy())] if spec.two_phase else None
+    # nodes eta_i = i/nx realized as cell centers of a half-cell-shifted grid
+    grid = Grid(origin=(-0.5 * h,), extent=(1.0 + h,), counts=(n + 1,))
+    snapshots = [[] for _ in phases]
+    _record(snapshots, phases, fields, grid, t)
     snap_fronts = [s]
 
     times = np.empty(n_steps + 1)
@@ -434,50 +421,35 @@ def solve_stefan(spec: StefanSpec1D) -> StefanResult:
     step_umin = np.empty(n_steps)
     step_utmin = np.empty(n_steps)
     step_utmax = np.empty(n_steps)
-    f_max = f_min = eval_time(spec.boundary, spec.t0)
-    phi_max = float(np.max(liquid))
-    phi_min = min(0.0, float(np.min(liquid)))
-    if solid is not None:
-        phi_min = min(phi_min, float(np.min(solid)))
-        phi_max = max(phi_max, float(np.max(solid)))
-
-    x_heat, heat_rate = _initial_heat_table(spec)
-    cont_times: list[float] = []
-    cont_values: list[float] = []
-    xi_int = _xi_interior(n)
+    f_max = f_min = float(fields[0][0])
+    phi_max = max(float(np.max(vals)) for vals in fields)
+    phi_min = min(0.0, *(float(np.min(vals)) for vals in fields))
 
     for k in range(n_steps):
         if k < warm_steps:
             sub_dt = dt / 10.0
-            v_first = None
             for j in range(10):
-                s, liquid, solid, v, ut = _advance(
-                    spec, t + j * sub_dt, s, liquid, solid, sub_dt)
-                if v_first is None:
-                    v_first = v
-            vels[k] = v_first
+                s, fields, v, uts = _advance(phases, fields, t + j * sub_dt, s, sub_dt, h, eta_int)
+                if j == 0:
+                    vels[k] = v
         else:
-            s, liquid, solid, v, ut = _advance(spec, t, s, liquid, solid, dt)
+            s, fields, v, uts = _advance(phases, fields, t, s, dt, h, eta_int)
             vels[k] = v
         t = spec.t0 + (k + 1) * dt
         times[k + 1], fronts[k + 1] = t, s
+        liquid, ut = fields[0], uts[0]
         step_umax[k] = liquid.max()
-        step_umin[k] = liquid.min() if solid is None else min(liquid.min(), solid.min())
+        step_umin[k] = liquid.min()
+        for vals in fields[1:]:
+            step_umin[k] = min(step_umin[k], vals.min())
         step_utmin[k] = ut.min()
         step_utmax[k] = ut.max()
         f_now = liquid[0]
-        f_max = max(f_max, f_now)
-        f_min = min(f_min, f_now)
+        f_max, f_min = max(f_max, f_now), min(f_min, f_now)
         if (k + 1) % snap_every == 0:
-            snapshots.append(TemperatureField(grid, t, liquid.copy()))
-            if spec.two_phase:
-                snapshots_solid.append(TemperatureField(grid, t, solid.copy()))
+            _record(snapshots, phases, fields, grid, t)
             snap_fronts.append(s)
-            if len(cont_times) < 16:
-                target = np.interp(xi_int * s, x_heat, heat_rate, right=0.0)
-                cont_times.append(t)
-                cont_values.append(float(s * h * np.sum(np.abs(ut - target))))
-    vels[n_steps] = _front_speed(spec, s, liquid, solid)
+    vels[n_steps] = _front_speed(phases, fields, s, h)[1]
 
     bound_high = max(f_max, phi_max)
     bound_low = min(0.0, f_min, phi_min)
@@ -504,18 +476,14 @@ def solve_stefan(spec: StefanSpec1D) -> StefanResult:
         "ut_min": float(step_utmin.min()),
         "ut_tol": ut_tol,
         "ut_violation_steps": ut_violations,
-        "continuity_metric": {"times": cont_times, "values": cont_values},
     }
 
-    snap_dt = dt * snap_every if len(snapshots) > 1 else dt
-    traj = HeatTrajectory(snapshots, snap_dt)
-    solid_traj = None
-    if spec.two_phase:
-        solid_traj = HeatTrajectory(snapshots_solid, snap_dt)
+    snap_dt = dt * snap_every if len(snap_fronts) > 1 else dt
+    trajs = [HeatTrajectory(snaps, snap_dt) for snaps in snapshots]
     front = FrontTrajectory(times, fronts, vels)
-    return StefanResult(trajectory=traj, front=front, report=report,
+    return StefanResult(trajectory=trajs[0], front=front, report=report,
                         snapshot_fronts=np.asarray(snap_fronts),
-                        solid_trajectory=solid_traj, spec=spec)
+                        solid_trajectory=trajs[1] if spec.two_phase else None, spec=spec)
 
 
 def physical_trajectory(result: StefanResult, grid: Grid) -> HeatTrajectory:

@@ -504,6 +504,18 @@ def test_malformed_manifest_field_is_usage_error(tmp_path, capsys, field, value)
     assert f"{field} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dt", [-1.0, 2e-3, float("nan")],
+                         ids=["negative", "twice_the_spacing", "nan"])
+def test_unusable_manifest_dt_is_usage_error(tmp_path, dt):
+    """A manifest dt that is not a finite positive step, or that disagrees
+    with the snapshot times, exits 2 rather than as a numerical failure."""
+    rundir = heat_rundir(tmp_path)
+    manifest = json.loads((rundir / "manifest.json").read_text())
+    manifest["dt"] = dt
+    (rundir / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["verify", "--run", str(rundir)]) == 2
+
+
 # ---------------------------------------------------------------------------
 # compare command
 # ---------------------------------------------------------------------------

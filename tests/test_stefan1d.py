@@ -195,6 +195,15 @@ def test_negative_boundary_rejected():
         solve_stefan(spec)
 
 
+@pytest.mark.parametrize("far_boundary", [0.5, lambda t: t - 1e-4],
+                         ids=["at_start", "during_run"])
+def test_positive_far_boundary_rejected(far_boundary):
+    spec = StefanSpec1D(k1=1.0, k2=1.0, b=0.5, length=1.0, duration=1e-3,
+                        far_boundary=far_boundary, nx=20)
+    with pytest.raises(ValueError, match="nonpositive"):
+        solve_stefan(spec)
+
+
 def test_initial_profile_checks():
     with pytest.raises(ValueError, match="vanish"):
         solve_stefan(StefanSpec1D(k1=1.0, b=1.0, duration=1e-3,
@@ -259,6 +268,25 @@ def test_solid_ramp_freezes_the_front():
     res = solve_stefan(spec)
     assert res.report["front_final"] < 0.5
     assert res.report["front_min_increment"] < 0.0
+
+
+def test_two_phase_front_law_cancels_on_antisymmetric_data():
+    """With k1 = k2, L = 2b and data odd about the front (liquid phi(b - x),
+    solid -phi(x - b)), the liquid and solid terms of the jump law cancel:
+    the front must not move."""
+    b = 0.5
+
+    def phi(r):
+        return np.sin(np.pi * r / (2 * b)) ** 2 + r / (2 * b)
+
+    edge = float(phi(b))
+    spec = StefanSpec1D(k1=1.0, k2=1.0, b=b, length=2 * b, duration=0.02,
+                        boundary=edge, far_boundary=-edge,
+                        initial=lambda x: phi(b - x),
+                        initial_solid=lambda x: -phi(x - b), nx=64)
+    res = solve_stefan(spec)
+    assert np.max(np.abs(res.front.positions - b)) <= 1e-12
+    assert np.max(np.abs(res.front.velocities)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
