@@ -412,6 +412,18 @@ def _similarity_start(payload: Mapping, key: str):
 # solve1d
 # ---------------------------------------------------------------------------
 
+def _hold_sign(fn: float | Callable[[float], float], key: str, sign: int,
+               t0: float, t1: float) -> None:
+    """Refuse edge data ``fn`` at ``$.key`` unless ``sign * fn(t) >= 0`` on
+    ``[t0, t1]``; a config time function is affine, so its ends decide."""
+    for t in (t0, t1):
+        g = eval_time(fn, t)
+        if sign * g < 0:
+            rule = "nonnegative" if sign > 0 else "nonpositive"
+            raise UsageError(f"config error at $.{key}: must stay {rule} over the run, "
+                             f"got {g:g} at t={t:g}")
+
+
 def _build_spec1d(payload: Mapping):
     """Translate a solve1d payload into a solver spec.
 
@@ -449,6 +461,12 @@ def _build_spec1d(payload: Mapping):
         b_val, length = float(b), float(length)
         initial_solid = lambda x: g0 * (x - b_val) / (length - b_val)
 
+    t1 = t0 + float(payload["duration"])
+    _hold_sign(boundary, "boundary", 1, t0, t1)
+    far_boundary = _time_func(payload.get("far_boundary", 0.0))
+    if payload.get("k2") is not None:  # one-phase runs never read the far edge
+        _hold_sign(far_boundary, "far_boundary", -1, t0, t1)
+
     try:
         spec = StefanSpec1D(
             k1=float(payload["k1"]),
@@ -458,7 +476,7 @@ def _build_spec1d(payload: Mapping):
             initial=initial,
             k2=payload.get("k2"),
             length=payload.get("length"),
-            far_boundary=_time_func(payload.get("far_boundary", 0.0)),
+            far_boundary=far_boundary,
             initial_solid=initial_solid,
             nx=int(payload.get("nx", 200)),
             dt=payload.get("dt"),

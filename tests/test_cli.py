@@ -230,6 +230,28 @@ def test_similarity_start_rejects_zero_heating(tmp_path, capsys, cfg, key):
     assert not (out / "FAILED.json").exists()
 
 
+TWO_PHASE_1D = {"mode": "solve1d", "k1": 1, "k2": 1, "length": 1, "b": 0.5,
+                "duration": 0.001, "nx": 20}
+
+
+@pytest.mark.parametrize("cfg, key", [
+    (dict(TWO_PHASE_1D, far_boundary=0.5), "far_boundary"),
+    (dict(TWO_PHASE_1D, far_boundary={"kind": "ramp", "value": -0.1, "rate": 200}),
+     "far_boundary"),
+    ({"mode": "solve1d", "k1": 1, "b": 0.5, "boundary": -0.5, "duration": 0.001, "nx": 20},
+     "boundary"),
+], ids=["positive_far_boundary", "far_boundary_turns_positive", "negative_heating"])
+def test_wrong_signed_edge_is_config_error(tmp_path, capsys, cfg, key):
+    """Edge data that breaks its sign rule at either end of the run is a
+    config error, refused before the solver starts."""
+    out = tmp_path / "run"
+    rc = main(["solve1d", "--config", write_config(tmp_path, cfg),
+               "--out", str(out)])
+    assert rc == 2
+    assert f"config error at $.{key}: must stay" in capsys.readouterr().err
+    assert not (out / "FAILED.json").exists()
+
+
 def test_two_phase_similarity_start_skips_one_phase_front_check(tmp_path):
     """The closed form is one-phase; a run that also conducts heat into a
     cold solid moves its front off it, so that check is not made."""

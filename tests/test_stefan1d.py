@@ -289,6 +289,58 @@ def test_two_phase_front_law_cancels_on_antisymmetric_data():
     assert np.max(np.abs(res.front.velocities)) <= 1e-12
 
 
+@pytest.mark.parametrize("two_phase", [False, True], ids=["one_phase", "two_phase"])
+def test_monitors_match_every_stored_state(two_phase):
+    """The monitors are reduced once per block of steps; with every step
+    stored, they must equal the same reductions over the stored states, over
+    several blocks and a partial one."""
+    sim = similarity_oracle(1.0)
+    t0, nx, length = 0.25, 12, 2.0
+    b = float(sim.front(t0))
+    solid = dict(k2=0.5, length=length, far_boundary=lambda t: -0.5 - (t - t0),
+                 initial_solid=lambda x: -0.5 * (x - b) / (length - b)) if two_phase else {}
+    spec = StefanSpec1D(k1=1.0, b=b, duration=0.3505, dt=5e-4, t0=t0, nx=nx,
+                        boundary=lambda t: 1.0 + 2.0 * (t - t0),
+                        initial=lambda x: sim.temperature(x, t0),
+                        snapshot_every=1, **solid)
+    res = solve_stefan(spec)
+    rep = res.report
+    # 701 steps, a prime: several blocks and a partial one for any block of 2 to 350 steps
+    assert rep["steps"] == len(res.trajectory) - 1 == 701
+
+    liquid = [snap.values for snap in res.trajectory.snapshots]
+    phases = [liquid]
+    if two_phase:
+        phases.append([snap.values for snap in res.solid_trajectory.snapshots])
+    # the monitors see the state after each step
+    assert rep["u_max"] == max(vals.max() for vals in liquid[1:])
+    assert rep["u_min"] == min(vals.min() for states in phases for vals in states[1:])
+    edge = [vals[0] for vals in liquid]
+    assert rep["bound_high"] == max(*edge, *(states[0].max() for states in phases))
+    assert rep["bound_low"] == min(0.0, *edge, *(states[0].min() for states in phases))
+
+    # the heating rate of each step is that of its pre-step state
+    h = 1.0 / nx
+    ut_min = min(((vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / (s * s * h * h)).min()
+                 for vals, s in zip(liquid[:-1], res.snapshot_fronts[:-1]))
+    assert rep["ut_min"] == ut_min
+
+    # and each stored state is one explicit step of the one before it, block
+    # edges included (the solid is stepped mirrored, as the solver does)
+    eta_int = np.linspace(0.0, 1.0, nx + 1)[1:-1]
+    fronts, vels = res.snapshot_fronts, res.front.velocities
+    for sigma, anchor, states in zip((1, -1), (0.0, length), phases):
+        for k in range(rep["steps"]):
+            vals, nxt = states[k][::sigma], states[k + 1][::sigma]
+            w = sigma * (fronts[k] - anchor)
+            ds = spec.dt * vels[k]
+            d2 = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
+            d1 = vals[2:] - vals[:-2]
+            step = vals[1:-1] + spec.dt * (d2 / (w * w * h * h)) \
+                + (sigma * ds / (2.0 * h * w)) * (eta_int * d1)
+            assert np.array_equal(nxt[1:], np.append(step, 0.0)), k
+
+
 # ---------------------------------------------------------------------------
 # resampling and export
 # ---------------------------------------------------------------------------
@@ -327,3 +379,27 @@ def test_front_csv_format(tmp_path):
     assert lines[0] == "t,s,sdot"
     assert [float(v) for v in lines[1].split(",")] == [0.0, 1.0, 0.5]
     assert [float(v) for v in lines[2].split(",")] == [0.5, 1.25, 0.5]
+
+    ft = FrontTrajectory(times=[-0.0, 1 / 3], positions=[5e-324, 1e300],
+                         velocities=[1 / 3, -0.0])
+    write_front_csv(ft, path)
+    text = path.read_text()
+    assert text == ("t,s,sdot\n"
+                    "-0,4.9406564584124654e-324,0.33333333333333331\n"
+                    "0.33333333333333331,1.0000000000000001e+300,-0\n")
+    back = np.array([[float(v) for v in line.split(",")] for line in text.splitlines()[1:]])
+    # bit-equal, signed zeros and the subnormal included
+    expect = np.column_stack((ft.times, ft.positions, ft.velocities))
+    assert back.tobytes() == expect.tobytes()
+
+    # more rows than one write formats at once
+    rng = np.random.default_rng(7)
+    n = 10_001
+    ft = FrontTrajectory(times=np.arange(n) / 3.0, positions=rng.uniform(0.1, 2.0, n),
+                         velocities=rng.standard_normal(n))
+    write_front_csv(ft, path)
+    lines = path.read_text().splitlines()
+    assert len(lines) == n + 1 and lines[0] == "t,s,sdot"
+    back = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    expect = np.column_stack((ft.times, ft.positions, ft.velocities))
+    assert back.tobytes() == expect.tobytes()
