@@ -12,7 +12,6 @@ from .grid import (
     ParabolicCylinder,
     TemperatureField,
     discrete_laplacian,
-    field_to_csv_text,
     format_float,
     neighborhood_radius,
     parabolic_distance,
@@ -85,7 +84,7 @@ __all__ = [
     # grid
     "Grid", "TemperatureField", "ParabolicCylinder", "discrete_laplacian",
     "parabolic_distance", "positivity_set", "neighborhood_radius",
-    "format_float", "field_to_csv_text", "read_field_csv", "write_field_csv",
+    "format_float", "read_field_csv", "write_field_csv",
     # heat
     "OperatorCoefficients", "HeatTrajectory", "apply_operator",
     "stability_limit", "solve_dirichlet",

@@ -55,7 +55,7 @@ from scipy.linalg import expm
 
 from . import __version__
 from .grid import Grid, TemperatureField, discrete_laplacian, positivity_set, \
-    read_field_csv, write_field_csv
+    read_csv_rows, read_field_csv, write_field_csv, write_fields
 from .heat import HeatTrajectory, OperatorCoefficients, conservation_residual, \
     eval_time, solve_dirichlet, write_trajectory
 from .mollifier import admissible_mask, bump_profile, build_kernel, mollify, smoothness_report
@@ -495,19 +495,16 @@ def _run_solve1d(config: ExperimentConfig, outdir: Path) -> tuple[dict, list[str
 
     files = ["config.json", "report.json", "front.csv"]
     write_front_csv(result.front, outdir / "front.csv")
-    write_trajectory(
+    manifest = write_trajectory(
         result.trajectory, outdir, prefix="u",
         stability_limit_used=rep["stability_limit_initial"],
         diagnostics={"mode": "solve1d", "seed": config.seed,
                      "fronts": [float(s) for s in result.snapshot_fronts]},
     )
     files.append("manifest.json")
-    files.extend(f"u_{k:06d}.csv" for k in range(len(result.trajectory)))
+    files.extend(json.loads(manifest.read_text())["snapshots"])
     if result.solid_trajectory is not None:
-        for k, snap in enumerate(result.solid_trajectory.snapshots):
-            name = f"w_{k:06d}.csv"
-            write_field_csv(snap, outdir / name)
-            files.append(name)
+        files.extend(write_fields(result.solid_trajectory.snapshots, outdir, "w"))
 
     bounds = f"bounds [{rep['bound_low']:.6g}, {rep['bound_high']:.6g}]"
     diagnostics = {
@@ -594,11 +591,7 @@ def _run_solve3d(config: ExperimentConfig, outdir: Path) -> tuple[dict, list[str
     rep = result.report
 
     files = ["config.json", "report.json", "manifest.json", "u_final.csv"]
-    names = []
-    for k, domain in enumerate(result.snapshots):
-        name = f"front_{k:06d}.csv"
-        write_field_csv(front_field(domain), outdir / name)
-        names.append(name)
+    names = write_fields(map(front_field, result.snapshots), outdir, "front")
     files.extend(names)
     final = result.snapshots[-1]
     write_field_csv(TemperatureField(final.grid, final.time, final.values),
@@ -953,19 +946,6 @@ def run_verify(rundir: str | Path, checks: str = "all",
 # compare
 # ---------------------------------------------------------------------------
 
-def _split_csv(path: Path) -> tuple[list[str], np.ndarray]:
-    """Separate a CSV into header lines and a flat float array."""
-    headers, rows = [], []
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        try:
-            rows.extend(float(tok) for tok in line.split(","))
-        except ValueError:
-            headers.append(line)
-    return headers, np.array(rows)
-
-
 def _read_report(rundir: Path) -> dict:
     """``report.json`` without its ``created_utc`` timestamp, else a usage error."""
     try:
@@ -992,10 +972,10 @@ def compare_runs(dir_a: str | Path, dir_b: str | Path,
                  tolerance: float = 0.0) -> RunReport:
     """Diff the CSV payloads of two run directories.
 
-    Raises :class:`UsageError` when the manifests or the file sets are
-    incompatible; reports fail (not raise) when values differ beyond the
-    tolerance.  ``report.json`` files are compared with the ``created_utc``
-    provenance field removed.
+    Raises :class:`UsageError` when the manifests, the file sets or a CSV's
+    header, value count or body cannot be compared; reports fail (not raise)
+    when values differ beyond the tolerance.  ``report.json`` files are
+    compared with the ``created_utc`` provenance field removed.
     """
     dir_a, dir_b = Path(dir_a), Path(dir_b)
     ma, mb = _read_manifest(dir_a), _read_manifest(dir_b)
@@ -1016,16 +996,18 @@ def compare_runs(dir_a: str | Path, dir_b: str | Path,
         if pa.read_bytes() == pb.read_bytes():
             per_file[name] = {"max_abs": 0.0, "max_rel": 0.0, "identical": True}
             continue
-        ha, va = _split_csv(pa)
-        hb, vb = _split_csv(pb)
+        try:
+            (ha, va), (hb, vb) = read_csv_rows(pa), read_csv_rows(pb)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         if ha != hb:
             raise UsageError(f"{name}: header lines differ")
         if va.shape != vb.shape:
             raise UsageError(f"{name}: value counts differ ({va.size} vs {vb.size})")
-        diff = np.abs(va - vb)
-        denom = np.maximum(np.maximum(np.abs(va), np.abs(vb)), 1e-300)
-        fa = float(diff.max()) if diff.size else 0.0
-        fr = float((diff / denom).max()) if diff.size else 0.0
+        # normwise: a column through zero must not turn rounding into 100%
+        fa = float(np.abs(va - vb).max(initial=0.0))
+        scale = max(np.abs(va).max(initial=0.0), np.abs(vb).max(initial=0.0))
+        fr = fa / float(scale) if scale > 0 else 0.0
         per_file[name] = {"max_abs": fa, "max_rel": fr, "identical": False}
         max_abs = max(max_abs, fa)
         max_rel = max(max_rel, fr)
@@ -1037,7 +1019,7 @@ def compare_runs(dir_a: str | Path, dir_b: str | Path,
     diagnostics = {
         "csv_max_abs": _rule("at_most", max_abs, tolerance),
         "csv_max_rel": _rule("at_most", max_rel, tolerance,
-                             "relative to the larger magnitude per value"),
+                             "relative to the largest magnitude in the file"),
     }
     if reports_match is not None:
         diagnostics["reports_match"] = _check(

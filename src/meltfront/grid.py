@@ -19,16 +19,18 @@ Conventions used throughout the package:
   difference: ``second_differences`` divides by ``h^2`` first, and that
   would move the bits of every 1D run.
 
-Serialization: ``write_field_csv``/``read_field_csv`` implement the plain
-text format ``# grid dim=<d> counts=<...> spacing=<...> time=<t>`` followed
-by one value per line (row-major, 17 significant digits).
+Serialization: every CSV is one header line, then rows of ``%.17g`` values
+(17 significant digits round-trip doubles), through ``write_csv_rows`` and
+``read_csv_rows``.  Field CSVs carry ``# grid dim=<d> counts=<...>
+spacing=<...> time=<t>`` and one value per row, row-major; ``front.csv``
+carries ``t,s,sdot`` and three values per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -41,8 +43,11 @@ __all__ = [
     "parabolic_distance",
     "positivity_set",
     "neighborhood_radius",
+    "write_csv_rows",
+    "read_csv_rows",
     "write_field_csv",
     "read_field_csv",
+    "write_fields",
     "format_float",
 ]
 
@@ -342,15 +347,41 @@ def _header_line(field: TemperatureField) -> str:
     return f"# grid dim={g.dim} counts={counts} spacing={spacing} time={format_float(field.time)}"
 
 
-def field_to_csv_text(field: TemperatureField) -> str:
-    """Serialize a field to the grid CSV format (header + one value per line)."""
-    lines = [_header_line(field)]
-    lines.extend(format_float(v) for v in field.values)
-    return "\n".join(lines) + "\n"
+_CHUNK_ROWS = 4096
+
+
+def write_csv_rows(path: str | Path, header: str, rows: np.ndarray) -> None:
+    """Write ``header``, then the rows of a 2D array as ``FLOAT_FMT`` values,
+    each chunk of rows through one template (a chunk bounds the text's memory)."""
+    row_fmt = ",".join([FLOAT_FMT] * rows.shape[1]) + "\n"
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for i in range(0, len(rows), _CHUNK_ROWS):
+            chunk = rows[i:i + _CHUNK_ROWS]
+            f.write((row_fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
+def read_csv_rows(path: str | Path) -> tuple[str, np.ndarray]:
+    """The first line of a CSV and its body's values, flat in file order."""
+    header, _, body = Path(path).read_text().partition("\n")
+    try:
+        return header, np.array(body.replace(",", " ").split(), dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"{path}: non-numeric value in the body: {exc}") from exc
 
 
 def write_field_csv(field: TemperatureField, path: str | Path) -> None:
-    Path(path).write_text(field_to_csv_text(field))
+    write_csv_rows(path, _header_line(field), field.values[:, None])
+
+
+def write_fields(fields: Iterable[TemperatureField], outdir: str | Path,
+                 prefix: str) -> list[str]:
+    """Write the fields to ``<prefix>_<k:06d>.csv`` in ``outdir``; returns the names."""
+    names = []
+    for k, f in enumerate(fields):
+        names.append(f"{prefix}_{k:06d}.csv")
+        write_field_csv(f, Path(outdir) / names[-1])
+    return names
 
 
 def read_field_csv(path: str | Path) -> TemperatureField:
@@ -359,11 +390,11 @@ def read_field_csv(path: str | Path) -> TemperatureField:
     The header does not carry the box origin, so the grid is reconstructed
     with origin 0 on every axis.
     """
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith("# grid "):
+    header, values = read_csv_rows(path)
+    if not header.startswith("# grid "):
         raise ValueError(f"{path}: missing grid header line")
     tokens = dict(
-        item.split("=", 1) for item in lines[0][len("# grid "):].split() if "=" in item
+        item.split("=", 1) for item in header[len("# grid "):].split() if "=" in item
     )
     try:
         dim = int(tokens["dim"])
@@ -371,10 +402,9 @@ def read_field_csv(path: str | Path) -> TemperatureField:
         spacing = tuple(float(s) for s in tokens["spacing"].split(","))
         time = float(tokens["time"])
     except (KeyError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed grid header: {lines[0]!r}") from exc
+        raise ValueError(f"{path}: malformed grid header: {header!r}") from exc
     if len(counts) != dim or len(spacing) != dim:
         raise ValueError(f"{path}: header dim does not match counts/spacing")
     extent = tuple(c * s for c, s in zip(counts, spacing))
     grid = Grid(origin=(0.0,) * dim, extent=extent, counts=counts)
-    values = np.array([float(v) for v in lines[1:] if v.strip()], dtype=float)
     return TemperatureField(grid, time, values)

@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import erf
 
-from .grid import FLOAT_FMT, Grid, TemperatureField
+from .grid import Grid, TemperatureField, write_csv_rows
 from .heat import HeatTrajectory, TimeFunc, eval_time
 
 __all__ = [
@@ -573,17 +573,7 @@ def physical_trajectory(result: StefanResult, grid: Grid) -> HeatTrajectory:
     return HeatTrajectory(fields, result.trajectory.dt)
 
 
-_CSV_CHUNK_ROWS = 4096
-
-
 def write_front_csv(front: FrontTrajectory, path: str | Path) -> None:
-    """Write ``t, s, sdot`` rows with 17 significant digits, each chunk of
-    rows through one format template (a chunk bounds the memory the text
-    and its values take)."""
-    rows = np.column_stack((front.times, front.positions, front.velocities))
-    row_fmt = ",".join([FLOAT_FMT] * 3) + "\n"
-    with open(path, "w") as f:
-        f.write("t,s,sdot\n")
-        for i in range(0, len(rows), _CSV_CHUNK_ROWS):
-            chunk = rows[i:i + _CSV_CHUNK_ROWS]
-            f.write((row_fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
+    """Write ``t, s, sdot`` rows with 17 significant digits."""
+    write_csv_rows(path, "t,s,sdot",
+                   np.column_stack((front.times, front.positions, front.velocities)))

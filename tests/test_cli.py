@@ -581,6 +581,33 @@ def test_compare_detects_tampering(tmp_path):
     assert main(["compare", str(a), str(b), "--tolerance", "1e-3"]) == 0
 
 
+def test_compare_relative_difference_is_normwise(tmp_path, capsys):
+    """A value that moves off zero by 1e-300 is a change of 1e-300 relative
+    to the file's largest magnitude, not a 100% change of that one value."""
+    a, b = two_identical_runs(tmp_path)
+    lines = (b / "u_000001.csv").read_text().splitlines()
+    front = max(i for i, line in enumerate(lines) if line == "0")
+    lines[front] = "1e-300"
+    (b / "u_000001.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["compare", str(a), str(b), "--tolerance", "1e-14"]) == 0
+    diag = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert diag["csv_max_rel"]["measured"] == 1e-300
+    assert diag["csv_max_abs"]["measured"] == 1e-300
+    assert diag["reports_match"]["pass"]
+    assert main(["compare", str(a), str(b)]) == 3
+
+
+def test_compare_non_numeric_body_is_usage_error(tmp_path, capsys):
+    a, b = two_identical_runs(tmp_path)
+    lines = (b / "u_000002.csv").read_text().splitlines()
+    lines[3] = "oops"
+    (b / "u_000002.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["compare", str(a), str(b)]) == 2
+    assert str(b / "u_000002.csv") in capsys.readouterr().err
+
+
 def test_compare_manifest_mismatch(tmp_path, capsys):
     a, b = two_identical_runs(tmp_path)
     manifest = json.loads((b / "manifest.json").read_text())

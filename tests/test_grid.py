@@ -208,20 +208,27 @@ def test_neighborhood_radius():
         neighborhood_radius(g, a[:5], b)
 
 
-def test_csv_round_trip_bit_exact(tmp_path):
-    rng = np.random.default_rng(3)
-    g = Grid(origin=(0.0, 0.0), extent=(2.0, 1.0), counts=(6, 4))
-    f = TemperatureField(g, 0.125, rng.standard_normal(24))
+@pytest.mark.parametrize("extent, counts, values", [
+    ((2.0, 1.0), (6, 4), np.random.default_rng(3).standard_normal(24)),
+    ((2.0,), (4,), np.array([-0.0, 5e-324, 1e300, 1.0 / 3.0])),
+    # more cells than one write formats at once
+    ((2.0, 1.0), (72, 64), np.random.default_rng(5).standard_normal(72 * 64)),
+], ids=["random_normals", "signed_zero_subnormal_huge_third", "two_chunks"])
+def test_csv_round_trip_bit_exact(tmp_path, extent, counts, values):
+    g = Grid(origin=(0.0,) * len(counts), extent=extent, counts=counts)
+    f = TemperatureField(g, 0.125, values)
     path = tmp_path / "field.csv"
     write_field_csv(f, path)
+    assert len(path.read_text().splitlines()) == 1 + values.size
     back = read_field_csv(path)
     assert back.grid.counts == g.counts
     assert back.grid.spacing == g.spacing
     assert back.time == f.time
-    # 17 significant digits round-trip doubles exactly
+    # 17 significant digits round-trip doubles exactly, signed zero included
     assert np.array_equal(back.values, f.values)
+    assert back.values.tobytes() == f.values.tobytes()
     # the header does not carry the origin
-    assert back.grid.origin == (0.0, 0.0)
+    assert back.grid.origin == (0.0,) * len(counts)
 
 
 def test_csv_header_format(tmp_path):
@@ -231,6 +238,10 @@ def test_csv_header_format(tmp_path):
     header = path.read_text().splitlines()[0]
     assert header == "# grid dim=1 counts=4 spacing=0.25 time=0.5"
 
+    write_field_csv(TemperatureField(g, 1.0 / 3.0, [-0.0, 1.0 / 3.0, 0.0, 1.0]), path)
+    assert path.read_text() == ("# grid dim=1 counts=4 spacing=0.25 time=0.33333333333333331\n"
+                                "-0\n0.33333333333333331\n0\n1\n")
+
 
 @pytest.mark.parametrize(
     "text",
@@ -238,6 +249,7 @@ def test_csv_header_format(tmp_path):
         "1.0\n2.0\n",
         "# grid dim=2 counts=4 spacing=0.25 time=0\n0\n0\n0\n0\n",
         "# grid dim=1 counts=x spacing=0.25 time=0\n0\n",
+        "# grid dim=1 counts=4 spacing=0.25 time=0\n0\nx\n0\n0\n",
     ],
 )
 def test_csv_rejects_malformed_input(tmp_path, text):
