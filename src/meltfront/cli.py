@@ -26,14 +26,8 @@ numerical failure or a failed check, 4 unreadable or unwritable path.  A
 solver abort still leaves partial outputs in the run directory next to a
 ``FAILED.json`` marker.
 
-Every diagnostic that compares a number with a tolerance takes its ``pass``
-from its printed ``measured`` and ``tolerance`` under one named rule of
-``_RULES``, so a reported tolerance is always the applied one.
-
-Reports follow ``REPORT_SCHEMA`` and are validated against it before they
-are written.  Everything except the ``created_utc`` provenance field is a
-pure function of (config, seed), so repeated runs produce byte-identical
-CSVs; :func:`compare_runs` ignores the timestamp when diffing reports.
+The run-directory format and ``compare`` live in :mod:`meltfront.rundir`,
+the ``verify`` checks in :mod:`meltfront.verify`.
 """
 
 from __future__ import annotations
@@ -43,8 +37,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field as dataclass_field
-from datetime import datetime, timezone
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -53,16 +46,17 @@ from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 from scipy.linalg import expm
 
-from . import __version__
-from .grid import Grid, TemperatureField, discrete_laplacian, positivity_set, \
-    read_csv_rows, read_field_csv, write_field_csv, write_fields
+from .grid import Grid, TemperatureField, field_name, read_field_csv, write_field_csv, \
+    write_fields
 from .heat import HeatTrajectory, OperatorCoefficients, conservation_residual, \
     eval_time, solve_dirichlet, write_trajectory
 from .mollifier import admissible_mask, bump_profile, build_kernel, mollify, smoothness_report
-from .stefan1d import StefanSpec1D, similarity_oracle, solve_stefan, write_front_csv
+from .rundir import REPORT_SCHEMA, RunReport, UsageError, _RULES, _check, _provenance, \
+    _read_manifest, _rule, compare_runs, write_failure, write_json, write_manifest
+from .stefan1d import StefanSpec1D, similarity_oracle, solve_stefan, time_steps, \
+    write_front_csv
 from .stefan3d import StefanSpec3D, front_field, solve3d
-from .verify import BarrierParams, barrier_field, barrier_residual_constant, \
-    delta_of_t, heat_residual_field, initial_continuity_metric, max_principle_audit
+from .verify import VERIFY_CHECKS, _CHECK_RUNNERS
 
 __all__ = [
     "ExperimentConfig",
@@ -78,52 +72,9 @@ __all__ = [
 ]
 
 
-class UsageError(Exception):
-    """Bad flags, malformed config, or incompatible inputs (exit code 2)."""
-
-
 # ---------------------------------------------------------------------------
-# schemas
+# config schemas
 # ---------------------------------------------------------------------------
-
-REPORT_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "$id": "meltfront/report.schema.json",
-    "type": "object",
-    "required": ["mode", "status", "diagnostics", "provenance", "files"],
-    "properties": {
-        "mode": {"type": "string"},
-        "status": {"enum": ["pass", "fail"]},
-        "diagnostics": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["measured", "tolerance", "pass"],
-                "properties": {
-                    "measured": {"type": ["number", "null"]},
-                    "tolerance": {"type": ["number", "null"]},
-                    "pass": {"type": "boolean"},
-                    "notes": {"type": "string"},
-                },
-                "additionalProperties": False,
-            },
-        },
-        "provenance": {
-            "type": "object",
-            "required": ["config_sha256", "code_version", "created_utc", "seed"],
-            "properties": {
-                "config_sha256": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
-                "code_version": {"type": "string"},
-                "created_utc": {"type": "string"},
-                "seed": {"type": ["integer", "null"]},
-            },
-            "additionalProperties": False,
-        },
-        "files": {"type": "array", "items": {"type": "string"}},
-        "data": {"type": "object"},
-    },
-    "additionalProperties": False,
-}
 
 _TIMEFUNC_SCHEMA = {
     "oneOf": [
@@ -256,7 +207,7 @@ CONFIG_SCHEMAS: dict[str, dict] = {
 
 
 # ---------------------------------------------------------------------------
-# config and report containers
+# config container
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -307,79 +258,6 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical().encode()).hexdigest()
 
 
-@dataclass
-class RunReport:
-    """Diagnostics, provenance, and file inventory of one command invocation."""
-
-    mode: str
-    diagnostics: dict[str, dict]
-    provenance: dict
-    files: list[str]
-    data: dict = dataclass_field(default_factory=dict)
-
-    @property
-    def status(self) -> str:
-        ok = all(entry["pass"] for entry in self.diagnostics.values())
-        return "pass" if ok else "fail"
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "status": self.status,
-            "diagnostics": self.diagnostics,
-            "provenance": self.provenance,
-            "files": sorted(self.files),
-            "data": self.data,
-        }
-
-    def validate(self) -> None:
-        """Check the serialized form against ``REPORT_SCHEMA``."""
-        err = best_match(Draft202012Validator(REPORT_SCHEMA).iter_errors(self.to_dict()))
-        if err is not None:
-            raise ValueError(f"report failed self-validation at {err.json_path}: "
-                             f"{err.message}")
-
-    def write(self, path: str | Path) -> None:
-        self.validate()
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
-
-
-def _check(measured, tolerance, passed, notes: str | None = None) -> dict:
-    entry = {
-        "measured": None if measured is None else float(measured),
-        "tolerance": None if tolerance is None else float(tolerance),
-        "pass": bool(passed),
-    }
-    if notes is not None:
-        entry["notes"] = notes
-    return entry
-
-
-# the closed set of pass rules, each a test of measured m against tolerance tol
-_RULES: dict[str, Callable[[float, float], bool]] = {
-    "at_most": lambda m, tol: m <= tol,
-    "at_least": lambda m, tol: m >= tol,
-    "at_least_minus": lambda m, tol: m >= -tol,
-    "at_most_rounding": lambda m, tol: m <= tol * (1 + 1e-12),
-    "abs_at_most": lambda m, tol: abs(m) <= tol,
-}
-
-
-def _rule(rule: str, measured, tolerance, notes: str | None = None) -> dict:
-    """Diagnostic whose ``pass`` is ``_RULES[rule]`` of the values it prints."""
-    passed = _RULES[rule](float(measured), float(tolerance))
-    return _check(measured, tolerance, passed, notes)
-
-
-def _provenance(sha256: str, seed: int | None) -> dict:
-    return {
-        "config_sha256": sha256,
-        "code_version": __version__,
-        "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "seed": seed,
-    }
-
-
 def _time_func(node) -> float | Callable[[float], float]:
     """Turn a config time-function node into a constant or a callable."""
     if isinstance(node, (int, float)):
@@ -412,11 +290,10 @@ def _similarity_start(payload: Mapping, key: str):
 # solve1d
 # ---------------------------------------------------------------------------
 
-def _hold_sign(fn: float | Callable[[float], float], key: str, sign: int,
-               t0: float, t1: float) -> None:
-    """Refuse edge data ``fn`` at ``$.key`` unless ``sign * fn(t) >= 0`` on
-    ``[t0, t1]``; a config time function is affine, so its ends decide."""
-    for t in (t0, t1):
+def _hold_signs(edges: list[tuple], t: float) -> None:
+    """Refuse each edge ``(fn, key, sign)`` at ``$.key`` unless ``sign * fn(t) >= 0``;
+    a config time function is affine, so the run's first and last step decide."""
+    for fn, key, sign in edges:
         g = eval_time(fn, t)
         if sign * g < 0:
             rule = "nonnegative" if sign > 0 else "nonpositive"
@@ -461,11 +338,11 @@ def _build_spec1d(payload: Mapping):
         b_val, length = float(b), float(length)
         initial_solid = lambda x: g0 * (x - b_val) / (length - b_val)
 
-    t1 = t0 + float(payload["duration"])
-    _hold_sign(boundary, "boundary", 1, t0, t1)
     far_boundary = _time_func(payload.get("far_boundary", 0.0))
+    edges = [(boundary, "boundary", 1)]
     if payload.get("k2") is not None:  # one-phase runs never read the far edge
-        _hold_sign(far_boundary, "far_boundary", -1, t0, t1)
+        edges.append((far_boundary, "far_boundary", -1))
+    _hold_signs(edges, t0)
 
     try:
         spec = StefanSpec1D(
@@ -485,6 +362,8 @@ def _build_spec1d(payload: Mapping):
         )
     except ValueError as exc:
         raise UsageError(f"config error: {exc}") from exc
+    _, dt, n_steps = time_steps(spec)
+    _hold_signs(edges, t0 + n_steps * dt)  # the last step solve_stefan takes
     return spec, sim
 
 
@@ -495,14 +374,14 @@ def _run_solve1d(config: ExperimentConfig, outdir: Path) -> tuple[dict, list[str
 
     files = ["config.json", "report.json", "front.csv"]
     write_front_csv(result.front, outdir / "front.csv")
-    manifest = write_trajectory(
+    write_trajectory(
         result.trajectory, outdir, prefix="u",
         stability_limit_used=rep["stability_limit_initial"],
         diagnostics={"mode": "solve1d", "seed": config.seed,
                      "fronts": [float(s) for s in result.snapshot_fronts]},
     )
     files.append("manifest.json")
-    files.extend(json.loads(manifest.read_text())["snapshots"])
+    files.extend(field_name("u", k) for k in range(len(result.trajectory)))
     if result.solid_trajectory is not None:
         files.extend(write_fields(result.solid_trajectory.snapshots, outdir, "w"))
 
@@ -596,16 +475,9 @@ def _run_solve3d(config: ExperimentConfig, outdir: Path) -> tuple[dict, list[str
     final = result.snapshots[-1]
     write_field_csv(TemperatureField(final.grid, final.time, final.values),
                     outdir / "u_final.csv")
-    manifest = {
-        "dt": float(rep["dt"]),
-        "times": [float(t) for t in result.times],
-        "snapshots": names,
-        "final_field": "u_final.csv",
-        "stability_limit": float(rep["stability_limit"]),
-        "diagnostics": {"mode": "solve3d", "seed": config.seed},
-    }
-    (outdir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_manifest(outdir, float(rep["dt"]), result.times, names,
+                   float(rep["stability_limit"]), {"mode": "solve3d", "seed": config.seed},
+                   final_field="u_final.csv")
 
     scale = max(1.0, abs(eval_time(spec.bottom, spec.t0)))
     diagnostics = {
@@ -754,12 +626,11 @@ def run(config: ExperimentConfig, outdir: str | Path) -> RunReport:
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "config.json").write_text(
-        json.dumps(config.payload, sort_keys=True, indent=2) + "\n")
+    write_json(outdir / "config.json", config.payload)
     diagnostics, files, data = _RUNNERS[config.mode](config, outdir)
     report = RunReport(config.mode, diagnostics,
                        _provenance(config.sha256(), config.seed), files, data)
-    report.write(outdir / "report.json")
+    report.emit(outdir / "report.json")
     return report
 
 
@@ -801,7 +672,7 @@ def run_mollify(input_path: str | Path, epsilon: float, order: int,
     config = ExperimentConfig("mollify", payload, None)
     rep = RunReport("mollify", diagnostics, _provenance(config.sha256(), None), files,
                     {"epsilon": float(epsilon), "order": int(order)})
-    rep.write(out)
+    rep.emit(out)
     return rep
 
 
@@ -809,25 +680,8 @@ def run_mollify(input_path: str | Path, epsilon: float, order: int,
 # verify
 # ---------------------------------------------------------------------------
 
-def _read_manifest(rundir: Path) -> dict:
-    """``manifest.json`` as an object with a finite positive ``dt``, an object
-    ``diagnostics`` and a list of string ``snapshots`` (each when present),
-    else a usage error."""
-    try:
-        manifest = json.loads((rundir / "manifest.json").read_text())
-        dt = float(manifest["dt"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise UsageError(f"{rundir}: unreadable manifest.json: {exc!r}") from exc
-    if not (math.isfinite(dt) and dt > 0):
-        raise UsageError(f"{rundir}: manifest.json dt must be finite and positive, got {dt!r}")
-    if not isinstance(manifest.get("diagnostics", {}), dict):
-        raise UsageError(f"{rundir}: manifest.json diagnostics must be an object")
-    names = manifest.get("snapshots", [])
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise UsageError(f"{rundir}: manifest.json snapshots must be a list of file names")
-    return manifest
-
-
+# run_verify looks _load_rundir, read_field_csv, HeatTrajectory and the shared
+# _CHECK_RUNNERS entries up here, where benchmarks/tracing.py wraps them
 def _load_rundir(rundir: Path) -> tuple[HeatTrajectory, dict]:
     manifest = _read_manifest(rundir)
     mode = manifest.get("diagnostics", {}).get("mode")
@@ -843,72 +697,6 @@ def _load_rundir(rundir: Path) -> tuple[HeatTrajectory, dict]:
         return HeatTrajectory(snaps, float(manifest["dt"])), manifest
     except ValueError as exc:
         raise UsageError(f"{rundir}: {exc}") from exc
-
-
-def _caloric_tolerance(traj: HeatTrajectory) -> float:
-    h2 = max(traj.grid.spacing) ** 2
-    scale = max(1.0, float(np.max(np.abs(traj.values_matrix()))))
-    return 10.0 * (h2 + traj.dt) * scale
-
-
-def _check_caloric(traj: HeatTrajectory) -> dict:
-    residuals = heat_residual_field(traj)
-    measured = max(float(np.max(np.abs(r.values[r.valid_mask()]))) for r in residuals)
-    return _rule("at_most", measured, _caloric_tolerance(traj),
-                 "sup interior |Lu - u_t| over all recorded steps")
-
-
-def _check_max_principle(traj: HeatTrajectory) -> dict:
-    audit = max_principle_audit(traj)
-    measured = float(audit["max_value"] - audit["parabolic_max"])
-    scale = max(1.0, float(np.max(np.abs(traj.values_matrix()))))
-    return _rule("at_most", measured, 1e-12 * scale,
-                 f"interior max excess; attained on the parabolic boundary: "
-                 f"{bool(audit['attained_on_boundary'])}")
-
-
-def _check_continuity(traj: HeatTrajectory) -> dict:
-    heating = discrete_laplacian(traj.snapshots[0])
-    times, metric = initial_continuity_metric(traj, heating)
-    measured = float(metric[0])
-    return _rule("at_most", measured, _caloric_tolerance(traj),
-                 f"heating mismatch at the first recorded step; "
-                 f"peak over the run {float(np.max(metric)):.6g}")
-
-
-def _check_positivity_spread(traj: HeatTrajectory) -> dict:
-    reference = positivity_set(traj.snapshots[0])
-    if not reference.any():
-        return _check(None, None, True, "initial positivity set empty; check vacuous")
-    deltas = delta_of_t(traj, reference)
-    diameter = math.sqrt(sum(e * e for e in traj.grid.extent))
-    ok = bool(np.all(np.isfinite(deltas)) and np.all(deltas >= 0)
-              and np.all(deltas <= diameter + 1e-12))
-    return _check(float(np.max(deltas)), diameter, ok,
-                  "largest spread of the positivity set from its start")
-
-
-def _check_barrier(traj: HeatTrajectory) -> dict:
-    grid = traj.grid
-    center = tuple(o + 0.5 * e for o, e in zip(grid.origin, grid.extent))
-    params = BarrierParams(center=center, time=float(traj.times[-1]),
-                           dimension=grid.dim)
-    residuals = heat_residual_field(barrier_field(traj, params))
-    vals = np.concatenate([r.values[r.valid_mask()] for r in residuals])
-    measured = float(np.mean(vals))
-    const = barrier_residual_constant(grid.dim)
-    return _rule("abs_at_most", measured - const, _caloric_tolerance(traj) + 1e-12,
-                 f"mean interior barrier residual against {const!r}")
-
-
-_CHECK_RUNNERS = {
-    "caloric": _check_caloric,
-    "max_principle": _check_max_principle,
-    "continuity": _check_continuity,
-    "positivity_spread": _check_positivity_spread,
-    "barrier": _check_barrier,
-}
-VERIFY_CHECKS = tuple(_CHECK_RUNNERS)
 
 
 def run_verify(rundir: str | Path, checks: str = "all",
@@ -934,103 +722,8 @@ def run_verify(rundir: str | Path, checks: str = "all",
     files = [] if out is None else [Path(out).name]
     rep = RunReport("verify", diagnostics, provenance, files,
                     {"rundir": str(rundir), "levels": len(traj)})
-    if out is None:
-        rep.validate()
-        print(json.dumps(rep.to_dict(), sort_keys=True, indent=2))
-    else:
-        rep.write(out)
+    rep.emit(out)
     return rep
-
-
-# ---------------------------------------------------------------------------
-# compare
-# ---------------------------------------------------------------------------
-
-def _read_report(rundir: Path) -> dict:
-    """``report.json`` without its ``created_utc`` timestamp, else a usage error."""
-    try:
-        report = json.loads((rundir / "report.json").read_text())
-        report.get("provenance", {}).pop("created_utc", None)
-    except (ValueError, AttributeError, TypeError) as exc:
-        raise UsageError(f"{rundir}: unreadable report.json: {exc!r}") from exc
-    return report
-
-
-def _manifest_compatible(ma: dict, mb: dict) -> str | None:
-    """Reason the two manifests cannot be compared, or None."""
-    if set(ma.get("snapshots", [])) != set(mb.get("snapshots", [])):
-        return "snapshot lists differ"
-    if not math.isclose(float(ma["dt"]), float(mb["dt"]), rel_tol=1e-12):
-        return f"dt differs: {ma['dt']} vs {mb['dt']}"
-    ta, tb = ma.get("times", []), mb.get("times", [])
-    if len(ta) != len(tb) or not np.allclose(ta, tb, rtol=1e-12, atol=1e-12):
-        return "snapshot times differ"
-    return None
-
-
-def compare_runs(dir_a: str | Path, dir_b: str | Path,
-                 tolerance: float = 0.0) -> RunReport:
-    """Diff the CSV payloads of two run directories.
-
-    Raises :class:`UsageError` when the manifests, the file sets or a CSV's
-    header, value count or body cannot be compared; reports fail (not raise)
-    when values differ beyond the tolerance.  ``report.json`` files are
-    compared with the ``created_utc`` provenance field removed.
-    """
-    dir_a, dir_b = Path(dir_a), Path(dir_b)
-    ma, mb = _read_manifest(dir_a), _read_manifest(dir_b)
-    reason = _manifest_compatible(ma, mb)
-    if reason is not None:
-        raise UsageError(f"manifest mismatch: {reason}")
-
-    names_a = {p.name for p in dir_a.glob("*.csv")}
-    names_b = {p.name for p in dir_b.glob("*.csv")}
-    if names_a != names_b:
-        raise UsageError(f"csv file sets differ: {sorted(names_a ^ names_b)}")
-
-    per_file = {}
-    max_abs = 0.0
-    max_rel = 0.0
-    for name in sorted(names_a):
-        pa, pb = dir_a / name, dir_b / name
-        if pa.read_bytes() == pb.read_bytes():
-            per_file[name] = {"max_abs": 0.0, "max_rel": 0.0, "identical": True}
-            continue
-        try:
-            (ha, va), (hb, vb) = read_csv_rows(pa), read_csv_rows(pb)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        if ha != hb:
-            raise UsageError(f"{name}: header lines differ")
-        if va.shape != vb.shape:
-            raise UsageError(f"{name}: value counts differ ({va.size} vs {vb.size})")
-        # normwise: a column through zero must not turn rounding into 100%
-        fa = float(np.abs(va - vb).max(initial=0.0))
-        scale = max(np.abs(va).max(initial=0.0), np.abs(vb).max(initial=0.0))
-        fr = fa / float(scale) if scale > 0 else 0.0
-        per_file[name] = {"max_abs": fa, "max_rel": fr, "identical": False}
-        max_abs = max(max_abs, fa)
-        max_rel = max(max_rel, fr)
-
-    reports_match = None
-    if (dir_a / "report.json").exists() and (dir_b / "report.json").exists():
-        reports_match = _read_report(dir_a) == _read_report(dir_b)
-
-    diagnostics = {
-        "csv_max_abs": _rule("at_most", max_abs, tolerance),
-        "csv_max_rel": _rule("at_most", max_rel, tolerance,
-                             "relative to the largest magnitude in the file"),
-    }
-    if reports_match is not None:
-        diagnostics["reports_match"] = _check(
-            1.0 if reports_match else 0.0, None, reports_match,
-            "report.json equality with timestamps removed")
-
-    digest = hashlib.sha256(
-        (dir_a / "manifest.json").read_bytes() + (dir_b / "manifest.json").read_bytes()
-    ).hexdigest()
-    return RunReport("compare", diagnostics, _provenance(digest, None), sorted(names_a),
-                     {"a": str(dir_a), "b": str(dir_b), "per_file": per_file})
 
 
 # ---------------------------------------------------------------------------
@@ -1045,16 +738,8 @@ def _cmd_solve(args) -> int:
     try:
         report = run(config, outdir)
     except (ValueError, RuntimeError) as exc:
-        marker = {
-            "error": str(exc),
-            "mode": config.mode,
-            "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        }
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "FAILED.json").write_text(
-            json.dumps(marker, sort_keys=True, indent=2) + "\n")
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+        write_failure(outdir, config.mode, exc)
+        raise
     print(f"{config.mode}: {report.status} ({outdir / 'report.json'})")
     return 0 if report.status == "pass" else 3
 
@@ -1075,11 +760,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_compare(args) -> int:
     report = compare_runs(args.run_a, args.run_b, args.tolerance)
-    if args.out is not None:
-        report.write(args.out)
-    else:
-        report.validate()
-        print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
+    report.emit(args.out)
     return 0 if report.status == "pass" else 3
 
 

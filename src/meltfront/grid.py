@@ -47,6 +47,7 @@ __all__ = [
     "read_csv_rows",
     "write_field_csv",
     "read_field_csv",
+    "field_name",
     "write_fields",
     "format_float",
 ]
@@ -374,12 +375,17 @@ def write_field_csv(field: TemperatureField, path: str | Path) -> None:
     write_csv_rows(path, _header_line(field), field.values[:, None])
 
 
+def field_name(prefix: str, k: int) -> str:
+    """File name of the ``k``-th stored field of ``prefix``: ``<prefix>_<k:06d>.csv``."""
+    return f"{prefix}_{k:06d}.csv"
+
+
 def write_fields(fields: Iterable[TemperatureField], outdir: str | Path,
                  prefix: str) -> list[str]:
-    """Write the fields to ``<prefix>_<k:06d>.csv`` in ``outdir``; returns the names."""
+    """Write the fields to :func:`field_name` files in ``outdir``; returns the names."""
     names = []
     for k, f in enumerate(fields):
-        names.append(f"{prefix}_{k:06d}.csv")
+        names.append(field_name(prefix, k))
         write_field_csv(f, Path(outdir) / names[-1])
     return names
 

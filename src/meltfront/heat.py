@@ -25,7 +25,6 @@ contraction per axis, ``O(N sum_j n_j)`` for ``N`` cells.
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 from typing import Callable, Sequence
@@ -34,6 +33,7 @@ import numpy as np
 
 from .grid import Grid, TemperatureField, ParabolicCylinder, interior_index, \
     second_differences, write_fields
+from .rundir import write_manifest
 
 __all__ = [
     "OperatorCoefficients",
@@ -54,6 +54,11 @@ __all__ = [
 
 BoundaryData = float | Callable[[np.ndarray, float], np.ndarray]
 TimeFunc = float | Callable[[float], float]
+
+
+def step_count(duration: float, dt: float) -> int:
+    """Steps of size ``dt`` that cover ``duration``, at least one."""
+    return max(1, int(math.ceil(duration / dt - 1e-12)))
 
 
 def eval_time(fn: TimeFunc, t: float) -> float:
@@ -265,7 +270,7 @@ def solve_dirichlet(
     if not np.all(np.isfinite(initial.values)):
         raise ValueError("solve_dirichlet requires finite initial values")
     g = initial.grid
-    n_steps = max(1, int(math.ceil(duration / dt - 1e-12)))
+    n_steps = step_count(duration, dt)
     interior = interior_index(g.dim)
     bmask = g.boundary_mask().reshape(g.shape)
     bpts = g.cell_centers()[bmask.ravel()]
@@ -530,13 +535,5 @@ def write_trajectory(
     # grid.write_fields looks grid.write_field_csv up per call, so a wrapper
     # installed there (benchmarks/tracing.py) sees every snapshot
     names = write_fields(traj.snapshots, outdir, prefix)
-    manifest = {
-        "dt": traj.dt,
-        "times": [float(t) for t in traj.times],
-        "snapshots": names,
-        "stability_limit": stability_limit_used,
-        "diagnostics": diagnostics or {},
-    }
-    path = outdir / "manifest.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return path
+    return write_manifest(outdir, traj.dt, traj.times, names, stability_limit_used,
+                          diagnostics or {})

@@ -38,7 +38,7 @@ import numpy as np
 from scipy.special import erf
 
 from .grid import Grid, TemperatureField, write_csv_rows
-from .heat import HeatTrajectory, TimeFunc, eval_time
+from .heat import HeatTrajectory, TimeFunc, eval_time, step_count
 
 __all__ = [
     "StefanSpec1D",
@@ -49,6 +49,7 @@ __all__ = [
     "transcendental_residual",
     "front_gradient",
     "solve_stefan",
+    "time_steps",
     "physical_trajectory",
     "write_front_csv",
 ]
@@ -403,6 +404,19 @@ def _record(snapshots: list[list[TemperatureField]], phases: list[_Phase],
         snaps.append(TemperatureField(grid, t, vals[::p.sigma].copy()))
 
 
+def time_steps(spec: StefanSpec1D, fields: list[np.ndarray] | None = None
+               ) -> tuple[float, float, int]:
+    """Initial stability limit, step ``dt`` and step count ``n`` of the run of
+    ``spec`` (from its initial nodes ``fields``), which ends at ``t0 + n dt``."""
+    phases, h = _phases(spec), 1.0 / spec.nx
+    if fields is None:
+        fields = _initial_nodes(spec, phases, np.linspace(0.0, 1.0, spec.nx + 1))
+    widths, v = _front_speed(phases, fields, spec.b, h)
+    limit = 1.0 / _mapped_rate(min(widths), v, h)
+    dt = spec.dt if spec.dt is not None else 0.8 * limit
+    return limit, dt, step_count(spec.duration, dt)
+
+
 def solve_stefan(spec: StefanSpec1D) -> StefanResult:
     """Integrate a melting run and return trajectory, front, and diagnostics.
 
@@ -429,11 +443,7 @@ def solve_stefan(spec: StefanSpec1D) -> StefanResult:
     s = spec.b
     t = spec.t0
 
-    widths, v = _front_speed(phases, fields, s, h)
-    limit0 = 1.0 / _mapped_rate(min(widths), v, h)
-    dt = spec.dt if spec.dt is not None else 0.8 * limit0
-
-    n_steps = max(1, int(math.ceil(spec.duration / dt - 1e-12)))
+    limit0, dt, n_steps = time_steps(spec, fields)
     snap_every = spec.snapshot_every or max(1, n_steps // 200)
     degenerate = spec.initial is None and eval_time(spec.boundary, spec.t0) > 0
     warm_steps = 5 if degenerate else 0

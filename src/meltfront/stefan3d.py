@@ -51,14 +51,13 @@ grid matching the box section) is checked when a ``PhaseDomain`` is built.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .grid import Grid, TemperatureField, interior_index
-from .heat import TimeFunc, eval_time
+from .heat import TimeFunc, eval_time, step_count
 
 __all__ = [
     "GraphFront",
@@ -527,7 +526,7 @@ def solve3d(spec: StefanSpec3D) -> Stefan3DResult:
     grid, fx = spec.grid, domain.front.grid
     limit = stability_limit_3d(grid)
     dt = spec.dt if spec.dt is not None else 0.8 * limit
-    n_steps = max(1, int(math.ceil(spec.duration / dt - 1e-12)))
+    n_steps = step_count(spec.duration, dt)
     snap_every = spec.snapshot_every or max(1, n_steps // 50)
 
     cube, heights, t = domain.cube(), domain.front.heights, domain.time

@@ -22,11 +22,12 @@ of the space-time maximum on the parabolic boundary (initial slice plus
 lateral boundary cells).  ``initial_continuity_metric`` tracks
 ``m(t) = integral |u_t - h|`` against a reference heating rate, and
 ``delta_of_t`` measures how far the positivity set travels from a
-reference region.
+reference region.  ``_CHECK_RUNNERS`` holds the ``meltfront verify`` checks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,6 +40,7 @@ from .grid import (
     radius_to,
 )
 from .heat import HeatTrajectory, trapezoid_weights
+from .rundir import _check, _rule
 
 __all__ = [
     "BarrierParams",
@@ -233,3 +235,69 @@ def delta_of_t(traj: HeatTrajectory, reference: np.ndarray,
         levels = [traj.snapshots[traj.level_near(t)] for t in np.atleast_1d(times)]
     radius = radius_to(grid, reference)
     return np.array([radius(positivity_set(snap)) for snap in levels])
+
+
+def _caloric_tolerance(traj: HeatTrajectory) -> float:
+    h2 = max(traj.grid.spacing) ** 2
+    scale = max(1.0, float(np.max(np.abs(traj.values_matrix()))))
+    return 10.0 * (h2 + traj.dt) * scale
+
+
+def _check_caloric(traj: HeatTrajectory) -> dict:
+    residuals = heat_residual_field(traj)
+    measured = max(float(np.max(np.abs(r.values[r.valid_mask()]))) for r in residuals)
+    return _rule("at_most", measured, _caloric_tolerance(traj),
+                 "sup interior |Lu - u_t| over all recorded steps")
+
+
+def _check_max_principle(traj: HeatTrajectory) -> dict:
+    audit = max_principle_audit(traj)
+    measured = float(audit["max_value"] - audit["parabolic_max"])
+    scale = max(1.0, float(np.max(np.abs(traj.values_matrix()))))
+    return _rule("at_most", measured, 1e-12 * scale,
+                 f"interior max excess; attained on the parabolic boundary: "
+                 f"{bool(audit['attained_on_boundary'])}")
+
+
+def _check_continuity(traj: HeatTrajectory) -> dict:
+    heating = discrete_laplacian(traj.snapshots[0])
+    times, metric = initial_continuity_metric(traj, heating)
+    measured = float(metric[0])
+    return _rule("at_most", measured, _caloric_tolerance(traj),
+                 f"heating mismatch at the first recorded step; "
+                 f"peak over the run {float(np.max(metric)):.6g}")
+
+
+def _check_positivity_spread(traj: HeatTrajectory) -> dict:
+    reference = positivity_set(traj.snapshots[0])
+    if not reference.any():
+        return _check(None, None, True, "initial positivity set empty; check vacuous")
+    deltas = delta_of_t(traj, reference)
+    diameter = math.sqrt(sum(e * e for e in traj.grid.extent))
+    ok = bool(np.all(np.isfinite(deltas)) and np.all(deltas >= 0)
+              and np.all(deltas <= diameter + 1e-12))
+    return _check(float(np.max(deltas)), diameter, ok,
+                  "largest spread of the positivity set from its start")
+
+
+def _check_barrier(traj: HeatTrajectory) -> dict:
+    grid = traj.grid
+    center = tuple(o + 0.5 * e for o, e in zip(grid.origin, grid.extent))
+    params = BarrierParams(center=center, time=float(traj.times[-1]),
+                           dimension=grid.dim)
+    residuals = heat_residual_field(barrier_field(traj, params))
+    vals = np.concatenate([r.values[r.valid_mask()] for r in residuals])
+    measured = float(np.mean(vals))
+    const = barrier_residual_constant(grid.dim)
+    return _rule("abs_at_most", measured - const, _caloric_tolerance(traj) + 1e-12,
+                 f"mean interior barrier residual against {const!r}")
+
+
+_CHECK_RUNNERS = {
+    "caloric": _check_caloric,
+    "max_principle": _check_max_principle,
+    "continuity": _check_continuity,
+    "positivity_spread": _check_positivity_spread,
+    "barrier": _check_barrier,
+}
+VERIFY_CHECKS = tuple(_CHECK_RUNNERS)

@@ -637,3 +637,66 @@ def test_compare_unparsable_report_is_usage_error(tmp_path, capsys):
 def test_compare_missing_dir(tmp_path):
     a, _ = two_identical_runs(tmp_path)
     assert main(["compare", str(a), str(tmp_path / "absent")]) == 4
+
+
+def test_edge_turning_in_the_last_step_is_config_error(tmp_path, capsys):
+    """The sign check covers the time the last step reaches: 4 steps of 3e-4
+    end at 1.2e-3, past the 1e-3 duration, where this ramp is positive."""
+    cfg = dict(TWO_PHASE_1D, dt=3e-4,
+               far_boundary={"kind": "ramp", "value": -0.1, "rate": 90.90909})
+    out = tmp_path / "run"
+    rc = main(["solve1d", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    assert rc == 2
+    assert "config error at $.far_boundary: must stay nonpositive" in \
+        capsys.readouterr().err
+    assert not (out / "FAILED.json").exists()
+
+
+BENCH = {"mode": "benchmark", "ladder": [16, 32], "time_refinements": 2,
+         "duration": 0.1, "time_nx": 32}
+
+
+@pytest.fixture(scope="module")
+def bench_runs(tmp_path_factory):
+    """Two benchmark run directories of one config, which hold no manifest."""
+    root = tmp_path_factory.mktemp("bench")
+    cfg = write_config(root, BENCH)
+    for name in ("a", "b"):
+        assert main(["benchmark", "--config", cfg, "--out", str(root / name)]) == 0
+    return root / "a", root / "b"
+
+
+def test_compare_benchmark_runs_by_report(bench_runs, tmp_path, capsys):
+    a, b = bench_runs
+    capsys.readouterr()
+    assert main(["compare", "--tolerance", "0", str(a), str(b)]) == 0
+    assert json.loads(capsys.readouterr().out)["diagnostics"]["reports_match"]["pass"]
+
+    changed = tmp_path / "changed"
+    changed.mkdir()
+    for name in ("config.json", "report.json"):
+        (changed / name).write_bytes((b / name).read_bytes())
+    report = json.loads((changed / "report.json").read_text())
+    report["data"]["space"]["front_error"][0] *= 1.5
+    (changed / "report.json").write_text(json.dumps(report))
+    assert main(["compare", str(a), str(changed)]) == 3
+
+
+def test_compare_benchmark_against_solve1d_is_usage_error(bench_runs, tmp_path, capsys):
+    a, _ = bench_runs
+    run1d = tmp_path / "run1d"
+    assert main(["solve1d", "--config", write_config(tmp_path, SIM_1D),
+                 "--out", str(run1d)]) == 0
+    capsys.readouterr()
+    for pair in ((a, run1d), (run1d, a)):
+        assert main(["compare", str(pair[0]), str(pair[1])]) == 2
+        assert "benchmark run directory holds no manifest.json" in capsys.readouterr().err
+    for pair in ((a, tmp_path / "absent"), (tmp_path / "absent", a)):
+        assert main(["compare", str(pair[0]), str(pair[1])]) == 4
+
+
+def test_verify_refuses_benchmark_rundir(bench_runs, capsys):
+    a, _ = bench_runs
+    capsys.readouterr()
+    assert main(["verify", "--run", str(a)]) == 2
+    assert "a benchmark run directory holds no manifest.json" in capsys.readouterr().err
