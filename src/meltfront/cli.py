@@ -49,13 +49,13 @@ from scipy.linalg import expm
 from .grid import Grid, TemperatureField, field_name, read_field_csv, write_field_csv, \
     write_fields
 from .heat import HeatTrajectory, OperatorCoefficients, conservation_residual, \
-    eval_time, solve_dirichlet, write_trajectory
+    eval_time, signed_value, solve_dirichlet, write_trajectory
 from .mollifier import admissible_mask, bump_profile, build_kernel, mollify, smoothness_report
 from .rundir import REPORT_SCHEMA, RunReport, UsageError, _RULES, _check, _provenance, \
     _read_manifest, _rule, compare_runs, write_failure, write_json, write_manifest
 from .stefan1d import StefanSpec1D, similarity_oracle, solve_stefan, time_steps, \
     write_front_csv
-from .stefan3d import StefanSpec3D, front_field, solve3d
+from .stefan3d import StefanSpec3D, front_field, solve3d, time_steps as time_steps_3d
 from .verify import VERIFY_CHECKS, _CHECK_RUNNERS
 
 __all__ = [
@@ -286,20 +286,19 @@ def _similarity_start(payload: Mapping, key: str):
     return f0, similarity_oracle(float(payload["k1"]) * f0)
 
 
-# ---------------------------------------------------------------------------
-# solve1d
-# ---------------------------------------------------------------------------
-
 def _hold_signs(edges: list[tuple], t: float) -> None:
     """Refuse each edge ``(fn, key, sign)`` at ``$.key`` unless ``sign * fn(t) >= 0``;
     a config time function is affine, so the run's first and last step decide."""
     for fn, key, sign in edges:
-        g = eval_time(fn, t)
-        if sign * g < 0:
-            rule = "nonnegative" if sign > 0 else "nonpositive"
-            raise UsageError(f"config error at $.{key}: must stay {rule} over the run, "
-                             f"got {g:g} at t={t:g}")
+        try:
+            signed_value(fn, t, sign, f"$.{key}:")
+        except ValueError as exc:
+            raise UsageError(f"config error at {exc} at t={t:g}") from exc
 
+
+# ---------------------------------------------------------------------------
+# solve1d
+# ---------------------------------------------------------------------------
 
 def _build_spec1d(payload: Mapping):
     """Translate a solve1d payload into a solver spec.
@@ -447,12 +446,15 @@ def _build_spec3d(payload: Mapping):
         z0 = grid.origin[2]
         initial = lambda pts: f0 * sim.temperature(pts[:, 2] - z0, t0)
 
+    bottom = _time_func(payload.get("bottom", 1.0))
+    edges = [(bottom, "bottom", 1)]
+    _hold_signs(edges, t0)
     try:
         spec = StefanSpec3D(
             grid=grid,
             k1=float(payload["k1"]),
             duration=float(payload["duration"]),
-            bottom=_time_func(payload.get("bottom", 1.0)),
+            bottom=bottom,
             initial_front=initial_front,
             initial=initial,
             dt=payload.get("dt"),
@@ -461,6 +463,8 @@ def _build_spec3d(payload: Mapping):
         )
     except ValueError as exc:
         raise UsageError(f"config error: {exc}") from exc
+    _, dt, n_steps = time_steps_3d(spec)
+    _hold_signs(edges, t0 + n_steps * dt)  # where the last step of solve3d ends
     return spec
 
 

@@ -21,6 +21,9 @@ conservation residual of a trajectory, caloric replacement on parabolic
 cylinders, and radial averages of replacements.  The Gaussian kernel and the
 trapezoid weights are tensor products, so the quadrature runs as one 1D
 contraction per axis, ``O(N sum_j n_j)`` for ``N`` cells.
+
+It also owns the run rules every solver shares: ``step_count``,
+``eval_time``, the edge sign rule ``signed_value`` and ``require_positive``.
 """
 
 from __future__ import annotations
@@ -64,6 +67,26 @@ def step_count(duration: float, dt: float) -> int:
 def eval_time(fn: TimeFunc, t: float) -> float:
     """Value at time ``t`` of a constant or a function of time."""
     return float(fn(t)) if callable(fn) else float(fn)
+
+
+SIGN_RULE = {1: "nonnegative", -1: "nonpositive"}
+
+
+def signed_value(fn: TimeFunc, t: float, sign: int, name: str) -> float:
+    """``fn`` at time ``t`` held to its sign rule: a heated edge (``sign = 1``)
+    stays nonnegative, a cooled one (``-1``) nonpositive.  A NaN passes, for
+    the finiteness checks to name.  Raises ``ValueError`` naming ``name``."""
+    g = eval_time(fn, t)
+    if sign * g < 0:
+        raise ValueError(f"{name} must stay {SIGN_RULE[sign]}, got {g:g}")
+    return g
+
+
+def require_positive(**values: float) -> None:
+    """Raise ``ValueError`` for the first of ``values``, in order, that is not positive."""
+    for name, v in values.items():
+        if v <= 0:
+            raise ValueError(f"{name} must be positive, got {v}")
 
 
 def _sample(coeff, grid: Grid, t: float, shape: tuple[int, ...]) -> np.ndarray:
@@ -208,8 +231,7 @@ class HeatTrajectory:
         snaps = tuple(snapshots)
         if not snaps:
             raise ValueError("trajectory needs at least one snapshot")
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        require_positive(dt=dt)
         g = snaps[0].grid
         t0 = snaps[0].time
         for k, s in enumerate(snaps):
@@ -263,10 +285,7 @@ def solve_dirichlet(
     every step when ``coeffs.diffusion`` is callable, since only then can
     time change them.  Each failed check raises ``ValueError``.
     """
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    require_positive(duration=duration, dt=dt)
     if not np.all(np.isfinite(initial.values)):
         raise ValueError("solve_dirichlet requires finite initial values")
     g = initial.grid
@@ -495,8 +514,7 @@ def radial_average(
     point trapezoid rule, where ``z_rho`` is the caloric replacement on the
     cylinder of radius ``rho`` topped at ``(x0, t0)``.
     """
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    require_positive(radius=radius)
     if n_radii < 2:
         raise ValueError("need at least 2 radii for the trapezoid rule")
     g = w.grid

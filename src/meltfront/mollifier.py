@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, TemperatureField
+from .heat import require_positive
 
 __all__ = [
     "MollifierKernel",
@@ -119,8 +120,7 @@ def build_kernel(epsilon: float, dim: int, samples_per_radius: int = 256) -> Mol
         For invalid epsilon/dim, or when ``samples_per_radius`` is too coarse
         for the mass tolerance (message reports the achieved mass).
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    require_positive(epsilon=epsilon)
     if dim not in (1, 2, 3):
         raise ValueError(f"dim must be 1, 2, or 3, got {dim}")
     if samples_per_radius < 4:
@@ -163,23 +163,14 @@ def mollify(f: TemperatureField, kernel: MollifierKernel) -> TemperatureField:
             "need spacing <= eps/4"
         )
     offsets, weights = kernel.taps(g.spacing)
-    u = f.reshaped()
-    out = np.zeros_like(u)
-    shape = np.asarray(g.counts)
+    # zero-padded by the reach of the taps on each axis; a padded zero only
+    # reaches cells outside U_eps, which are zeroed below
+    reach = np.abs(offsets).max(axis=0)
+    u = np.pad(f.reshaped(), [(r, r) for r in reach])
+    out = np.zeros(g.counts)
     for off, w in zip(offsets, weights):
-        src = []
-        dst = []
-        ok = True
-        for o, n in zip(off, shape):
-            # f^eps(x) += w * f(x - o*h): destination index i reads source i - o
-            lo_dst, hi_dst = max(0, o), min(n, n + o)
-            if lo_dst >= hi_dst:
-                ok = False
-                break
-            dst.append(slice(lo_dst, hi_dst))
-            src.append(slice(lo_dst - o, hi_dst - o))
-        if ok:
-            out[tuple(dst)] += w * u[tuple(src)]
+        # f^eps(x) += w * f(x - o*h): destination index i reads source i - o
+        out += w * u[tuple(slice(r - o, r - o + n) for o, r, n in zip(off, reach, g.counts))]
     valid = admissible_mask(g, eps)
     vals = out.ravel()
     vals[~valid] = 0.0

@@ -38,7 +38,8 @@ import numpy as np
 from scipy.special import erf
 
 from .grid import Grid, TemperatureField, write_csv_rows
-from .heat import HeatTrajectory, TimeFunc, eval_time, step_count
+from .heat import SIGN_RULE, HeatTrajectory, TimeFunc, eval_time, require_positive, \
+    signed_value, step_count
 
 __all__ = [
     "StefanSpec1D",
@@ -170,19 +171,16 @@ class StefanSpec1D:
     snapshot_every: int | None = None
 
     def __post_init__(self):
-        if self.k1 <= 0:
-            raise ValueError(f"k1 must be positive, got {self.k1}")
+        require_positive(k1=self.k1)
         if self.b <= 0:
             raise ValueError(f"initial front b must be positive, got {self.b}")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+        require_positive(duration=self.duration)
         if self.nx < 4:
             raise ValueError(f"need nx >= 4 mapped cells, got {self.nx}")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if self.dt is not None:
+            require_positive(dt=self.dt)
         if self.k2 is not None:
-            if self.k2 <= 0:
-                raise ValueError(f"k2 must be positive, got {self.k2}")
+            require_positive(k2=self.k2)
             if self.length is None or self.length <= self.b:
                 raise ValueError("two-phase runs need length L > b")
 
@@ -231,9 +229,6 @@ class StefanResult:
 # gradients and stepping
 # ---------------------------------------------------------------------------
 
-_SIGN_RULE = {1: "nonnegative", -1: "nonpositive"}
-
-
 @dataclass(frozen=True, slots=True)
 class _Phase:
     """One mapped phase.  Node 0 sits on the far edge ``x = anchor`` and
@@ -256,14 +251,6 @@ def _phases(spec: StefanSpec1D) -> list[_Phase]:
         phases.append(_Phase("solid", spec.k2, -1, spec.length, spec.far_boundary,
                              "far boundary", spec.initial_solid))
     return phases
-
-
-def _edge_value(p: _Phase, t: float) -> float:
-    """Far-edge data of phase ``p`` at time ``t``, held to its sign rule."""
-    g = eval_time(p.edge, t)
-    if p.sigma * g < 0:
-        raise ValueError(f"{p.edge_name} must stay {_SIGN_RULE[p.sigma]}, got {g:g}")
-    return g
 
 
 def _front_difference(vals: np.ndarray, h: float, width: float) -> float:
@@ -370,7 +357,7 @@ def _step(phases: list[_Phase], src: tuple, dst: tuple, uts: list[np.ndarray],
         np.multiply(d1, p.sigma * ds / (2.0 * h * w), d1)
         np.add(new_mid, d1, new_mid)
         if callable(p.edge):
-            new[0] = _edge_value(p, t + dt)
+            new[0] = signed_value(p.edge, t + dt, p.sigma, p.edge_name)
     return s_new, v
 
 
@@ -390,9 +377,9 @@ def _initial_nodes(spec: StefanSpec1D, phases: list[_Phase],
             if abs(vals[-1]) > 1e-9 * scale:
                 raise ValueError(f"initial {p.name} profile must vanish at x=b, got {vals[-1]:g}")
             if np.any(p.sigma * vals < -1e-12 * scale):
-                raise ValueError(f"initial {p.name} profile must be {_SIGN_RULE[p.sigma]}")
+                raise ValueError(f"initial {p.name} profile must be {SIGN_RULE[p.sigma]}")
             vals[-1] = 0.0
-        vals[0] = _edge_value(p, spec.t0)
+        vals[0] = signed_value(p.edge, spec.t0, p.sigma, p.edge_name)
         fields.append(vals)
     return fields
 

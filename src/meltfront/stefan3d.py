@@ -56,8 +56,8 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Grid, TemperatureField, interior_index
-from .heat import TimeFunc, eval_time, step_count
+from .grid import Grid, TemperatureField, interior_index, second_differences
+from .heat import TimeFunc, require_positive, signed_value, step_count
 
 __all__ = [
     "GraphFront",
@@ -70,6 +70,7 @@ __all__ = [
     "coupled_step_3d",
     "solve3d",
     "stability_limit_3d",
+    "time_steps",
     "front_field",
 ]
 
@@ -91,10 +92,9 @@ def _check_temperatures(cube: np.ndarray, liquid: np.ndarray) -> None:
         raise ValueError("liquid cells must hold nonnegative temperatures")
 
 
-def _require_positive(**values: float) -> None:
-    for name, v in values.items():
-        if v <= 0:
-            raise ValueError(f"{name} must be positive, got {v}")
+def _column(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The value of ``x`` at layer ``k[i, j]`` of each column ``(i, j)``."""
+    return np.take_along_axis(x, k[:, :, None], axis=2)[:, :, 0]
 
 
 def _slopes(heights: np.ndarray, spacing) -> tuple[np.ndarray, ...]:
@@ -228,9 +228,7 @@ def _column_fits(cube: np.ndarray, m: np.ndarray, theta: np.ndarray,
     distance ``d = z - rho``, for top liquid layer ``m`` at front offset
     ``theta``.
     """
-    u0 = np.take_along_axis(cube, m[:, :, None], axis=2)[:, :, 0]
-    u1 = np.take_along_axis(cube, (m - 1)[:, :, None], axis=2)[:, :, 0]
-    u2 = np.take_along_axis(cube, (m - 2)[:, :, None], axis=2)[:, :, 0]
+    u0, u1, u2 = _column(cube, m), _column(cube, m - 1), _column(cube, m - 2)
     d0 = -theta * dz
     d1 = -(theta + 1.0) * dz
     d2 = -(theta + 2.0) * dz
@@ -319,7 +317,7 @@ def normal_velocity(domain: PhaseDomain, k1: float,
     ValueError
         If any column has fewer than 3 liquid layers.
     """
-    _require_positive(k1=k1)
+    require_positive(k1=k1)
     d, rx, ry = _domain_derivative(domain, clamp_melting)
     j = np.sqrt(1.0 + rx * rx + ry * ry)
     return -k1 * d / j
@@ -340,7 +338,7 @@ def evolve_front(domain: PhaseDomain, k1: float, dt: float,
         If the moved front leaves the usable vertical extent (fewer than 3
         liquid layers somewhere, or within one cell of the box top).
     """
-    _require_positive(dt=dt, k1=k1)
+    require_positive(dt=dt, k1=k1)
     d, rx, ry = _domain_derivative(domain, clamp_melting)
     heights, w, consistency = _move_front(domain.grid, domain.front.heights,
                                           d, rx, ry, k1, dt, domain.time)
@@ -361,32 +359,25 @@ def stability_limit_3d(grid: Grid) -> float:
 def _heat_step_3d(grid: Grid, u: np.ndarray, liquid: np.ndarray, m: np.ndarray,
                   theta: np.ndarray, bottom_value: float,
                   dt: float) -> tuple[np.ndarray, int]:
-    dx, dy, dz = grid.spacing
-    pad = np.pad(u, ((1, 1), (1, 1), (0, 0)), mode="edge")
-    uxx = (pad[2:, 1:-1] - 2.0 * u + pad[:-2, 1:-1]) / dx**2
-    uyy = (pad[1:-1, 2:] - 2.0 * u + pad[1:-1, :-2]) / dy**2
-    uzz = np.zeros_like(u)
-    uzz[:, :, 1:-1] = (u[:, :, 2:] - 2.0 * u[:, :, 1:-1] + u[:, :, :-2]) / dz**2
+    dz = grid.spacing[2]
+    # edge padding mirrors the insulated side walls; in z it only touches the
+    # top layer, which is solid or the front cell and rewritten below either way
+    uxx, uyy, uzz = second_differences(np.pad(u, 1, mode="edge"), grid.spacing)
     uzz[:, :, 0] = (8.0 * bottom_value + 4.0 * u[:, :, 1] - 12.0 * u[:, :, 0]) \
         / (3.0 * dz**2)
 
     new = u + dt * (uxx + uyy + uzz)
 
     # conforming front stencil for the top liquid cell of each column
-    u_m = np.take_along_axis(u, m[:, :, None], axis=2)[:, :, 0]
-    u_m1 = np.take_along_axis(u, (m - 1)[:, :, None], axis=2)[:, :, 0]
-    uxx_m = np.take_along_axis(uxx, m[:, :, None], axis=2)[:, :, 0]
-    uyy_m = np.take_along_axis(uyy, m[:, :, None], axis=2)[:, :, 0]
-    uzz_sw = 2.0 * (theta * u_m1 - (1.0 + theta) * u_m) \
+    u_m = _column(u, m)
+    uzz_sw = 2.0 * (theta * _column(u, m - 1) - (1.0 + theta) * u_m) \
         / (theta * (1.0 + theta) * dz**2)
-    top_new = u_m + dt * (uxx_m + uyy_m + uzz_sw)
+    top_new = u_m + dt * (_column(uxx, m) + _column(uyy, m) + uzz_sw)
 
     # thin cells are slaved to the quadratic through the front instead;
     # floored at 0 because the extrapolation undershoots on steep profiles
-    new_m1 = np.take_along_axis(new, (m - 1)[:, :, None], axis=2)[:, :, 0]
-    new_m2 = np.take_along_axis(new, (m - 2)[:, :, None], axis=2)[:, :, 0]
-    slaved = np.maximum(
-        2.0 * theta / (1.0 + theta) * new_m1 - theta / (2.0 + theta) * new_m2, 0.0)
+    slaved = np.maximum(2.0 * theta / (1.0 + theta) * _column(new, m - 1)
+                        - theta / (2.0 + theta) * _column(new, m - 2), 0.0)
     thin = theta < 0.5
     top_new = np.where(thin, slaved, top_new)
     np.put_along_axis(new, m[:, :, None], top_new[:, :, None], axis=2)
@@ -404,9 +395,7 @@ def _coupled_step(grid: Grid, cube: np.ndarray, heights: np.ndarray,
     limit = stability_limit_3d(grid)
     if dt > limit * (1.0 + 1e-12):
         raise ValueError(f"dt={dt:g} violates the 3D stability limit {limit:g}")
-    f_val = eval_time(bottom, t)
-    if f_val < 0:
-        raise ValueError(f"bottom heating must stay nonnegative, got {f_val:g}")
+    f_val = signed_value(bottom, t, 1, "bottom heating")
 
     m, theta = _front_offsets(heights, liquid, grid)
     new, thin_count = _heat_step_3d(grid, cube, liquid, m, theta, f_val, dt)
@@ -446,7 +435,7 @@ def coupled_step_3d(domain: PhaseDomain, k1: float, bottom: TimeFunc, dt: float,
     Returns ``(domain, info)`` with ``info`` carrying the consistency gap,
     the removed-liquid fraction and the thin-cell count.
     """
-    _require_positive(dt=dt, k1=k1)
+    require_positive(dt=dt, k1=k1)
     cube, heights, _, info = _coupled_step(
         domain.grid, domain.cube(), domain.front.heights, domain._liquid_cube(),
         domain.time, k1, bottom, dt, clamp_melting)
@@ -475,9 +464,9 @@ class StefanSpec3D:
     def __post_init__(self):
         if self.grid.dim != 3:
             raise ValueError("3D runs need a 3D grid")
-        _require_positive(k1=self.k1, duration=self.duration)
+        require_positive(k1=self.k1, duration=self.duration)
         if self.dt is not None:
-            _require_positive(dt=self.dt)
+            require_positive(dt=self.dt)
 
 
 @dataclass(frozen=True)
@@ -515,6 +504,14 @@ def _initial_domain(spec: StefanSpec3D) -> tuple[PhaseDomain, np.ndarray]:
     return PhaseDomain(grid, front, vals.reshape(-1), time=spec.t0), liquid
 
 
+def time_steps(spec: StefanSpec3D) -> tuple[float, float, int]:
+    """Stability limit, step ``dt`` and step count ``n`` of the run of
+    ``spec``, which ends at ``t0 + n dt``."""
+    limit = stability_limit_3d(spec.grid)
+    dt = spec.dt if spec.dt is not None else 0.8 * limit
+    return limit, dt, step_count(spec.duration, dt)
+
+
 def solve3d(spec: StefanSpec3D) -> Stefan3DResult:
     """Integrate a 3D melting run; returns decimated snapshots and a report.
 
@@ -524,9 +521,7 @@ def solve3d(spec: StefanSpec3D) -> Stefan3DResult:
     """
     domain, liquid = _initial_domain(spec)
     grid, fx = spec.grid, domain.front.grid
-    limit = stability_limit_3d(grid)
-    dt = spec.dt if spec.dt is not None else 0.8 * limit
-    n_steps = step_count(spec.duration, dt)
+    limit, dt, n_steps = time_steps(spec)
     snap_every = spec.snapshot_every or max(1, n_steps // 50)
 
     cube, heights, t = domain.cube(), domain.front.heights, domain.time

@@ -240,12 +240,16 @@ TWO_PHASE_1D = {"mode": "solve1d", "k1": 1, "k2": 1, "length": 1, "b": 0.5,
      "far_boundary"),
     ({"mode": "solve1d", "k1": 1, "b": 0.5, "boundary": -0.5, "duration": 0.001, "nx": 20},
      "boundary"),
-], ids=["positive_far_boundary", "far_boundary_turns_positive", "negative_heating"])
+    (dict(FLAT_3D, bottom=-0.5), "bottom"),
+    (dict(FLAT_3D, bottom={"kind": "ramp", "value": 1, "rate": -1000}, duration=0.01),
+     "bottom"),
+], ids=["positive_far_boundary", "far_boundary_turns_positive", "negative_heating",
+        "negative_bottom", "bottom_turns_negative"])
 def test_wrong_signed_edge_is_config_error(tmp_path, capsys, cfg, key):
     """Edge data that breaks its sign rule at either end of the run is a
     config error, refused before the solver starts."""
     out = tmp_path / "run"
-    rc = main(["solve1d", "--config", write_config(tmp_path, cfg),
+    rc = main([cfg["mode"], "--config", write_config(tmp_path, cfg),
                "--out", str(out)])
     assert rc == 2
     assert f"config error at $.{key}: must stay" in capsys.readouterr().err

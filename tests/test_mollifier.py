@@ -84,6 +84,30 @@ def test_mollify_reproduces_constants_and_linear():
     assert np.all(lin.values[~mask] == 0.0)
 
 
+@pytest.mark.parametrize("counts, extent, eps", [
+    ((40,), (1.0,), 0.1),
+    ((20, 16), (1.0, 0.8), 0.2),
+    ((10, 12, 9), (1.0, 1.2, 0.9), 0.4),
+], ids=["1d", "2d", "3d"])
+def test_mollify_matches_direct_sum(counts, extent, eps):
+    """Each cell of U_eps is the tap-ordered sum of ``w f(x - o h)``, bit for
+    bit, and every other cell holds 0."""
+    g = Grid(origin=(0.0,) * len(counts), extent=extent, counts=counts)
+    vals = np.random.default_rng(7).standard_normal(g.total_cells)
+    kernel = build_kernel(eps, g.dim)
+    out = mollify(TemperatureField(g, 0.0, vals), kernel).values.reshape(counts)
+    offsets, weights = kernel.taps(g.spacing)
+    u = vals.reshape(counts)
+    valid = admissible_mask(g, eps).reshape(counts)
+    assert valid.any() and not valid.all()
+    for idx in np.ndindex(*counts):
+        acc = 0.0
+        if valid[idx]:
+            for off, w in zip(offsets, weights):
+                acc += w * u[tuple(np.subtract(idx, off))]
+        assert out[idx] == acc
+
+
 def test_mollify_step_midpoint_symmetry():
     """Mirror cells across the jump average to the jump's half value."""
     g = Grid(origin=(-1.0,), extent=(2.0,), counts=(128,))

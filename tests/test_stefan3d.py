@@ -24,6 +24,7 @@ from meltfront import (
     stability_limit_3d,
 )
 from meltfront.grid import read_field_csv
+from meltfront.stefan3d import time_steps
 
 DATA = Path(__file__).parent / "data"
 
@@ -268,6 +269,14 @@ def test_solve3d_step_guards(dt_factor, late_bottom, match):
                         bottom=lambda t: 1.0 if t < 2.5 * dt else late_bottom)
     with pytest.raises(ValueError, match=match):
         solve3d(spec)
+
+
+@pytest.mark.parametrize("dt", [None, 1.5e-4], ids=["default_dt", "partial_last_step"])
+def test_time_steps_is_the_run_plan_of_solve3d(dt):
+    """The run plan the CLI vets a config against is the one solve3d runs."""
+    spec = StefanSpec3D(grid=BOX, k1=1.0, duration=1e-3, bottom=0.5, dt=dt)
+    rep = solve3d(spec).report
+    assert time_steps(spec) == (rep["stability_limit"], rep["dt"], rep["steps"])
 
 
 def test_solve3d_flat_linear_start():
