@@ -44,7 +44,6 @@ from typing import Callable, Mapping
 import numpy as np
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
-from scipy.linalg import expm
 
 from .grid import Grid, TemperatureField, field_name, read_field_csv, write_field_csv, \
     write_fields
@@ -543,6 +542,8 @@ def _time_order(nx: int, refinements: int):
     Euler on the interior system exactly and the measured error is purely
     temporal.
     """
+    from scipy.linalg import expm  # imported on use: keeps scipy out of start-up
+
     initial = _sine_start(nx)
     h = initial.grid.spacing[0]
     u0 = initial.values

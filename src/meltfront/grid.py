@@ -15,7 +15,12 @@ Conventions used throughout the package:
   Interior stencils in ``grid``, ``heat`` and ``stefan3d`` index through
   the stencil core: ``interior_index`` (the interior block, shifted and
   behind batch axes) and ``second_differences`` (the central second
-  difference per axis).  The mapped step in ``stefan1d`` keeps its own
+  difference per axis).  ``span_second_differences`` computes the same
+  terms, bit for bit, on one flat span of a C-contiguous array, into
+  preallocated buffers; ``stefan3d`` steps its edge-padded block with it
+  and rebuilds the pad with ``refresh_edge_padding``.  The sliced form
+  stays where arrays are small, since the span form costs more Python
+  per call.  The mapped step in ``stefan1d`` keeps its own
   hand-sliced difference: ``second_differences`` divides by ``h^2`` first,
   and that would move the bits of every 1D run.
 
@@ -28,12 +33,12 @@ carries ``t,s,sdot`` and three values per row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "Grid",
@@ -266,6 +271,55 @@ def second_differences(u: np.ndarray, spacing: Sequence[float],
         yield (up - 2.0 * center + dn) / h**2
 
 
+def interior_span(shape: Sequence[int], lead: int = 0) -> slice:
+    """Flat slice of a C-ordered array of ``shape`` from its first interior
+    cell to its last one, behind ``lead`` whole batch axes."""
+    strides = _flat_strides(shape)
+    first = sum(strides[lead:])
+    last = sum(s * (n - (1 if j < lead else 2))
+               for j, (s, n) in enumerate(zip(strides, shape)))
+    return slice(first, last + 1)
+
+
+def _flat_strides(shape: Sequence[int]) -> list[int]:
+    """Flat offset of one step along each axis of a C-ordered array."""
+    return [math.prod(shape[j + 1:]) for j in range(len(shape))]
+
+
+def span_second_differences(u: np.ndarray, spacing: Sequence[float],
+                            out: Sequence[np.ndarray], lead: int = 0):
+    """:func:`second_differences` on one flat span, into ``out`` (one buffer per axis).
+
+    Term ``j`` is computed at every position of ``interior_span(u.shape,
+    lead)`` with the operations of the sliced form in the same order, as
+    flat offsets of ``u``, so its interior cells equal the sliced term bit
+    for bit.  Span positions off the interior (edge cells between rows)
+    hold values to ignore; positions outside the span are left as they
+    were.  ``u`` and the buffers are C-contiguous and of one shape.
+    """
+    if not all(a.flags.c_contiguous and a.shape == u.shape for a in (u, *out)):
+        raise ValueError("flat spans need C-contiguous arrays of one shape")
+    span = interior_span(u.shape, lead)
+    flat = u.reshape(-1)
+    terms = [o.reshape(-1)[span] for o in out]
+    # 2 u[0], shared by every axis, waits in the last term until its own turn
+    np.multiply(flat[span], 2.0, out=terms[-1])
+    for term, h, s in zip(terms, spacing, _flat_strides(u.shape)[lead:]):
+        np.subtract(flat[span.start + s:span.stop + s], terms[-1], out=term)
+        np.add(term, flat[span.start - s:span.stop - s], out=term)
+        np.divide(term, h**2, out=term)
+    return out
+
+
+def refresh_edge_padding(u: np.ndarray) -> None:
+    """Rewrite the outermost cells of each axis from their inner neighbors, in
+    place: the array ``np.pad(interior, 1, mode="edge")`` would build."""
+    for ax in range(u.ndim):
+        before = (slice(None),) * ax
+        u[before + (0,)] = u[before + (1,)]
+        u[before + (-1,)] = u[before + (-2,)]
+
+
 def discrete_laplacian(f: TemperatureField) -> TemperatureField:
     """Second-order Laplacian stencil, valid on interior cells.
 
@@ -326,6 +380,8 @@ def radius_to(grid: Grid, cells_b: np.ndarray) -> Callable[[np.ndarray], float]:
     """``cells_a -> neighborhood_radius(grid, cells_a, cells_b)`` for a fixed,
     non-empty ``B``: every cell center is queried against one KD-tree over
     ``B`` once, and each call takes the maximum over ``A`` of those distances."""
+    from scipy.spatial import cKDTree  # imported on use: keeps scipy out of start-up
+
     pts = grid.cell_centers()
     dist_to_b, _ = cKDTree(pts[cells_b]).query(pts)
 

@@ -35,7 +35,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf
 
 from .grid import Grid, TemperatureField, write_csv_rows
 from .heat import SIGN_RULE, HeatTrajectory, TimeFunc, eval_time, require_positive, \
@@ -83,6 +82,8 @@ class SimilaritySolution:
 
     def profile(self, x, t) -> np.ndarray:
         """Raw similarity profile; positive ahead of the front, negative past it."""
+        from scipy.special import erf  # imported on use: keeps scipy out of start-up
+
         return 1.0 - erf(np.asarray(x, dtype=float) / (2.0 * np.sqrt(t))) / math.erf(self.lam)
 
     def temperature(self, x, t) -> np.ndarray:

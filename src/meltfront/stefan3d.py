@@ -39,14 +39,19 @@ worst stepped stencil (``theta = 1/2`` and the bottom row).
 
 Checks
 ------
-``solve3d`` steps raw arrays and builds a ``PhaseDomain`` only at
-snapshots; ``coupled_step_3d`` wraps the same step's result in one.  Every
-step checks what one step can break: ``dt`` against the stability limit,
-bottom heating >= 0, finite temperatures that are nonnegative in the liquid
-up to ``1e-12 max(1, max|u|)``, at least 3 liquid layers per column, the
-moved front inside the box, and at most 20% of the liquid lost to
-re-masking.  What holds by construction (solid cells exactly 0, the front
-grid matching the box section) is checked when a ``PhaseDomain`` is built.
+A step touches only the active block: layers ``0..max(layers)``, one solid
+layer above the highest liquid cell (capped at the box).  The solid layers
+above it hold 0 and are never stepped; the block grows as the front climbs.
+``solve3d`` keeps one block across its steps and builds the full cube and
+a ``PhaseDomain`` only at snapshots; ``coupled_step_3d`` runs the same step
+on a block of its domain and wraps the result in one.  Every step checks
+what one step can break: ``dt`` against the stability limit, bottom
+heating >= 0, finite temperatures that are nonnegative in the liquid up to
+``1e-12 max(1, max|u|)`` (the block holds the cube's extremes, as every
+cell above it is 0), at least 3 liquid layers per column, the moved front
+inside the box, and at most 20% of the liquid lost to re-masking.  What
+holds by construction (solid cells exactly 0, the front grid matching the
+box section) is checked when a ``PhaseDomain`` is built.
 """
 
 from __future__ import annotations
@@ -56,7 +61,8 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Grid, TemperatureField, interior_index, second_differences
+from .grid import Grid, TemperatureField, interior_index, interior_span, \
+    refresh_edge_padding, span_second_differences
 from .heat import TimeFunc, require_positive, signed_value, step_count
 
 __all__ = [
@@ -79,22 +85,20 @@ __all__ = [
 # front and domain containers
 # ---------------------------------------------------------------------------
 
-def _liquid(heights: np.ndarray, zc: np.ndarray) -> np.ndarray:
-    """Liquid cells of a column stack: cell center strictly below the front."""
-    return zc[None, None, :] < heights[:, :, None]
+def _layers(heights: np.ndarray, grid: Grid) -> np.ndarray:
+    """Liquid cells per column: the count of cell centers strictly below the front."""
+    return np.searchsorted(grid.axis_centers(2), heights)
 
 
-def _check_temperatures(cube: np.ndarray, liquid: np.ndarray) -> None:
-    """Finite temperatures, nonnegative in the liquid up to ``1e-12 max(1, max|u|)``."""
-    if not np.all(np.isfinite(cube)):
+def _check_temperatures(values: np.ndarray) -> float:
+    """Finite temperatures, nonnegative in the liquid up to ``1e-12 max(1, max|u|)``,
+    of values whose solid cells hold 0; returns the minimum."""
+    hi, lo = float(values.max()), float(values.min())
+    if not (np.isfinite(hi) and np.isfinite(lo)):
         raise ValueError("temperature values must be finite")
-    if np.any(cube[liquid] < -1e-12 * max(1.0, float(np.max(np.abs(cube))))):
+    if lo < -1e-12 * max(1.0, max(hi, -lo)):
         raise ValueError("liquid cells must hold nonnegative temperatures")
-
-
-def _column(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The value of ``x`` at layer ``k[i, j]`` of each column ``(i, j)``."""
-    return np.take_along_axis(x, k[:, :, None], axis=2)[:, :, 0]
+    return lo
 
 
 def _slopes(heights: np.ndarray, spacing) -> tuple[np.ndarray, ...]:
@@ -162,16 +166,15 @@ class PhaseDomain:
         if v.size != self.grid.total_cells:
             raise ValueError(f"expected {self.grid.total_cells} values, got {v.size}")
         cube = v.reshape(self.grid.shape)
-        liquid = self._liquid_cube()
-        _check_temperatures(cube, liquid)
-        if np.any(cube[~liquid] != 0.0):
+        if np.any(cube[~self._liquid_cube()] != 0.0):
             raise ValueError("solid cells must hold exactly 0")
+        _check_temperatures(cube)
         v = v.reshape(-1).copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     def _liquid_cube(self) -> np.ndarray:
-        return _liquid(self.front.heights, self.grid.axis_centers(2))
+        return np.arange(self.grid.counts[2]) < self.liquid_layers()[:, :, None]
 
     def liquid_mask(self) -> np.ndarray:
         """Flat boolean mask of liquid cells."""
@@ -182,7 +185,7 @@ class PhaseDomain:
 
     def liquid_layers(self) -> np.ndarray:
         """Number of liquid cells per column."""
-        return self._liquid_cube().sum(axis=2)
+        return _layers(self.front.heights, self.grid)
 
 
 def front_field(domain: PhaseDomain) -> TemperatureField:
@@ -206,10 +209,9 @@ def front_normal(front: GraphFront) -> np.ndarray:
     return n
 
 
-def _front_offsets(heights: np.ndarray, liquid: np.ndarray,
-                   grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Top liquid layer ``m`` and front offset ``theta`` per column of a liquid mask."""
-    layers = liquid.sum(axis=2)
+def _front_offsets(heights: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Top liquid layer ``m`` and front offset ``theta`` per column."""
+    layers = _layers(heights, grid)
     if np.any(layers < 3):
         raise ValueError(
             f"front handling needs at least 3 liquid layers per column, "
@@ -220,15 +222,14 @@ def _front_offsets(heights: np.ndarray, liquid: np.ndarray,
     return m, theta
 
 
-def _column_fits(cube: np.ndarray, m: np.ndarray, theta: np.ndarray,
+def _column_fits(u0: np.ndarray, u1: np.ndarray, u2: np.ndarray, theta: np.ndarray,
                  dz: float) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares quadratic through the top three liquid samples per column.
 
     Returns ``(a, b)`` with the fit ``a d + b d^2`` in the signed front
-    distance ``d = z - rho``, for top liquid layer ``m`` at front offset
-    ``theta``.
+    distance ``d = z - rho``, for the samples at the top liquid layer ``m``
+    (front offset ``theta``), ``m - 1`` and ``m - 2``.
     """
-    u0, u1, u2 = _column(cube, m), _column(cube, m - 1), _column(cube, m - 2)
     d0 = -theta * dz
     d1 = -(theta + 1.0) * dz
     d2 = -(theta + 2.0) * dz
@@ -243,8 +244,8 @@ def _column_fits(cube: np.ndarray, m: np.ndarray, theta: np.ndarray,
     return a, b
 
 
-def _front_derivative(grid: Grid, cube: np.ndarray, rho: np.ndarray, m: np.ndarray,
-                      theta: np.ndarray, clamp_melting: bool):
+def _front_derivative(grid: Grid, samples, rho: np.ndarray, theta: np.ndarray,
+                      clamp_melting: bool):
     """Directional derivative ``D = u_z - rho_x u_x - rho_y u_y`` and slopes.
 
     ``D`` equals ``grad(u) . n`` times the metric factor ``J``.  Horizontal
@@ -257,7 +258,7 @@ def _front_derivative(grid: Grid, cube: np.ndarray, rho: np.ndarray, m: np.ndarr
     reached the sample layers.
     """
     dx, dy, dz = grid.spacing
-    a, b = _column_fits(cube, m, theta, dz)
+    a, b = _column_fits(*samples, theta, dz)
 
     # mirror images across the insulated walls
     ap, bp, rp = np.pad(np.stack([a, b, rho]), ((0, 0), (1, 1), (1, 1)), mode="edge")
@@ -281,8 +282,10 @@ def _front_derivative(grid: Grid, cube: np.ndarray, rho: np.ndarray, m: np.ndarr
 def _domain_derivative(domain: PhaseDomain, clamp_melting: bool):
     """:func:`_front_derivative` of a validated domain."""
     grid, rho = domain.grid, domain.front.heights
-    m, theta = _front_offsets(rho, domain._liquid_cube(), grid)
-    return _front_derivative(grid, domain.cube(), rho, m, theta, clamp_melting)
+    m, theta = _front_offsets(rho, grid)
+    col = np.arange(rho.size).reshape(rho.shape) * grid.counts[2] + m
+    samples = [domain.values[col - k] for k in range(3)]
+    return _front_derivative(grid, samples, rho, theta, clamp_melting)
 
 
 def _move_front(grid: Grid, heights: np.ndarray, d: np.ndarray, rx: np.ndarray,
@@ -356,72 +359,99 @@ def stability_limit_3d(grid: Grid) -> float:
     return 1.0 / (2.0 / dx**2 + 2.0 / dy**2 + 4.0 / dz**2)
 
 
-def _heat_step_3d(grid: Grid, u: np.ndarray, liquid: np.ndarray, m: np.ndarray,
-                  theta: np.ndarray, bottom_value: float,
-                  dt: float) -> tuple[np.ndarray, int]:
-    dz = grid.spacing[2]
-    # edge padding mirrors the insulated side walls; in z it only touches the
-    # top layer, which is solid or the front cell and rewritten below either way
-    uxx, uyy, uzz = second_differences(np.pad(u, 1, mode="edge"), grid.spacing)
-    uzz[:, :, 0] = (8.0 * bottom_value + 4.0 * u[:, :, 1] - 12.0 * u[:, :, 0]) \
-        / (3.0 * dz**2)
+class _ActiveBlock:
+    """A run's state on its active block (see Checks), edge-padded in ``u``; a
+    step writes ``new`` on one flat span, then the two swap."""
 
-    new = u + dt * (uxx + uyy + uzz)
+    def __init__(self, grid: Grid, cube: np.ndarray, heights: np.ndarray):
+        self.grid, self.heights = grid, heights
+        depth = min(int(_layers(heights, grid).max()) + 1, grid.counts[2])
+        self.u = np.pad(cube[:, :, :depth], 1, mode="edge")
+        self.new, *self.terms = (np.zeros_like(self.u) for _ in range(3))
+        self.span = interior_span(self.u.shape)
+        # flat index of each column's bottom cell in the padded buffers
+        self.base = np.arange(self.u.size).reshape(self.u.shape)[1:-1, 1:-1, 1].copy()
 
-    # conforming front stencil for the top liquid cell of each column
-    u_m = _column(u, m)
-    uzz_sw = 2.0 * (theta * _column(u, m - 1) - (1.0 + theta) * u_m) \
-        / (theta * (1.0 + theta) * dz**2)
-    top_new = u_m + dt * (_column(uxx, m) + _column(uyy, m) + uzz_sw)
+    def cube(self) -> np.ndarray:
+        return np.pad(self.u[1:-1, 1:-1, 1:-1],
+                      ((0, 0), (0, 0), (0, self.grid.counts[2] + 2 - self.u.shape[2])))
 
-    # thin cells are slaved to the quadratic through the front instead;
-    # floored at 0 because the extrapolation undershoots on steep profiles
-    slaved = np.maximum(2.0 * theta / (1.0 + theta) * _column(new, m - 1)
-                        - theta / (2.0 + theta) * _column(new, m - 2), 0.0)
-    thin = theta < 0.5
-    top_new = np.where(thin, slaved, top_new)
-    np.put_along_axis(new, m[:, :, None], top_new[:, :, None], axis=2)
+    def _zero_solid(self, layers: np.ndarray) -> None:
+        """Solid cells of ``new`` to exactly +0.0, then its padding refreshed."""
+        k0 = int(layers.min())
+        np.copyto(self.new[1:-1, 1:-1, 1 + k0:-1], 0.0,
+                  where=np.arange(k0, self.new.shape[2] - 2) >= layers[:, :, None])
+        refresh_edge_padding(self.new)
 
-    new[~liquid] = 0.0
-    return new, int(np.sum(thin))
+    def _heat_step(self, m: np.ndarray, theta: np.ndarray, bottom_value: float,
+                   dt: float) -> int:
+        u, new, span, dz = self.u, self.new, self.span, self.grid.spacing[2]
+        # edge padding mirrors the insulated side walls; in z it only touches the
+        # top layer, which is solid or the front cell and rewritten below either way
+        # uzz is built in new, which the update then overwrites in place
+        uxx, uyy, uzz = span_second_differences(u, self.grid.spacing, (*self.terms, new))
+        uzz[1:-1, 1:-1, 1] = (8.0 * bottom_value + 4.0 * u[1:-1, 1:-1, 2]
+                              - 12.0 * u[1:-1, 1:-1, 1]) / (3.0 * dz**2)
+        u, uxy, uzz, new = (x.reshape(-1) for x in (u, uxx, uzz, new))
+        np.add(uxy[span], uyy.reshape(-1)[span], out=uxy[span])
+        np.add(uxy[span], uzz[span], out=uzz[span])
+        np.multiply(dt, uzz[span], out=uzz[span])
+        np.add(u[span], uzz[span], out=new[span])  # u + dt * (uxx + uyy + uzz)
 
+        # conforming front stencil for the top liquid cell of each column
+        col = self.base + m
+        u_m = u[col]
+        uzz_sw = 2.0 * (theta * u[col - 1] - (1.0 + theta) * u_m) \
+            / (theta * (1.0 + theta) * dz**2)
+        top_new = u_m + dt * (uxy[col] + uzz_sw)
 
-def _coupled_step(grid: Grid, cube: np.ndarray, heights: np.ndarray,
-                  liquid: np.ndarray, t: float, k1: float, bottom: TimeFunc,
-                  dt: float, clamp_melting: bool = True):
-    """One coupled step on raw arrays: ``(cube, heights, liquid)`` at ``t`` to
-    the same at ``t + dt``, plus the info dict.  ``liquid`` is the mask of
-    ``heights``; the returned mask serves the next step."""
-    limit = stability_limit_3d(grid)
-    if dt > limit * (1.0 + 1e-12):
-        raise ValueError(f"dt={dt:g} violates the 3D stability limit {limit:g}")
-    f_val = signed_value(bottom, t, 1, "bottom heating")
+        # thin cells are slaved to the quadratic through the front instead;
+        # floored at 0 because the extrapolation undershoots on steep profiles
+        slaved = np.maximum(2.0 * theta / (1.0 + theta) * new[col - 1]
+                            - theta / (2.0 + theta) * new[col - 2], 0.0)
+        thin = theta < 0.5
+        new[col] = np.where(thin, slaved, top_new)
+        self._zero_solid(m + 1)
+        return int(np.sum(thin))
 
-    m, theta = _front_offsets(heights, liquid, grid)
-    new, thin_count = _heat_step_3d(grid, cube, liquid, m, theta, f_val, dt)
-    _check_temperatures(new, liquid)
-    d, rx, ry = _front_derivative(grid, new, heights, m, theta, clamp_melting)
-    new_heights, w, consistency = _move_front(grid, heights, d, rx, ry, k1, dt,
+    def step(self, t: float, k1: float, bottom: TimeFunc, dt: float,
+             clamp_melting: bool = True) -> dict:
+        """One coupled step from ``t`` to ``t + dt``; returns the info dict and
+        leaves the minimum temperature of the new state in ``u_min``."""
+        grid = self.grid
+        limit = stability_limit_3d(grid)
+        if dt > limit * (1.0 + 1e-12):
+            raise ValueError(f"dt={dt:g} violates the 3D stability limit {limit:g}")
+        f_val = signed_value(bottom, t, 1, "bottom heating")
+
+        m, theta = _front_offsets(self.heights, grid)
+        thin_count = self._heat_step(m, theta, f_val, dt)
+        new = self.new.reshape(-1)
+        self.u_min = _check_temperatures(new[self.span])
+        samples = [new[self.base + m - k] for k in range(3)]
+        d, rx, ry = _front_derivative(grid, samples, self.heights, theta, clamp_melting)
+        heights, w, consistency = _move_front(grid, self.heights, d, rx, ry, k1, dt,
                                               t + dt)
 
-    new_liquid = _liquid(new_heights, grid.axis_centers(2))
-    # every column keeps at least 3 liquid layers, so the count is positive
-    removed_frac = (liquid & ~new_liquid).sum() / liquid.sum()
-    if removed_frac > 0.2:
-        raise RuntimeError(
-            f"front retreat removed {removed_frac:.0%} of the liquid in one "
-            f"step at t={t:g}; graph description broke down"
-        )
-    new[~new_liquid] = 0.0
-
-    info = {
-        "consistency": consistency,
-        "removed_fraction": float(removed_frac),
-        "thin_cells": thin_count,
-        "front_speed_max": float(np.max(np.abs(w))),
-        "front_min_increment": float(np.min(new_heights - heights)),
-    }
-    return new, new_heights, new_liquid, info
+        layers = _layers(heights, grid)
+        # every column keeps at least 3 liquid layers, so the count is positive
+        removed = np.maximum(m + 1 - layers, 0)
+        removed_frac = removed.sum() / (m + 1).sum()
+        if removed_frac > 0.2:
+            raise RuntimeError(
+                f"front retreat removed {removed_frac:.0%} of the liquid in one "
+                f"step at t={t:g}; graph description broke down"
+            )
+        if removed.any():
+            self._zero_solid(layers)
+            self.u_min = float(new[self.span].min())
+        info = {"consistency": consistency, "removed_fraction": float(removed_frac),
+                "thin_cells": thin_count, "front_speed_max": float(np.max(np.abs(w))),
+                "front_min_increment": float(np.min(heights - self.heights))}
+        self.u, self.new, self.heights = self.new, self.u, heights
+        if min(int(layers.max()) + 1, grid.counts[2]) > self.u.shape[2] - 2:
+            self.__init__(grid, self.cube(), heights)  # the block must grow
+        return info
 
 
 def coupled_step_3d(domain: PhaseDomain, k1: float, bottom: TimeFunc, dt: float,
@@ -436,11 +466,10 @@ def coupled_step_3d(domain: PhaseDomain, k1: float, bottom: TimeFunc, dt: float,
     the removed-liquid fraction and the thin-cell count.
     """
     require_positive(dt=dt, k1=k1)
-    cube, heights, _, info = _coupled_step(
-        domain.grid, domain.cube(), domain.front.heights, domain._liquid_cube(),
-        domain.time, k1, bottom, dt, clamp_melting)
-    return PhaseDomain(domain.grid, GraphFront(domain.front.grid, heights), cube,
-                       time=domain.time + dt), info
+    block = _ActiveBlock(domain.grid, domain.cube(), domain.front.heights)
+    info = block.step(domain.time, k1, bottom, dt, clamp_melting)
+    return PhaseDomain(domain.grid, GraphFront(domain.front.grid, block.heights),
+                       block.cube(), time=domain.time + dt), info
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +506,8 @@ class Stefan3DResult:
     spec: StefanSpec3D
 
 
-def _initial_domain(spec: StefanSpec3D) -> tuple[PhaseDomain, np.ndarray]:
-    """The validated start and its liquid mask."""
+def _initial_domain(spec: StefanSpec3D) -> PhaseDomain:
+    """The validated start."""
     grid = spec.grid
     fx = Grid(origin=grid.origin[:2], extent=grid.extent[:2], counts=grid.counts[:2])
     if callable(spec.initial_front):
@@ -491,7 +520,7 @@ def _initial_domain(spec: StefanSpec3D) -> tuple[PhaseDomain, np.ndarray]:
         heights = np.full(fx.shape, float(spec.initial_front))
     front = GraphFront(fx, heights)
 
-    liquid = _liquid(front.heights, grid.axis_centers(2))
+    liquid = grid.axis_centers(2) < front.heights[:, :, None]
     if np.any(liquid.sum(axis=2) < 3):
         raise ValueError("initial front must leave at least 3 liquid layers")
     vals = np.zeros(grid.shape)
@@ -501,7 +530,7 @@ def _initial_domain(spec: StefanSpec3D) -> tuple[PhaseDomain, np.ndarray]:
         if np.any(sampled[liquid] < -1e-12):
             raise ValueError("initial temperature must be nonnegative in the liquid")
         vals[liquid] = sampled[liquid]
-    return PhaseDomain(grid, front, vals.reshape(-1), time=spec.t0), liquid
+    return PhaseDomain(grid, front, vals.reshape(-1), time=spec.t0)
 
 
 def time_steps(spec: StefanSpec3D) -> tuple[float, float, int]:
@@ -519,28 +548,29 @@ def solve3d(spec: StefanSpec3D) -> Stefan3DResult:
     front-speed forms, re-mask statistics, thin-cell counts, the front
     Lipschitz constant, and the enforced stability limit.
     """
-    domain, liquid = _initial_domain(spec)
+    domain = _initial_domain(spec)
     grid, fx = spec.grid, domain.front.grid
     limit, dt, n_steps = time_steps(spec)
     snap_every = spec.snapshot_every or max(1, n_steps // 50)
 
-    cube, heights, t = domain.cube(), domain.front.heights, domain.time
+    block = _ActiveBlock(grid, domain.cube(), domain.front.heights)
+    t = domain.time
     snapshots = [domain]
     times = [t]
     infos = []
-    lipschitz_max = _lipschitz(heights, fx.spacing)
-    u_min = float(cube.min())
+    lipschitz_max = _lipschitz(block.heights, fx.spacing)
+    u_min = float(domain.values.min())
     for k in range(n_steps):
-        cube, heights, liquid, info = _coupled_step(
-            grid, cube, heights, liquid, t, spec.k1, spec.bottom, dt)
+        infos.append(block.step(t, spec.k1, spec.bottom, dt))
         t = t + dt
-        infos.append(info)
-        lipschitz_max = max(lipschitz_max, _lipschitz(heights, fx.spacing))
-        u_min = min(u_min, float(cube.min()))
+        lipschitz_max = max(lipschitz_max, _lipschitz(block.heights, fx.spacing))
+        # cells above the block hold 0, and so does the block's top layer
+        u_min = min(u_min, block.u_min)
         if (k + 1) % snap_every == 0 or k + 1 == n_steps:
-            snapshots.append(PhaseDomain(grid, GraphFront(fx, heights),
-                                         cube.reshape(-1), time=t))
+            snapshots.append(PhaseDomain(grid, GraphFront(fx, block.heights),
+                                         block.cube(), time=t))
             times.append(t)
+    heights = block.heights
 
     report = {
         "dt": dt,

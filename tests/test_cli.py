@@ -5,11 +5,15 @@ checks, 4 I/O problems.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import meltfront
 from meltfront import (
     Grid,
     HeatTrajectory,
@@ -704,3 +708,55 @@ def test_verify_refuses_benchmark_rundir(bench_runs, capsys):
     capsys.readouterr()
     assert main(["verify", "--run", str(a)]) == 2
     assert "a benchmark run directory holds no manifest.json" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fresh interpreters: start-up imports and SIMD levels
+# ---------------------------------------------------------------------------
+
+def run_python(args, **env):
+    """Run this interpreter on ``args`` with the package's source on the path."""
+    src = str(Path(meltfront.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, **env})
+    assert done.returncode == 0, done.stderr
+    return done
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy is imported where it is used, so the CLI starts without it."""
+    code = ("import sys, meltfront.cli; "
+            "print(' '.join(m for m in ('scipy.spatial', 'scipy.linalg') if m in sys.modules))")
+    assert run_python(["-c", code]).stdout.strip() == ""
+
+
+def cpu_has_avx512f():
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return bool(__cpu_features__.get("AVX512F"))
+
+
+# 32 steps: enough for a one-ulp change in the front fits to reach the fronts
+SIMD_3D = {"mode": "solve3d", "k1": 1.0, "t0": 0.25, "duration": 0.02, "bottom": 4,
+           "grid": {"origin": [0, 0, 0], "extent": [1, 1, 1], "counts": [8, 8, 16]},
+           "front": {"kind": "bump", "height": 0.6, "amplitude": 0.08, "width": 0.3},
+           "initial": {"kind": "similarity"}}
+
+
+@pytest.mark.skipif(not cpu_has_avx512f(), reason="no AVX512F, so no SIMD level to switch off")
+def test_outputs_do_not_depend_on_simd_level(tmp_path):
+    """numpy picks float64 kernels by CPU feature, and some of them (``power``
+    with a positive base, ``exp``) round differently per level; no kernel
+    whose bits depend on the level may feed a run's output."""
+    for mode, payload in (("solve1d", SIM_1D), ("solve3d", SIMD_3D)):
+        cfg = write_config(tmp_path, payload, f"{mode}.json")
+        runs = []
+        for level, env in (("default", {}), ("reduced", {
+                "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"})):
+            runs.append(str(tmp_path / level / mode))
+            run_python(["-m", "meltfront.cli", mode, "--config", cfg, "--out", runs[-1]],
+                       **env)
+        assert main(["compare", "--tolerance", "0", *runs]) == 0, mode

@@ -15,7 +15,8 @@ from meltfront import (
     read_field_csv,
     write_field_csv,
 )
-from meltfront.grid import interior_index, second_differences
+from meltfront.grid import interior_index, refresh_edge_padding, second_differences, \
+    span_second_differences
 
 
 def test_grid_basic_geometry():
@@ -166,6 +167,48 @@ def test_batched_second_differences_match_laplacian(counts, extent):
     for level, lap_level in zip(stack, batched):
         lap = discrete_laplacian(TemperatureField(g, 0.0, level))
         assert np.array_equal(lap.reshaped()[interior_index(g.dim)], lap_level)
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("counts, lead", [
+    ((9,), 0),
+    ((6, 8), 0),
+    ((5, 6, 7), 0),
+    ((3, 7), 1),
+    ((2, 5, 6, 7), 1),
+])
+def test_span_second_differences_match_sliced(counts, lead):
+    """The flat-span form equals the sliced one bit for bit on the interior of
+    an edge-padded random array, in fresh buffers and in reused ones."""
+    rng = np.random.default_rng(7)
+    dim = len(counts) - lead
+    u = np.pad(rng.standard_normal(counts), [(0, 0)] * lead + [(1, 1)] * dim,
+               mode="edge")
+    spacing = tuple(rng.uniform(0.05, 2.0, dim))
+    interior = interior_index(dim, lead=lead)
+    sliced = [bits(t) for t in second_differences(u, spacing, lead)]
+    out = [np.full_like(u, np.nan) for _ in range(dim)]
+    for _ in range(2):  # fresh buffers, then the same ones again
+        span_second_differences(u, spacing, out, lead)
+        for want, got in zip(sliced, out):
+            assert np.array_equal(want, bits(got[interior]))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        span_second_differences(np.repeat(u, 2, axis=-1)[..., ::2], spacing, out, lead)
+
+
+@pytest.mark.parametrize("counts", [(5,), (4, 6), (3, 4, 5)])
+def test_refresh_edge_padding_rebuilds_the_pad(counts):
+    inner = np.random.default_rng(11).standard_normal(counts)
+    padded = np.pad(inner, 1, mode="edge")
+    stale = padded.copy()
+    for ax in range(len(counts)):
+        np.moveaxis(stale, ax, 0)[0] = -9.0
+        np.moveaxis(stale, ax, 0)[-1] = 9.0
+    refresh_edge_padding(stale)
+    assert np.array_equal(bits(stale), bits(padded))
 
 
 def test_parabolic_distance():
