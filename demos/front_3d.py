@@ -34,14 +34,14 @@ spec = StefanSpec3D(
 result = solve3d(spec)
 
 print(f"{'t':>8} {'min rho':>10} {'max rho':>10} {'Lipschitz':>10}")
-for t, dom in zip(result.times, result.snapshots):
-    h = dom.front.heights
-    lip = dom.front.lipschitz_constant
+for t, front in zip(result.times, result.fronts):
+    h = front.heights
+    lip = front.lipschitz_constant
     print(f"{t:8.4f} {h.min():10.6f} {h.max():10.6f} {lip:10.6f}")
 
 rep = result.report
 print("consistency gap, worst step:", rep["consistency_max"])
 print("re-masked liquid fraction, worst step:", rep["removed_fraction_max"])
 
-write_field_csv(front_field(result.snapshots[-1]), "front_3d_final.csv")
+write_field_csv(front_field(result.final.front, result.final.time), "front_3d_final.csv")
 print("final heights written to front_3d_final.csv")

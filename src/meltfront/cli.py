@@ -473,9 +473,9 @@ def _run_solve3d(config: ExperimentConfig, outdir: Path) -> tuple[dict, list[str
     rep = result.report
 
     files = ["config.json", "report.json", "manifest.json", "u_final.csv"]
-    names = write_fields(map(front_field, result.snapshots), outdir, "front")
+    names = write_fields(map(front_field, result.fronts, result.times), outdir, "front")
     files.extend(names)
-    final = result.snapshots[-1]
+    final = result.final
     write_field_csv(TemperatureField(final.grid, final.time, final.values),
                     outdir / "u_final.csv")
     write_manifest(outdir, float(rep["dt"]), result.times, names,

@@ -37,8 +37,6 @@ __all__ = [
 
 _SURFACE = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}  # S^{n-1} measure
 
-_tap_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
 
 def bump_profile(r: np.ndarray) -> np.ndarray:
     """Unnormalized radial profile ``exp(1/(r^2 - 1))`` for ``r < 1``, else 0."""
@@ -85,17 +83,8 @@ class MollifierKernel:
         """Discrete convolution weights for a grid spacing.
 
         Returns ``(offsets, weights)`` where ``offsets`` is ``(K, dim)`` int
-        and ``weights`` sums to exactly 1.
+        and ``weights`` sums to exactly 1; both are read-only.
         """
-        key = (
-            self.epsilon.hex(),
-            self.dim,
-            self.normalization.hex(),
-            tuple(float(h).hex() for h in spacing),
-        )
-        hit = _tap_cache.get(key)
-        if hit is not None:
-            return hit
         ranges = [np.arange(-int(math.ceil(self.epsilon / h)), int(math.ceil(self.epsilon / h)) + 1)
                   for h in spacing]
         mesh = np.meshgrid(*ranges, indexing="ij")
@@ -107,7 +96,6 @@ class MollifierKernel:
         w = w / w.sum()
         offsets.setflags(write=False)
         w.setflags(write=False)
-        _tap_cache[key] = (offsets, w)
         return offsets, w
 
 

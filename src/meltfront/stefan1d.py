@@ -222,8 +222,8 @@ class StefanResult:
     front: FrontTrajectory
     report: dict
     snapshot_fronts: np.ndarray
+    spec: StefanSpec1D
     solid_trajectory: HeatTrajectory | None = None
-    spec: StefanSpec1D | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +551,6 @@ def physical_trajectory(result: StefanResult, grid: Grid) -> HeatTrajectory:
     in one-phase runs, solid values past it in two-phase runs)."""
     if grid.dim != 1:
         raise ValueError("physical resampling targets a 1D grid")
-    if result.spec is None:
-        raise ValueError("result carries no spec to resample against")
     xs = grid.axis_centers(0)
     xi = np.linspace(0.0, 1.0, result.spec.nx + 1)
     length = result.spec.length

@@ -42,16 +42,18 @@ Checks
 A step touches only the active block: layers ``0..max(layers)``, one solid
 layer above the highest liquid cell (capped at the box).  The solid layers
 above it hold 0 and are never stepped; the block grows as the front climbs.
-``solve3d`` keeps one block across its steps and builds the full cube and
-a ``PhaseDomain`` only at snapshots; ``coupled_step_3d`` runs the same step
-on a block of its domain and wraps the result in one.  Every step checks
+``solve3d`` keeps one block across its steps and builds the full cube only
+at snapshots; ``coupled_step_3d`` runs the same step on a block of its
+domain and wraps the result in a ``PhaseDomain``.  Every step checks
 what one step can break: ``dt`` against the stability limit, bottom
 heating >= 0, finite temperatures that are nonnegative in the liquid up to
 ``1e-12 max(1, max|u|)`` (the block holds the cube's extremes, as every
 cell above it is 0), at least 3 liquid layers per column, the moved front
 inside the box, and at most 20% of the liquid lost to re-masking.  What
 holds by construction (solid cells exactly 0, the front grid matching the
-box section) is checked when a ``PhaseDomain`` is built.
+box section) is checked when a ``PhaseDomain`` is built.  ``solve3d`` builds
+one at each snapshot for that check and keeps only its front, except for
+the last, which it returns as the final domain.
 """
 
 from __future__ import annotations
@@ -188,10 +190,9 @@ class PhaseDomain:
         return _layers(self.front.heights, self.grid)
 
 
-def front_field(domain: PhaseDomain) -> TemperatureField:
-    """Front heights as a scalar field on the horizontal grid."""
-    return TemperatureField(domain.front.grid, domain.time,
-                            domain.front.heights.reshape(-1))
+def front_field(front: GraphFront, time: float) -> TemperatureField:
+    """Front heights at ``time`` as a scalar field on the horizontal grid."""
+    return TemperatureField(front.grid, time, front.heights.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +501,11 @@ class StefanSpec3D:
 
 @dataclass(frozen=True)
 class Stefan3DResult:
-    snapshots: tuple[PhaseDomain, ...]
+    """Output of :func:`solve3d`: the front at each snapshot time, the
+    initial front first, and the domain at the last time."""
+
+    fronts: tuple[GraphFront, ...]
+    final: PhaseDomain
     times: np.ndarray
     report: dict
     spec: StefanSpec3D
@@ -542,7 +547,8 @@ def time_steps(spec: StefanSpec3D) -> tuple[float, float, int]:
 
 
 def solve3d(spec: StefanSpec3D) -> Stefan3DResult:
-    """Integrate a 3D melting run; returns decimated snapshots and a report.
+    """Integrate a 3D melting run; returns decimated fronts, the final domain
+    and a report.
 
     The report carries the rounding-level consistency gap between the two
     front-speed forms, re-mask statistics, thin-cell counts, the front
@@ -555,7 +561,7 @@ def solve3d(spec: StefanSpec3D) -> Stefan3DResult:
 
     block = _ActiveBlock(grid, domain.cube(), domain.front.heights)
     t = domain.time
-    snapshots = [domain]
+    fronts = [domain.front]
     times = [t]
     infos = []
     lipschitz_max = _lipschitz(block.heights, fx.spacing)
@@ -567,8 +573,9 @@ def solve3d(spec: StefanSpec3D) -> Stefan3DResult:
         # cells above the block hold 0, and so does the block's top layer
         u_min = min(u_min, block.u_min)
         if (k + 1) % snap_every == 0 or k + 1 == n_steps:
-            snapshots.append(PhaseDomain(grid, GraphFront(fx, block.heights),
-                                         block.cube(), time=t))
+            domain = PhaseDomain(grid, GraphFront(fx, block.heights), block.cube(),
+                                 time=t)
+            fronts.append(domain.front)
             times.append(t)
     heights = block.heights
 
@@ -587,5 +594,5 @@ def solve3d(spec: StefanSpec3D) -> Stefan3DResult:
         "lipschitz_max": lipschitz_max,
         "lipschitz_final": _lipschitz(heights, fx.spacing),
     }
-    return Stefan3DResult(snapshots=tuple(snapshots), times=np.asarray(times),
+    return Stefan3DResult(fronts=tuple(fronts), final=domain, times=np.asarray(times),
                           report=report, spec=spec)

@@ -58,9 +58,7 @@ def test_taps_unit_sum_and_symmetry():
     table = {tuple(o): w for o, w in zip(offsets, weights)}
     for o, w in table.items():
         assert table[tuple(-c for c in o)] == w
-    # repeated lookups hit the cache
-    again = kernel.taps((0.02, 0.025))
-    assert again[0] is offsets and again[1] is weights
+    assert not offsets.flags.writeable and not weights.flags.writeable
 
 
 def test_admissible_mask_distance():

@@ -25,7 +25,6 @@ from meltfront import (
     transcendental_residual,
     write_front_csv,
 )
-from meltfront.stefan1d import StefanResult
 
 # bisection roots of lam e^(lam^2) erf(lam) = St/sqrt(pi), frozen
 LAMBDA = {
@@ -364,10 +363,6 @@ def test_physical_trajectory_matches_similarity():
     with pytest.raises(ValueError):
         physical_trajectory(res, Grid(origin=(0., 0.), extent=(1., 1.),
                                       counts=(8, 8)))
-    bare = StefanResult(trajectory=res.trajectory, front=res.front,
-                        report=res.report, snapshot_fronts=res.snapshot_fronts)
-    with pytest.raises(ValueError, match="spec"):
-        physical_trajectory(bare, grid)
 
 
 def test_front_csv_format(tmp_path):

@@ -24,7 +24,7 @@ from meltfront import (
     stability_limit_3d,
 )
 from meltfront.grid import read_field_csv
-from meltfront.stefan3d import time_steps
+from meltfront.stefan3d import _initial_domain, time_steps
 
 DATA = Path(__file__).parent / "data"
 
@@ -104,7 +104,7 @@ def test_liquid_masks_and_layers():
     per_column = int((zc < 0.5).sum())
     assert np.all(dom.liquid_layers() == per_column)
     assert dom.liquid_mask().sum() == per_column * 30
-    ff = front_field(dom)
+    ff = front_field(dom.front, dom.time)
     assert ff.grid.counts == (6, 5)
     np.testing.assert_array_equal(ff.values, 0.5)
 
@@ -292,7 +292,7 @@ def test_solve3d_flat_linear_start():
     assert rep["u_min"] >= 0.0
     assert rep["lipschitz_max"] <= 1e-12  # flat stays flat
     assert rep["front_min"] > 0.5
-    heights = res.snapshots[-1].front.heights
+    heights = res.final.front.heights
     assert np.ptp(heights) <= 1e-12
     assert res.times[0] == 0.0 and res.times[-1] == pytest.approx(5e-3)
 
@@ -308,10 +308,10 @@ def test_bump_run_regression():
     res = solve3d(spec)
     golden = read_field_csv(DATA / "bump_front_40.csv")
     np.testing.assert_allclose(
-        res.snapshots[-1].front.heights.reshape(-1), golden.values, atol=1e-12)
+        res.final.front.heights.reshape(-1), golden.values, atol=1e-12)
     assert res.report["consistency_max"] <= 1e-15
     # melting under a bump flattens it: the Lipschitz constant must not grow
-    lip0 = res.snapshots[0].front.lipschitz_constant
+    lip0 = res.fronts[0].lipschitz_constant
     assert res.report["lipschitz_max"] <= lip0 * (1 + 1e-12)
     assert res.report["lipschitz_final"] < lip0
 
@@ -344,21 +344,39 @@ def bits(x):
 def test_solve3d_matches_chained_coupled_steps(case):
     """solve3d keeps one active block across its steps, growing it as the
     front climbs; chaining the public step, which builds a block from each
-    domain, lands on the same bits at every step."""
+    domain, lands on the same front bits at every step and on the same
+    final domain."""
     if case == "climbing_bump":
         from meltfront.cli import _build_spec3d
         spec = _build_spec3d(CLIMBING_BUMP)
     else:
         spec = high_flat_spec()
     res = solve3d(spec)
-    layers = [snap.liquid_layers().max() for snap in res.snapshots]
+    domain = _initial_domain(spec)
+    first, last = domain.liquid_layers().max(), res.final.liquid_layers().max()
     if case == "climbing_bump":
-        assert layers[0] < layers[-1]  # the block grows mid-run
+        assert first < last  # the block grows mid-run
     else:
-        assert layers[0] == layers[-1] == spec.grid.counts[2] - 1
-    domain = res.snapshots[0]
-    for snap in res.snapshots[1:]:
+        assert first == last == spec.grid.counts[2] - 1
+    assert np.array_equal(bits(domain.front.heights), bits(res.fronts[0].heights))
+    for t, front in zip(res.times[1:], res.fronts[1:]):
         domain, _ = coupled_step_3d(domain, spec.k1, spec.bottom, res.report["dt"])
-        assert domain.time == snap.time
-        assert np.array_equal(bits(domain.front.heights), bits(snap.front.heights))
-        assert np.array_equal(bits(domain.values), bits(snap.values))
+        assert domain.time == t
+        assert np.array_equal(bits(domain.front.heights), bits(front.heights))
+    assert domain.time == res.final.time
+    assert np.array_equal(bits(domain.values), bits(res.final.values))
+
+
+def test_solve3d_off_cadence_last_snapshot():
+    """A run whose last step is off the snapshot cadence still snapshots it,
+    and its final domain is the one at the last time."""
+    dt, t0 = 2.0**-13, 0.25  # exact sums: t0 + 10 dt is the tenth step's time
+    spec = StefanSpec3D(grid=BOX, k1=1.0, duration=10 * dt, bottom=0.5, dt=dt, t0=t0,
+                        initial_front=0.5, snapshot_every=4,
+                        initial=lambda p: np.maximum(0.5 - p[:, 2], 0.0))
+    res = solve3d(spec)
+    assert res.report["steps"] == 10
+    assert len(res.fronts) == len(res.times) == 4
+    np.testing.assert_array_equal(res.times, t0 + dt * np.array([0, 4, 8, 10]))
+    assert res.final.time == res.times[-1]
+    assert np.array_equal(bits(res.final.front.heights), bits(res.fronts[-1].heights))
