@@ -230,15 +230,19 @@ def _column_fits(u0: np.ndarray, u1: np.ndarray, u2: np.ndarray, theta: np.ndarr
     Returns ``(a, b)`` with the fit ``a d + b d^2`` in the signed front
     distance ``d = z - rho``, for the samples at the top liquid layer ``m``
     (front offset ``theta``), ``m - 1`` and ``m - 2``.
+
+    The powers are products: numpy sends a negative-base ``pow`` to scalar
+    libm, and a positive-base ``pow`` rounds differently per SIMD level.
     """
     d0 = -theta * dz
     d1 = -(theta + 1.0) * dz
     d2 = -(theta + 2.0) * dz
-    s2 = d0**2 + d1**2 + d2**2
-    s3 = d0**3 + d1**3 + d2**3
-    s4 = d0**4 + d1**4 + d2**4
+    q0, q1, q2 = d0 * d0, d1 * d1, d2 * d2
+    s2 = q0 + q1 + q2
+    s3 = q0 * d0 + q1 * d1 + q2 * d2
+    s4 = q0 * q0 + q1 * q1 + q2 * q2
     t1 = d0 * u0 + d1 * u1 + d2 * u2
-    t2 = d0**2 * u0 + d1**2 * u1 + d2**2 * u2
+    t2 = q0 * u0 + q1 * u1 + q2 * u2
     det = s2 * s4 - s3 * s3
     a = (s4 * t1 - s3 * t2) / det
     b = (s2 * t2 - s3 * t1) / det

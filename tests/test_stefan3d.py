@@ -24,7 +24,7 @@ from meltfront import (
     stability_limit_3d,
 )
 from meltfront.grid import read_field_csv
-from meltfront.stefan3d import _initial_domain, time_steps
+from meltfront.stefan3d import _column_fits, _initial_domain, time_steps
 
 DATA = Path(__file__).parent / "data"
 
@@ -140,6 +140,26 @@ def test_too_few_layers_rejected():
     shallow = flat_domain(zc[1] + 0.25 * BOX.spacing[2], 1.0)  # 2 layers
     with pytest.raises(ValueError, match="3 liquid layers"):
         normal_velocity(shallow, 1.0)
+
+
+def test_column_fits_recover_quadratics():
+    """Samples of ``a d + b d^2`` at ``d = -(theta + k) dz`` give back ``a``
+    and ``b``, over thin (theta < 1/2) and thick cells and both end points."""
+    rng = np.random.default_rng(15)
+    theta = np.concatenate([[np.nextafter(0.0, 1.0), 1e-12, 0.25, np.nextafter(0.5, 0.0),
+                             0.5, 0.75, 1.0], 1.0 - rng.uniform(0.0, 1.0, 64)])
+    for dz in (1 / 16, 1 / 64, 1 / 256):
+        d = [-(theta + k) * dz for k in range(3)]
+        a = rng.uniform(-5.0, 5.0, theta.shape)
+        b = rng.uniform(-50.0, 50.0, theta.shape) / dz
+        fa, fb = _column_fits(*(a * dk + b * dk * dk for dk in d), theta, dz)
+        scale = np.abs(a) + np.abs(b) * dz
+        assert np.all(np.abs(fa - a) <= 1e-13 * scale), dz
+        assert np.all(np.abs(fb - b) * dz <= 1e-13 * scale), dz
+        # a linear profile is fitted exactly: with the powers formed as
+        # products, t1 = 2 s2 and t2 = 2 s3 bit for bit, so b cancels to 0
+        fa, fb = _column_fits(*(2.0 * dk for dk in d), theta, dz)
+        assert np.all(fa == 2.0) and np.all(fb == 0.0), dz
 
 
 def spiked_domain():
