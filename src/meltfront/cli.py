@@ -42,8 +42,6 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
 from .grid import Grid, TemperatureField, field_name, read_field_csv, write_field_csv, \
     write_fields
@@ -227,6 +225,10 @@ class ExperimentConfig:
                 f"config error at $.mode: expected one of {sorted(CONFIG_SCHEMAS)}, "
                 f"got {mode!r}"
             )
+        # imported on use: keeps jsonschema out of start-up
+        from jsonschema import Draft202012Validator
+        from jsonschema.exceptions import best_match
+
         validator = Draft202012Validator(CONFIG_SCHEMAS[mode])
         err = best_match(validator.iter_errors(raw))
         if err is not None:

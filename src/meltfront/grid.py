@@ -117,7 +117,7 @@ class Grid:
 
     @property
     def total_cells(self) -> int:
-        return int(np.prod(self.counts))
+        return math.prod(self.counts)
 
     def axis_centers(self, axis: int) -> np.ndarray:
         """Cell-center coordinates along one axis."""

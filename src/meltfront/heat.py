@@ -9,7 +9,10 @@ current time level.
 
 Time stepping is forward Euler on interior cells with Dirichlet data written
 into the boundary cell layer at the new time; :func:`solve_dirichlet` is the
-one stepping entry point and marches raw arrays.  The stability limit
+one stepping entry point.  It marches the rows of one ``(levels, cells)``
+matrix, which the returned :class:`HeatTrajectory` holds; the Laplacian
+steps on the flat interior span, every other operator through the sliced
+stencils of ``_interior_operator``.  The stability limit
 ``dt <= 1 / (2 sum_j max(a_jj) / h_j^2)`` is enforced, never assumed; it
 reduces to ``h^2 / (2 n max a)`` on isotropic grids.  A solve checks it, and
 the positive-definiteness of ``a``, at its first step, and again at every
@@ -34,8 +37,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import Grid, TemperatureField, ParabolicCylinder, interior_index, \
-    second_differences, write_fields
+from .grid import Grid, TemperatureField, ParabolicCylinder, _flat_strides, interior_index, \
+    interior_span, second_differences, write_fields
 from .rundir import write_manifest
 
 __all__ = [
@@ -225,7 +228,13 @@ def stability_limit(coeffs: OperatorCoefficients, grid: Grid, t: float = 0.0) ->
 
 
 class HeatTrajectory:
-    """Uniformly spaced snapshots of one evolution on a shared grid."""
+    """Uniformly spaced levels of one evolution on a shared grid.
+
+    The values live in one read-only ``(levels, cells)`` matrix.  Built from
+    snapshots, the trajectory keeps them and stacks their values once; a
+    marched one (:func:`solve_dirichlet`) builds its snapshots from the
+    matrix rows, as read-only views, on first access.
+    """
 
     def __init__(self, snapshots: Sequence[TemperatureField], dt: float):
         snaps = tuple(snapshots)
@@ -242,23 +251,50 @@ class HeatTrajectory:
                 raise ValueError(
                     f"snapshot {k} at t={s.time} breaks the uniform step (expected {expected})"
                 )
-        self.snapshots = snaps
+        self._hold(snaps, [s.time for s in snaps], np.stack([s.values for s in snaps]), dt)
+
+    @classmethod
+    def _from_levels(cls, initial: TemperatureField, times: Sequence[float],
+                     levels: np.ndarray, dt: float) -> "HeatTrajectory":
+        """A trajectory over checked ``levels`` whose first row is ``initial``.
+        Built without ``__init__``, whose signature subclasses may keep."""
+        traj = cls.__new__(cls)
+        traj._hold((initial,), times, levels, dt)
+        return traj
+
+    def _hold(self, snapshots: tuple[TemperatureField, ...], times: Sequence[float],
+              levels: np.ndarray, dt: float) -> None:
+        self._snapshots = snapshots  # the first ones; the rest are built on access
+        self._times = np.array(times, dtype=float)
+        self._levels = levels
+        for a in (self._times, self._levels):
+            a.setflags(write=False)
         self.dt = float(dt)
 
     @property
+    def snapshots(self) -> tuple[TemperatureField, ...]:
+        built = len(self._snapshots)
+        if built < len(self):
+            g = self.grid
+            self._snapshots += tuple(TemperatureField(g, t, row) for t, row in
+                                     zip(self._times[built:], self._levels[built:]))
+        return self._snapshots
+
+    @property
     def grid(self) -> Grid:
-        return self.snapshots[0].grid
+        return self._snapshots[0].grid
 
     @property
     def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.snapshots])
+        """Level times, read-only."""
+        return self._times
 
     def __len__(self) -> int:
-        return len(self.snapshots)
+        return len(self._levels)
 
     def values_matrix(self) -> np.ndarray:
-        """Stacked values, shape ``(levels, cells)``."""
-        return np.stack([s.values for s in self.snapshots])
+        """Values by level, shape ``(levels, cells)``, read-only and shared."""
+        return self._levels
 
     def level_near(self, t: float) -> int:
         """Index of the snapshot at time ``t`` (must match within 1e-9)."""
@@ -267,6 +303,63 @@ class HeatTrajectory:
         if abs(times[k] - t) > 1e-9 * max(1.0, abs(t)):
             raise ValueError(f"no snapshot at t={t}; nearest is {times[k]}")
         return k
+
+
+#: Levels per finiteness reduction in :func:`solve_dirichlet`, as many as
+#: ``stefan1d`` steps between its monitor reductions.
+_BLOCK_LEVELS = 64
+
+
+def _stepper(coeffs: OperatorCoefficients, grid: Grid, levels: np.ndarray,
+             dt: float) -> Callable[[int, float], None]:
+    """``step(k, t)`` writes ``u + dt L u`` on the interior of row ``k + 1`` of
+    ``levels``, where ``u`` is row ``k`` at time ``t``.  It may write boundary
+    cells of row ``k + 1`` too; the caller overwrites them."""
+    if not coeffs.is_laplacian:
+        interior = interior_index(grid.dim)
+
+        def step(k: int, t: float) -> None:
+            u, new = levels[k].reshape(grid.shape), levels[k + 1].reshape(grid.shape)
+            new[interior] = u[interior] + dt * _interior_operator(coeffs, grid, u, t)
+
+        return step
+
+    # The Laplacian runs on the flat interior span of each row, with the
+    # operations of second_differences and sum() in their order, so interior
+    # cells equal the sliced form bit for bit.  Each span position off the
+    # interior is a boundary cell.  The span and its shifts along each axis
+    # are cut once, as columns of every row.
+    span = interior_span(grid.shape)
+    center, new = levels[:, span], levels[1:, span]
+    shifted = [(levels[:, span.start + s:span.stop + s],
+                levels[:, span.start - s:span.stop - s], h**2)
+               for s, h in zip(_flat_strides(grid.shape), grid.spacing)]
+    terms = np.empty((grid.dim, span.stop - span.start))
+    acc, twice = terms[0], terms[-1]
+
+    def step(k: int, t: float) -> None:
+        # 2 u[0], shared by every axis, waits in the last term until its own turn
+        np.multiply(center[k], 2.0, out=twice)
+        for term, (up, dn, h2) in zip(terms, shifted):
+            np.subtract(up[k], twice, out=term)
+            np.add(term, dn[k], out=term)
+            np.divide(term, h2, out=term)
+        np.add(acc, 0.0, out=acc)  # sum()'s leading 0: a -0.0 term becomes +0.0
+        for term in terms[1:]:
+            np.add(acc, term, out=acc)
+        np.multiply(acc, dt, out=acc)
+        np.add(center[k], acc, out=new[k])
+
+    return step
+
+
+def _require_finite_levels(levels: np.ndarray, times: Sequence[float], lo: int,
+                           hi: int) -> None:
+    """Raise ``ValueError`` naming the first non-finite row of ``levels[lo:hi]``."""
+    finite = np.isfinite(levels[lo:hi]).all(axis=1)
+    if not finite.all():
+        k = lo + int(np.argmin(finite))
+        raise ValueError(f"solve_dirichlet level {k} (t={times[k]:g}) holds non-finite values")
 
 
 def solve_dirichlet(
@@ -279,38 +372,50 @@ def solve_dirichlet(
     """March ``ceil(duration / dt)`` forward-Euler steps from the initial field.
 
     Interior cells take ``u + dt L u``, boundary cells the Dirichlet data at
-    the new time, and each level is a validated :class:`TemperatureField`.
-    The initial values and the boundary cells are checked once per solve;
-    positive-definiteness and the stability limit at the first step, and at
-    every step when ``coeffs.diffusion`` is callable, since only then can
-    time change them.  Each failed check raises ``ValueError``.
+    the new time; each level is written into one preallocated ``(levels,
+    cells)`` matrix, which the returned trajectory holds.  The initial values
+    are checked once per solve; positive-definiteness and the stability
+    limit at the first step, and at every step when ``coeffs.diffusion`` is
+    callable, since only then can time change them.  The finiteness of the
+    levels is checked in blocks of ``_BLOCK_LEVELS``, and before any other
+    error a step raises, so the first failure is the one reported.  Each
+    failed check raises ``ValueError``.
     """
     require_positive(duration=duration, dt=dt)
     if not np.all(np.isfinite(initial.values)):
         raise ValueError("solve_dirichlet requires finite initial values")
     g = initial.grid
     n_steps = step_count(duration, dt)
-    interior = interior_index(g.dim)
-    bmask = g.boundary_mask().reshape(g.shape)
-    bpts = g.cell_centers()[bmask.ravel()]
+    bcells = np.flatnonzero(g.boundary_mask())
+    bpts = g.cell_centers()[bcells]
     bpts.setflags(write=False)  # every step's boundary call shares these centres
-    snaps = [initial]
-    u, t = initial.reshaped(), initial.time
+    levels = np.empty((n_steps + 1, g.total_cells))
+    levels[0] = initial.values
+    step = _stepper(coeffs, g, levels, dt)
+    t = initial.time
+    times = [t]
+    checked = 1  # levels[:checked] are known finite
     for k in range(n_steps):
-        if k == 0 or callable(coeffs.diffusion):
-            coeffs.check_definite(g, t)
-            limit = stability_limit(coeffs, g, t)
-            if dt > limit * (1.0 + 1e-12):
-                raise ValueError(
-                    f"dt={dt:g} violates the stability limit {limit:g} for this grid/operator"
-                )
-        new = u.copy()
-        new[interior] += dt * _interior_operator(coeffs, g, u, t)
-        t += dt
-        new[bmask] = boundary(bpts, t) if callable(boundary) else boundary
-        snaps.append(TemperatureField(g, t, new))
-        u = snaps[-1].reshaped()
-    return HeatTrajectory(snaps, dt)
+        try:
+            if k == 0 or callable(coeffs.diffusion):
+                coeffs.check_definite(g, t)
+                limit = stability_limit(coeffs, g, t)
+                if dt > limit * (1.0 + 1e-12):
+                    raise ValueError(
+                        f"dt={dt:g} violates the stability limit {limit:g} for this grid/operator"
+                    )
+            step(k, t)
+            t += dt
+            levels[k + 1][bcells] = boundary(bpts, t) if callable(boundary) else boundary
+        except Exception:
+            # a non-finite level written before the failure is the first fault
+            _require_finite_levels(levels, times, checked, len(times))
+            raise
+        times.append(t)
+        if len(times) - checked == _BLOCK_LEVELS or k + 1 == n_steps:
+            _require_finite_levels(levels, times, checked, len(times))
+            checked = len(times)
+    return HeatTrajectory._from_levels(initial, times, levels, dt)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
 from . import __version__
 from .grid import read_csv_rows
@@ -135,6 +133,10 @@ class RunReport:
 
     def validate(self) -> None:
         """Check the serialized form against ``REPORT_SCHEMA``."""
+        # imported on use: keeps jsonschema out of start-up
+        from jsonschema import Draft202012Validator
+        from jsonschema.exceptions import best_match
+
         err = best_match(Draft202012Validator(REPORT_SCHEMA).iter_errors(self.to_dict()))
         if err is not None:
             raise ValueError(f"report failed self-validation at {err.json_path}: "

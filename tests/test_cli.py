@@ -725,9 +725,10 @@ def run_python(args, **env):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    """scipy is imported where it is used, so the CLI starts without it."""
-    code = ("import sys, meltfront.cli; "
-            "print(' '.join(m for m in ('scipy.spatial', 'scipy.linalg') if m in sys.modules))")
+    """scipy and jsonschema are imported where they are used, so the CLI
+    starts without either."""
+    code = ("import sys, meltfront.cli; print(' '.join(m for m in "
+            "('scipy.spatial', 'scipy.linalg', 'jsonschema') if m in sys.modules))")
     assert run_python(["-c", code]).stdout.strip() == ""
 
 

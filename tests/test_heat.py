@@ -116,6 +116,127 @@ def test_step_explicit_matches_manual_update():
     assert out.time == dt
 
 
+_CHAIN_GRIDS = {
+    # h = 2.5 > 1: a subnormal neighbour's second difference underflows to a zero
+    "1d": Grid(origin=(0.0,), extent=(40.0,), counts=(16,)),
+    "2d": Grid(origin=(0.0, 0.0), extent=(1.0, 1.0), counts=(16, 16)),
+    "3d": Grid(origin=(0.0, 0.0, 0.0), extent=(1.0, 1.0, 1.0), counts=(8, 8, 8)),
+}
+
+
+def _chain_start(g: Grid, kind: str) -> np.ndarray:
+    """Random values, or signed zeros: +0.0 centres whose face neighbours are
+    all -0.0 (a checkerboard), with -5e-324 in a few of the +0.0 cells.  On
+    the 1D grid a -0.0 cell next to one has a -0.0 second difference, which
+    ``sum()``'s leading 0 turns into +0.0 before it reaches the cell."""
+    rng = np.random.default_rng(g.total_cells)
+    if kind == "random":
+        return rng.standard_normal(g.total_cells)
+    parity = np.indices(g.counts).sum(axis=0).ravel() % 2
+    u0 = np.where(parity == 0, 0.0, -0.0)
+    u0[(parity == 0) & (rng.random(g.total_cells) < 0.3)] = -5e-324
+    return u0
+
+
+@pytest.mark.parametrize("start", ["random", "signed_zeros"])
+@pytest.mark.parametrize("boundary", [
+    pytest.param(-0.0, id="constant"),
+    pytest.param(lambda pts, t: np.cos(3.0 * pts.sum(axis=1)) * t, id="callable"),
+])
+@pytest.mark.parametrize("coeffs", [
+    pytest.param(OperatorCoefficients.laplacian(), id="laplacian"),
+    pytest.param(OperatorCoefficients.constant(a=1.5, c=-0.5), id="constant_ac"),
+])
+@pytest.mark.parametrize("dim", ["1d", "2d", "3d"])
+def test_dirichlet_chain_matches_apply_operator(dim, coeffs, boundary, start):
+    """Every level of a 12-step march equals, bit for bit, the chain of
+    ``u + dt * apply_operator(u)`` with the Dirichlet data written at the new
+    time: the Laplacian's flat-span step must keep the sliced stencil's
+    operations and order, down to the signs of zeros."""
+    g = _CHAIN_GRIDS[dim]
+    f = TemperatureField(g, 0.25, _chain_start(g, start))
+    dt = 0.45 * stability_limit(coeffs, g)
+    traj = solve_dirichlet(coeffs, f, boundary, 12 * dt, dt)
+
+    bmask = g.boundary_mask()
+    levels, times = [f.values], [f.time]
+    for _ in range(12):
+        u = TemperatureField(g, times[-1], levels[-1])
+        new = u.values + dt * apply_operator(coeffs, u).values
+        times.append(times[-1] + dt)
+        new[bmask] = boundary(g.cell_centers()[bmask], times[-1]) if callable(boundary) \
+            else boundary
+        levels.append(new)
+    assert traj.times.tolist() == times
+    np.testing.assert_array_equal(traj.values_matrix().view(np.int64),
+                                  np.stack(levels).view(np.int64))
+
+
+def test_solve_dirichlet_rejects_non_finite_levels():
+    """A boundary that turns NaN from some step on fails the solve, in the
+    first block of levels and past it, and the non-finite level is the fault
+    reported even when a later step raises something else."""
+    g = Grid(origin=(0.0, 0.0), extent=(1.0, 1.0), counts=(6, 6))
+    f = TemperatureField(g, 0.0, np.zeros(36))
+    coeffs = OperatorCoefficients.laplacian()
+    dt = 0.4 * stability_limit(coeffs, g)
+
+    def nan_from(step, fail_from=None):
+        def boundary(pts, t):
+            if fail_from is not None and t > (fail_from - 0.5) * dt:
+                raise RuntimeError("boundary data ran out")
+            return np.nan if t > (step - 0.5) * dt else 0.0
+        return boundary
+
+    for step in (3, 100):
+        with pytest.raises(ValueError, match=f"level {step} .*non-finite"):
+            solve_dirichlet(coeffs, f, nan_from(step), 150 * dt, dt)
+    with pytest.raises(ValueError, match="level 3 .*non-finite"):
+        solve_dirichlet(coeffs, f, nan_from(3, fail_from=5), 150 * dt, dt)
+    with pytest.raises(RuntimeError, match="ran out"):
+        solve_dirichlet(coeffs, f, nan_from(10, fail_from=5), 150 * dt, dt)
+
+
+def test_values_matrix_is_one_read_only_array():
+    """A marched trajectory and one built from snapshots both return one
+    read-only matrix on every call, equal to the stacked snapshot values;
+    a marched trajectory's snapshots are read-only rows of it."""
+    g = Grid(origin=(0.0,), extent=(1.0,), counts=(8,))
+    f = TemperatureField(g, 0.0, np.random.default_rng(2).random(8))
+    marched = solve_dirichlet(OperatorCoefficients.laplacian(), f, 0.0, 0.01, 1e-3)
+    built = HeatTrajectory(marched.snapshots, marched.dt)
+    for traj in (marched, built):
+        m = traj.values_matrix()
+        assert m is traj.values_matrix()
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+        np.testing.assert_array_equal(m, np.stack([s.values for s in traj.snapshots]))
+    assert marched.snapshots[0] is f
+    for k, snap in enumerate(marched.snapshots[1:], start=1):
+        assert np.shares_memory(snap.values, marched.values_matrix()[k])
+        assert not snap.values.flags.writeable
+
+
+def test_marched_trajectory_takes_the_bound_subclass(monkeypatch):
+    """``solve_dirichlet`` builds its result through the module's
+    ``HeatTrajectory`` binding without calling ``__init__``, so a subclass
+    that keeps only the ``(snapshots, dt)`` signature can stand in."""
+    from meltfront import heat
+
+    class Narrow(heat.HeatTrajectory):
+        def __init__(self, snapshots, dt):
+            super().__init__(snapshots, dt)
+
+    monkeypatch.setattr(heat, "HeatTrajectory", Narrow)
+    g = Grid(origin=(0.0,), extent=(1.0,), counts=(8,))
+    f = TemperatureField(g, 0.0, np.random.default_rng(3).random(8))
+    traj = solve_dirichlet(OperatorCoefficients.laplacian(), f, 0.0, 0.01, 1e-3)
+    assert type(traj) is Narrow
+    assert len(traj.snapshots) == len(traj) == 11
+    np.testing.assert_array_equal(traj.snapshots[-1].values, traj.values_matrix()[-1])
+
+
 def test_step_explicit_boundary_evaluated_at_new_time():
     g = Grid(origin=(0.0,), extent=(1.0,), counts=(8,))
     f = TemperatureField(g, 0.0, np.zeros(8))
