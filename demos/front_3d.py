@@ -41,7 +41,6 @@ for t, front in zip(result.times, result.fronts):
 
 rep = result.report
 print("consistency gap, worst step:", rep["consistency_max"])
-print("re-masked liquid fraction, worst step:", rep["removed_fraction_max"])
 
 write_field_csv(front_field(result.final.front, result.final.time), "front_3d_final.csv")
 print("final heights written to front_3d_final.csv")

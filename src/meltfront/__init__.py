@@ -62,10 +62,7 @@ from .stefan3d import (
     Stefan3DResult,
     StefanSpec3D,
     coupled_step_3d,
-    evolve_front,
     front_field,
-    front_normal,
-    normal_velocity,
     solve3d,
     stability_limit_3d,
 )
@@ -100,8 +97,7 @@ __all__ = [
     "solve_stefan", "physical_trajectory", "write_front_csv",
     # stefan3d
     "StefanSpec3D", "Stefan3DResult", "GraphFront", "PhaseDomain",
-    "front_normal", "normal_velocity", "evolve_front", "coupled_step_3d",
-    "solve3d", "stability_limit_3d", "front_field",
+    "coupled_step_3d", "solve3d", "stability_limit_3d", "front_field",
     # verify
     "BarrierParams", "barrier_residual_constant", "barrier_field",
     "heat_residual_field", "max_principle_audit", "initial_continuity_metric",

@@ -489,13 +489,8 @@ def _run_solve3d(config: ExperimentConfig, outdir: Path) -> tuple[dict, list[str
         "speed_consistency": _rule(
             "at_most", rep["consistency_max"], 1e-10,
             "gap per step between the graph update and V_n along the normal"),
-        "front_monotone": _rule("at_least_minus", rep["front_min_increment"], 1e-12,
-                                "smallest per-step height increment over all columns"),
         "liquid_sign": _rule("at_least_minus", rep["u_min"], 1e-12 * scale,
                              "minimum liquid temperature over the run"),
-        "removed_fraction": _rule(
-            "at_most", rep["removed_fraction_max"], 0.2,
-            "largest single-step fraction of liquid cells lost to re-masking"),
         "stability": _rule("at_most_rounding", rep["dt"], rep["stability_limit"]),
     }
     data = {k: rep[k] for k in ("steps", "front_min", "front_max", "lipschitz_final",
@@ -563,7 +558,7 @@ def _time_order(nx: int, refinements: int):
         dt = dt0 / 2**k
         traj = solve_dirichlet(coeffs, initial, 0.0, duration, dt)
         ref = expm(a_mat * traj.times[-1]) @ u0[1:-1]
-        errs.append(float(np.max(np.abs(traj.snapshots[-1].values[1:-1] - ref))))
+        errs.append(float(np.max(np.abs(traj.values_matrix()[-1, 1:-1] - ref))))
         dts.append(dt)
     return _fit_order(np.array(dts), np.array(errs)), dts, errs
 

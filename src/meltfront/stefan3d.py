@@ -48,8 +48,9 @@ domain and wraps the result in a ``PhaseDomain``.  Every step checks
 what one step can break: ``dt`` against the stability limit, bottom
 heating >= 0, finite temperatures that are nonnegative in the liquid up to
 ``1e-12 max(1, max|u|)`` (the block holds the cube's extremes, as every
-cell above it is 0), at least 3 liquid layers per column, the moved front
-inside the box, and at most 20% of the liquid lost to re-masking.  What
+cell above it is 0), at least 3 liquid layers per column, and the moved
+front inside the box.  The front only advances (see ``_front_derivative``),
+so no column ever loses a liquid layer.  What
 holds by construction (solid cells exactly 0, the front grid matching the
 box section) is checked when a ``PhaseDomain`` is built.  ``solve3d`` builds
 one at each snapshot for that check and keeps only its front, except for
@@ -72,9 +73,6 @@ __all__ = [
     "PhaseDomain",
     "StefanSpec3D",
     "Stefan3DResult",
-    "front_normal",
-    "normal_velocity",
-    "evolve_front",
     "coupled_step_3d",
     "solve3d",
     "stability_limit_3d",
@@ -199,17 +197,6 @@ def front_field(front: GraphFront, time: float) -> TemperatureField:
 # front kinematics
 # ---------------------------------------------------------------------------
 
-def front_normal(front: GraphFront) -> np.ndarray:
-    """Unit upward normals per column, shape ``(nx, ny, 3)``."""
-    rx, ry = front.slopes()
-    j = np.sqrt(1.0 + rx * rx + ry * ry)
-    n = np.stack([-rx / j, -ry / j, 1.0 / j], axis=-1)
-    norms = np.linalg.norm(n, axis=-1)
-    if np.any(np.abs(norms - 1.0) > 1e-12):
-        raise ValueError("front normals failed to normalize")
-    return n
-
-
 def _front_offsets(heights: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Top liquid layer ``m`` and front offset ``theta`` per column."""
     layers = _layers(heights, grid)
@@ -249,18 +236,19 @@ def _column_fits(u0: np.ndarray, u1: np.ndarray, u2: np.ndarray, theta: np.ndarr
     return a, b
 
 
-def _front_derivative(grid: Grid, samples, rho: np.ndarray, theta: np.ndarray,
-                      clamp_melting: bool):
-    """Directional derivative ``D = u_z - rho_x u_x - rho_y u_y`` and slopes.
+def _front_derivative(grid: Grid, samples, rho: np.ndarray, theta: np.ndarray):
+    """Directional derivative ``D = u_z - rho_x u_x - rho_y u_y``, capped at 0,
+    and slopes.
 
     ``D`` equals ``grad(u) . n`` times the metric factor ``J``.  Horizontal
     derivatives difference neighbor fits evaluated at the column's own front
     height; a column's own fit vanishes there, which makes the wall mirror
-    image contribute exactly 0.  With ``clamp_melting`` the estimate is
-    capped at 0: nonnegative liquid temperatures vanishing on the front force
-    the true derivative along the outward normal to be nonpositive, while
-    the quadratic fit can briefly invert the sign where heat has only just
-    reached the sample layers.
+    image contribute exactly 0.  The cap is the melting clamp: nonnegative
+    liquid temperatures vanishing on the front force the true derivative
+    along the outward normal to be nonpositive, while the quadratic fit can
+    briefly invert the sign where heat has only just reached the sample
+    layers.  So the vertical rate ``-k1 D`` is zero or positive, and the
+    front never retreats.
     """
     dx, dy, dz = grid.spacing
     a, b = _column_fits(*samples, theta, dz)
@@ -278,26 +266,17 @@ def _front_derivative(grid: Grid, samples, rho: np.ndarray, theta: np.ndarray,
     gy = (fit_value(0, 1) - fit_value(0, -1)) / (2.0 * dy)
     rx = (rp[2:, 1:-1] - rp[:-2, 1:-1]) / (2.0 * dx)
     ry = (rp[1:-1, 2:] - rp[1:-1, :-2]) / (2.0 * dy)
-    d = a - rx * gx - ry * gy
-    if clamp_melting:
-        d = np.minimum(d, 0.0)
-    return d, rx, ry
-
-
-def _domain_derivative(domain: PhaseDomain, clamp_melting: bool):
-    """:func:`_front_derivative` of a validated domain."""
-    grid, rho = domain.grid, domain.front.heights
-    m, theta = _front_offsets(rho, grid)
-    col = np.arange(rho.size).reshape(rho.shape) * grid.counts[2] + m
-    samples = [domain.values[col - k] for k in range(3)]
-    return _front_derivative(grid, samples, rho, theta, clamp_melting)
+    return np.minimum(a - rx * gx - ry * gy, 0.0), rx, ry
 
 
 def _move_front(grid: Grid, heights: np.ndarray, d: np.ndarray, rx: np.ndarray,
                 ry: np.ndarray, k1: float, dt: float, t: float):
     """Forward Euler on the graph law; returns ``(heights, w, consistency)``
     with ``w`` the vertical rate and ``consistency`` the gap to the
-    normal-speed form.  Errors name the time ``t``."""
+    normal-speed form.  Errors name the time ``t``.
+
+    With ``w`` zero or positive, ``heights + dt w`` never rounds below
+    ``heights``, so every column keeps the liquid layers it had."""
     w = -k1 * d
     j = np.sqrt(1.0 + rx * rx + ry * ry)
     vn = -k1 * d / j
@@ -308,49 +287,7 @@ def _move_front(grid: Grid, heights: np.ndarray, d: np.ndarray, rx: np.ndarray,
     z_top = grid.origin[2] + grid.extent[2]
     if np.any(new_heights >= z_top - dz):
         raise RuntimeError(f"front reached the top of the box at t={t:g}")
-    if np.any(new_heights <= grid.axis_centers(2)[2] + 1e-12 * dz):
-        raise RuntimeError(f"front dropped below 3 liquid layers at t={t:g}")
     return new_heights, w, consistency
-
-
-def normal_velocity(domain: PhaseDomain, k1: float,
-                    clamp_melting: bool = True) -> np.ndarray:
-    """Normal front speed ``V_n = -k1 grad(u) . n`` per column.
-
-    ``clamp_melting=False`` evaluates the raw gradient law with no sign
-    guard (the speed of a freezing configuration, were one representable).
-
-    Raises
-    ------
-    ValueError
-        If any column has fewer than 3 liquid layers.
-    """
-    require_positive(k1=k1)
-    d, rx, ry = _domain_derivative(domain, clamp_melting)
-    j = np.sqrt(1.0 + rx * rx + ry * ry)
-    return -k1 * d / j
-
-
-def evolve_front(domain: PhaseDomain, k1: float, dt: float,
-                 clamp_melting: bool = True):
-    """Move the front by ``dt`` with forward Euler on the graph law.
-
-    Returns ``(front, info)``; ``info["consistency"]`` is the gap
-    ``max |(rho' - rho) - dt V_n J|`` between the height increment and the
-    normal-speed form built from the same gradient samples (pure rounding),
-    and ``info["speed"]`` the vertical rate array.
-
-    Raises
-    ------
-    RuntimeError
-        If the moved front leaves the usable vertical extent (fewer than 3
-        liquid layers somewhere, or within one cell of the box top).
-    """
-    require_positive(dt=dt, k1=k1)
-    d, rx, ry = _domain_derivative(domain, clamp_melting)
-    heights, w, consistency = _move_front(domain.grid, domain.front.heights,
-                                          d, rx, ry, k1, dt, domain.time)
-    return GraphFront(domain.front.grid, heights), {"consistency": consistency, "speed": w}
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +318,6 @@ class _ActiveBlock:
         return np.pad(self.u[1:-1, 1:-1, 1:-1],
                       ((0, 0), (0, 0), (0, self.grid.counts[2] + 2 - self.u.shape[2])))
 
-    def _zero_solid(self, layers: np.ndarray) -> None:
-        """Solid cells of ``new`` to exactly +0.0, then its padding refreshed."""
-        k0 = int(layers.min())
-        np.copyto(self.new[1:-1, 1:-1, 1 + k0:-1], 0.0,
-                  where=np.arange(k0, self.new.shape[2] - 2) >= layers[:, :, None])
-        refresh_edge_padding(self.new)
-
     def _heat_step(self, m: np.ndarray, theta: np.ndarray, bottom_value: float,
                    dt: float) -> int:
         u, new, span, dz = self.u, self.new, self.span, self.grid.spacing[2]
@@ -416,11 +346,15 @@ class _ActiveBlock:
                             - theta / (2.0 + theta) * new[col - 2], 0.0)
         thin = theta < 0.5
         new[col] = np.where(thin, slaved, top_new)
-        self._zero_solid(m + 1)
+
+        # solid cells (above layer m) to exactly +0.0, then the padding refreshed
+        k0 = int(m.min()) + 1
+        np.copyto(self.new[1:-1, 1:-1, 1 + k0:-1], 0.0,
+                  where=np.arange(k0, self.new.shape[2] - 2) > m[:, :, None])
+        refresh_edge_padding(self.new)
         return int(np.sum(thin))
 
-    def step(self, t: float, k1: float, bottom: TimeFunc, dt: float,
-             clamp_melting: bool = True) -> dict:
+    def step(self, t: float, k1: float, bottom: TimeFunc, dt: float) -> dict:
         """One coupled step from ``t`` to ``t + dt``; returns the info dict and
         leaves the minimum temperature of the new state in ``u_min``."""
         grid = self.grid
@@ -434,45 +368,29 @@ class _ActiveBlock:
         new = self.new.reshape(-1)
         self.u_min = _check_temperatures(new[self.span])
         samples = [new[self.base + m - k] for k in range(3)]
-        d, rx, ry = _front_derivative(grid, samples, self.heights, theta, clamp_melting)
+        d, rx, ry = _front_derivative(grid, samples, self.heights, theta)
         heights, w, consistency = _move_front(grid, self.heights, d, rx, ry, k1, dt,
                                               t + dt)
-
-        layers = _layers(heights, grid)
-        # every column keeps at least 3 liquid layers, so the count is positive
-        removed = np.maximum(m + 1 - layers, 0)
-        removed_frac = removed.sum() / (m + 1).sum()
-        if removed_frac > 0.2:
-            raise RuntimeError(
-                f"front retreat removed {removed_frac:.0%} of the liquid in one "
-                f"step at t={t:g}; graph description broke down"
-            )
-        if removed.any():
-            self._zero_solid(layers)
-            self.u_min = float(new[self.span].min())
-        info = {"consistency": consistency, "removed_fraction": float(removed_frac),
-                "thin_cells": thin_count, "front_speed_max": float(np.max(np.abs(w))),
-                "front_min_increment": float(np.min(heights - self.heights))}
+        info = {"consistency": consistency, "thin_cells": thin_count,
+                "front_speed_max": float(np.max(np.abs(w)))}
         self.u, self.new, self.heights = self.new, self.u, heights
-        if min(int(layers.max()) + 1, grid.counts[2]) > self.u.shape[2] - 2:
+        depth = min(int(_layers(heights, grid).max()) + 1, grid.counts[2])
+        if depth > self.u.shape[2] - 2:
             self.__init__(grid, self.cube(), heights)  # the block must grow
         return info
 
 
-def coupled_step_3d(domain: PhaseDomain, k1: float, bottom: TimeFunc, dt: float,
-                    clamp_melting: bool = True):
-    """One coupled step: conforming heat update, front move, re-mask.
+def coupled_step_3d(domain: PhaseDomain, k1: float, bottom: TimeFunc, dt: float):
+    """One coupled step: conforming heat update, then the front move.
 
-    Newly liquid cells start at the melting value 0.  A step that would
-    turn more than 20% of the liquid back to solid is rejected as a
-    breakdown of the graph description.
+    The front only advances; newly liquid cells start at the melting value 0.
 
     Returns ``(domain, info)`` with ``info`` carrying the consistency gap,
-    the removed-liquid fraction and the thin-cell count.
+    the thin-cell count and the largest front speed.
     """
     require_positive(dt=dt, k1=k1)
     block = _ActiveBlock(domain.grid, domain.cube(), domain.front.heights)
-    info = block.step(domain.time, k1, bottom, dt, clamp_melting)
+    info = block.step(domain.time, k1, bottom, dt)
     return PhaseDomain(domain.grid, GraphFront(domain.front.grid, block.heights),
                        block.cube(), time=domain.time + dt), info
 
@@ -555,7 +473,7 @@ def solve3d(spec: StefanSpec3D) -> Stefan3DResult:
     and a report.
 
     The report carries the rounding-level consistency gap between the two
-    front-speed forms, re-mask statistics, thin-cell counts, the front
+    front-speed forms, thin-cell counts, the largest front speed, the front
     Lipschitz constant, and the enforced stability limit.
     """
     domain = _initial_domain(spec)
@@ -588,10 +506,8 @@ def solve3d(spec: StefanSpec3D) -> Stefan3DResult:
         "stability_limit": limit,
         "steps": n_steps,
         "consistency_max": max(i["consistency"] for i in infos),
-        "removed_fraction_max": max(i["removed_fraction"] for i in infos),
         "thin_cell_steps": sum(i["thin_cells"] for i in infos),
         "front_speed_max": max(i["front_speed_max"] for i in infos),
-        "front_min_increment": min(i["front_min_increment"] for i in infos),
         "u_min": u_min,
         "front_min": float(heights.min()),
         "front_max": float(heights.max()),

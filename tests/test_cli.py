@@ -303,7 +303,7 @@ def test_solve3d_run_and_seed(tmp_path):
     assert (out / "u_final.csv").exists()
     diag = report["diagnostics"]
     assert diag["speed_consistency"]["measured"] <= 1e-10
-    assert diag["removed_fraction"]["measured"] == 0.0
+    assert set(diag) == {"speed_consistency", "liquid_sign", "stability"}
 
 
 def test_benchmark_run(tmp_path):

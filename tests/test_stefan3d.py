@@ -16,15 +16,13 @@ from meltfront import (
     PhaseDomain,
     StefanSpec3D,
     coupled_step_3d,
-    evolve_front,
     front_field,
-    front_normal,
-    normal_velocity,
     solve3d,
     stability_limit_3d,
 )
 from meltfront.grid import read_field_csv
-from meltfront.stefan3d import _column_fits, _initial_domain, time_steps
+from meltfront.stefan3d import _column_fits, _front_derivative, _front_offsets, \
+    _initial_domain, time_steps
 
 DATA = Path(__file__).parent / "data"
 
@@ -60,7 +58,7 @@ def test_graph_front_validation():
         front.heights[0, 0] = 1.0
 
 
-def test_plane_slopes_and_normals():
+def test_plane_slopes_and_lipschitz():
     c = 0.4
     xc = SECTION.axis_centers(0)
     front = GraphFront(SECTION, np.broadcast_to(0.45 + c * xc[:, None],
@@ -69,10 +67,6 @@ def test_plane_slopes_and_normals():
     np.testing.assert_allclose(rx, c, rtol=1e-13)
     np.testing.assert_allclose(ry, 0.0, atol=1e-15)
     assert front.lipschitz_constant == pytest.approx(c, rel=1e-13)
-    n = front_normal(front)
-    assert n.shape == (6, 5, 3)
-    np.testing.assert_allclose(
-        n[2, 2], np.array([-c, 0.0, 1.0]) / np.sqrt(1 + c * c), atol=1e-14)
 
 
 def test_phase_domain_validation():
@@ -113,12 +107,24 @@ def test_liquid_masks_and_layers():
 # front kinematics on exact profiles
 # ---------------------------------------------------------------------------
 
+def front_samples(dom):
+    """The top three liquid samples per column, as a step takes them, and the
+    front offset ``theta``."""
+    m, theta = _front_offsets(dom.front.heights, dom.grid)
+    i, j = np.indices(m.shape)
+    return [dom.cube()[i, j, m - k] for k in range(3)], theta
+
+
 def test_normal_velocity_flat_linear():
+    """A flat front over ``u = a (rho - z)`` moves up at ``k1 a``; ``k1`` must
+    be positive."""
     a, k1 = 3.0, 2.0
     dom = flat_domain(0.6, a)
-    np.testing.assert_allclose(normal_velocity(dom, k1), k1 * a, rtol=1e-12)
+    samples, theta = front_samples(dom)
+    d, _, _ = _front_derivative(BOX, samples, dom.front.heights, theta)
+    np.testing.assert_allclose(-k1 * d, k1 * a, rtol=1e-12)
     with pytest.raises(ValueError, match="k1"):
-        normal_velocity(dom, 0.0)
+        coupled_step_3d(dom, 0.0, a * 0.6, 0.5 * stability_limit_3d(BOX))
 
 
 def test_normal_velocity_tilted_plane_interior():
@@ -128,7 +134,9 @@ def test_normal_velocity_tilted_plane_interior():
     front = GraphFront(SECTION, heights)
     vals = column_linear(BOX, heights, a)
     dom = PhaseDomain(BOX, front, vals.reshape(-1))
-    vn = normal_velocity(dom, 1.0)
+    samples, theta = front_samples(dom)
+    d, rx, ry = _front_derivative(BOX, samples, heights, theta)
+    vn = -d / np.sqrt(1.0 + rx * rx + ry * ry)  # V_n at k1 = 1
     # wall columns see a mirrored neighbor and lose half the x-derivative,
     # so only interior columns reproduce a sqrt(1 + c^2)
     np.testing.assert_allclose(vn[1:-1, :], a * np.sqrt(1 + c * c), rtol=1e-12)
@@ -139,7 +147,7 @@ def test_too_few_layers_rejected():
     zc = BOX.axis_centers(2)
     shallow = flat_domain(zc[1] + 0.25 * BOX.spacing[2], 1.0)  # 2 layers
     with pytest.raises(ValueError, match="3 liquid layers"):
-        normal_velocity(shallow, 1.0)
+        coupled_step_3d(shallow, 1.0, 0.0, 0.5 * stability_limit_3d(BOX))
 
 
 def test_column_fits_recover_quadratics():
@@ -176,23 +184,14 @@ def spiked_domain():
 
 
 def test_clamp_suppresses_spurious_freezing():
+    """Unclamped, the fit's slope would move the flat front down at a speed
+    above 1000; the melting clamp caps the derivative at 0."""
     dom = spiked_domain()
-    assert np.all(normal_velocity(dom, 1.0) == 0.0)
-    assert np.all(normal_velocity(dom, 1.0, clamp_melting=False) < -1000.0)
-
-
-def test_evolve_front_guards():
-    dom = flat_domain(0.6, 3.0)
-    with pytest.raises(ValueError, match="dt"):
-        evolve_front(dom, 1.0, 0.0)
-    with pytest.raises(ValueError, match="k1"):
-        evolve_front(dom, -1.0, 1e-4)
-    dz = BOX.spacing[2]
-    high = flat_domain(1.0 - 1.5 * dz, 3.0)
-    with pytest.raises(RuntimeError, match="top of the box"):
-        evolve_front(high, 1.0, dz / 3.0)
-    with pytest.raises(RuntimeError, match="3 liquid layers"):
-        evolve_front(spiked_domain(), 1.0, 1e-3, clamp_melting=False)
+    samples, theta = front_samples(dom)
+    a, _ = _column_fits(*samples, theta, dom.grid.spacing[2])
+    assert np.all(a > 1000.0)
+    d, _, _ = _front_derivative(dom.grid, samples, dom.front.heights, theta)
+    assert np.all(d == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +213,28 @@ def test_coupled_step_guards():
         coupled_step_3d(dom, 1.0, lambda t: -1.0, 0.5 * limit)
 
 
+def test_evolve_front_guards():
+    """A step rejects a nonpositive ``dt`` or ``k1``, and a front that would
+    leave the top of the box."""
+    dom = flat_domain(0.6, 3.0)
+    limit = stability_limit_3d(BOX)
+    with pytest.raises(ValueError, match="dt"):
+        coupled_step_3d(dom, 1.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="k1"):
+        coupled_step_3d(dom, -1.0, 1.0, 0.5 * limit)
+    # the linear profile keeps its speed k1 a = 60, which lifts the front
+    # 1.5 dz below the top by more than dz / 2
+    rho = 1.0 - 1.5 * BOX.spacing[2]
+    with pytest.raises(RuntimeError, match="top of the box"):
+        coupled_step_3d(flat_domain(rho, 3.0), 20.0, 3.0 * rho, limit)
+
+
 def test_linear_field_is_a_fixed_point():
     a, k1, rho = 3.0, 2.0, 0.6
     dom = flat_domain(rho, a)
     dt = 0.5 * stability_limit_3d(BOX)
     out, info = coupled_step_3d(dom, k1, a * rho, dt)
     assert info["consistency"] == 0.0
-    assert info["removed_fraction"] == 0.0
     np.testing.assert_allclose(out.front.heights, rho + dt * k1 * a,
                                rtol=1e-14)
     zc = BOX.axis_centers(2)
@@ -245,13 +259,13 @@ def test_newly_liquid_cells_start_at_zero():
 
 
 def test_mass_retreat_is_a_breakdown():
+    """The spike that, unclamped, would drag every column down (a mass
+    retreat, which broke the graph description down) is a no-op front under
+    the melting clamp."""
     dom = spiked_domain()
-    with pytest.raises(RuntimeError, match="graph description broke down"):
-        coupled_step_3d(dom, 1.0, 0.0, 1e-4, clamp_melting=False)
-    # the melting clamp turns the same configuration into a no-op front
     out, info = coupled_step_3d(dom, 1.0, 0.0, 1e-4)
     np.testing.assert_array_equal(out.front.heights, dom.front.heights)
-    assert info["removed_fraction"] == 0.0
+    assert info["front_speed_max"] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +321,19 @@ def test_solve3d_flat_linear_start():
     rep = res.report
     assert rep["steps"] == 25
     assert rep["consistency_max"] <= 1e-15
-    assert rep["removed_fraction_max"] == 0.0
-    assert rep["front_min_increment"] >= 0.0
     assert rep["u_min"] >= 0.0
     assert rep["lipschitz_max"] <= 1e-12  # flat stays flat
     assert rep["front_min"] > 0.5
     heights = res.final.front.heights
     assert np.ptp(heights) <= 1e-12
     assert res.times[0] == 0.0 and res.times[-1] == pytest.approx(5e-3)
+    assert_melting(res.fronts)
+
+
+def assert_melting(fronts):
+    """Each stored front is at or above the one before it, column by column."""
+    for before, after in zip(fronts, fronts[1:]):
+        assert np.all(after.heights >= before.heights)
 
 
 def test_bump_run_regression():
@@ -376,6 +395,7 @@ def test_solve3d_matches_chained_coupled_steps(case):
     first, last = domain.liquid_layers().max(), res.final.liquid_layers().max()
     if case == "climbing_bump":
         assert first < last  # the block grows mid-run
+        assert_melting(res.fronts)
     else:
         assert first == last == spec.grid.counts[2] - 1
     assert np.array_equal(bits(domain.front.heights), bits(res.fronts[0].heights))
