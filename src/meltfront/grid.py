@@ -12,17 +12,17 @@ Conventions used throughout the package:
 * Stencil operations are defined on interior cells only.  The outermost
   layer of cells carries boundary data; operations that cannot produce a
   value there return a field whose ``valid`` mask excludes those cells.
-  Interior stencils in ``grid``, ``heat`` and ``stefan3d`` index through
-  the stencil core: ``interior_index`` (the interior block, shifted and
-  behind batch axes) and ``second_differences`` (the central second
-  difference per axis).  ``span_second_differences`` computes the same
-  terms, bit for bit, on one flat span of a C-contiguous array, into
-  preallocated buffers; ``stefan3d`` steps its edge-padded block with it
-  and rebuilds the pad with ``refresh_edge_padding``.  The sliced form
-  stays where arrays are small, since the span form costs more Python
-  per call.  The mapped step in ``stefan1d`` keeps its own
-  hand-sliced difference: ``second_differences`` divides by ``h^2`` first,
-  and that would move the bits of every 1D run.
+  The central second difference has two forms, equal bit for bit on the
+  interior.  The sliced form, ``second_differences`` over ``interior_index``
+  (the interior block, shifted and behind batch axes), serves one-off calls:
+  ``discrete_laplacian``, the general operators and the conservation
+  residual of ``heat``.  The cut-once span form, ``span_stencil``, cuts the
+  flat interior span of every row of an array once and serves the marches
+  that step row after row: the Laplacian of ``heat`` (``solve_dirichlet``
+  and ``caloric_replacement``) and the edge-padded block of ``stefan3d``,
+  whose pad ``refresh_edge_padding`` rebuilds.  The mapped step in
+  ``stefan1d`` keeps its own hand-sliced difference: ``second_differences``
+  divides by ``h^2`` first, and that would move the bits of every 1D run.
 
 Serialization: every CSV is one header line, then rows of ``%.17g`` values
 (17 significant digits round-trip doubles), through ``write_csv_rows`` and
@@ -271,14 +271,11 @@ def second_differences(u: np.ndarray, spacing: Sequence[float],
         yield (up - 2.0 * center + dn) / h**2
 
 
-def interior_span(shape: Sequence[int], lead: int = 0) -> slice:
+def interior_span(shape: Sequence[int]) -> slice:
     """Flat slice of a C-ordered array of ``shape`` from its first interior
-    cell to its last one, behind ``lead`` whole batch axes."""
+    cell to its last one."""
     strides = _flat_strides(shape)
-    first = sum(strides[lead:])
-    last = sum(s * (n - (1 if j < lead else 2))
-               for j, (s, n) in enumerate(zip(strides, shape)))
-    return slice(first, last + 1)
+    return slice(sum(strides), sum(s * (n - 2) for s, n in zip(strides, shape)) + 1)
 
 
 def _flat_strides(shape: Sequence[int]) -> list[int]:
@@ -286,29 +283,36 @@ def _flat_strides(shape: Sequence[int]) -> list[int]:
     return [math.prod(shape[j + 1:]) for j in range(len(shape))]
 
 
-def span_second_differences(u: np.ndarray, spacing: Sequence[float],
-                            out: Sequence[np.ndarray], lead: int = 0):
-    """:func:`second_differences` on one flat span, into ``out`` (one buffer per axis).
+def span_stencil(rows: np.ndarray, spacing: Sequence[float]):
+    """:func:`second_differences` on the flat interior span of each row of a
+    C-contiguous ``(R, *shape)`` array, with every view cut once.
 
-    Term ``j`` is computed at every position of ``interior_span(u.shape,
-    lead)`` with the operations of the sliced form in the same order, as
-    flat offsets of ``u``, so its interior cells equal the sliced term bit
-    for bit.  Span positions off the interior (edge cells between rows)
-    hold values to ignore; positions outside the span are left as they
-    were.  ``u`` and the buffers are C-contiguous and of one shape.
+    Returns ``(span, centre, terms)``: ``interior_span(shape)``, the rows on
+    it, and ``terms(k, out)``, which writes row ``k``'s term for axis ``j``
+    into ``out[j]`` (span-long, clear of row ``k``) and returns ``out``.  The
+    sliced form's operations run in its order, so interior cells equal it bit
+    for bit; span positions off the interior (edge cells) hold values to ignore.
     """
-    if not all(a.flags.c_contiguous and a.shape == u.shape for a in (u, *out)):
-        raise ValueError("flat spans need C-contiguous arrays of one shape")
-    span = interior_span(u.shape, lead)
-    flat = u.reshape(-1)
-    terms = [o.reshape(-1)[span] for o in out]
-    # 2 u[0], shared by every axis, waits in the last term until its own turn
-    np.multiply(flat[span], 2.0, out=terms[-1])
-    for term, h, s in zip(terms, spacing, _flat_strides(u.shape)[lead:]):
-        np.subtract(flat[span.start + s:span.stop + s], terms[-1], out=term)
-        np.add(term, flat[span.start - s:span.stop - s], out=term)
-        np.divide(term, h**2, out=term)
-    return out
+    if not rows.flags.c_contiguous:
+        raise ValueError("flat spans need a C-contiguous array of rows")
+    shape = rows.shape[1:]
+    span = interior_span(shape)
+    flat = rows.reshape(len(rows), -1)
+    centre = flat[:, span]
+    shifted = [(flat[:, span.start + s:span.stop + s], flat[:, span.start - s:span.stop - s],
+                h**2) for s, h in zip(_flat_strides(shape), spacing)]
+
+    def terms(k: int, out: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
+        twice = out[-1]
+        # 2 u[0], shared by every axis, waits in the last term until its own turn
+        np.multiply(centre[k], 2.0, out=twice)
+        for term, (up, dn, h2) in zip(out, shifted):
+            np.subtract(up[k], twice, out=term)
+            np.add(term, dn[k], out=term)
+            np.divide(term, h2, out=term)
+        return out
+
+    return span, centre, terms
 
 
 def refresh_edge_padding(u: np.ndarray) -> None:

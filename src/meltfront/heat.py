@@ -10,13 +10,14 @@ current time level.
 Time stepping is forward Euler on interior cells with Dirichlet data written
 into the boundary cell layer at the new time; :func:`solve_dirichlet` is the
 one stepping entry point.  It marches the rows of one ``(levels, cells)``
-matrix, which the returned :class:`HeatTrajectory` holds; the Laplacian
-steps on the flat interior span, every other operator through the sliced
-stencils of ``_interior_operator``.  The stability limit
-``dt <= 1 / (2 sum_j max(a_jj) / h_j^2)`` is enforced, never assumed; it
-reduces to ``h^2 / (2 n max a)`` on isotropic grids.  A solve checks it, and
-the positive-definiteness of ``a``, at its first step, and again at every
-step when the diffusion is a callable of time.
+matrix, which the returned :class:`HeatTrajectory` holds: the Laplacian on
+the flat interior span (``grid.span_stencil``), every other operator through
+the sliced stencils of ``_interior_operator``.  ``caloric_replacement`` steps
+a copy of its slab of levels with the same Laplacian step.  The stability
+limit ``dt <= 1 / (2 sum_j max(a_jj) / h_j^2)`` is enforced, never assumed;
+it reduces to ``h^2 / (2 n max a)`` on isotropic grids.  A solve checks it,
+and the positive-definiteness of ``a``, at its first step, and again at
+every step when the diffusion is a callable of time.
 
 The module also carries the integral-identity tooling used by the
 verification layer: whole-space heat-kernel quadrature, the discrete
@@ -37,8 +38,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import Grid, TemperatureField, ParabolicCylinder, _flat_strides, interior_index, \
-    interior_span, second_differences, write_fields
+from .grid import Grid, TemperatureField, ParabolicCylinder, interior_index, \
+    second_differences, span_stencil, write_fields
 from .rundir import write_manifest
 
 __all__ = [
@@ -324,42 +325,31 @@ def _stepper(coeffs: OperatorCoefficients, grid: Grid, levels: np.ndarray,
 
         return step
 
-    # The Laplacian runs on the flat interior span of each row, with the
-    # operations of second_differences and sum() in their order, so interior
-    # cells equal the sliced form bit for bit.  Each span position off the
-    # interior is a boundary cell.  The span and its shifts along each axis
-    # are cut once, as columns of every row.
-    span = interior_span(grid.shape)
-    center, new = levels[:, span], levels[1:, span]
-    shifted = [(levels[:, span.start + s:span.stop + s],
-                levels[:, span.start - s:span.stop - s], h**2)
-               for s, h in zip(_flat_strides(grid.shape), grid.spacing)]
-    terms = np.empty((grid.dim, span.stop - span.start))
-    acc, twice = terms[0], terms[-1]
+    # The Laplacian runs on the flat interior span of each row, its terms
+    # summed as sum() does, so interior cells equal the sliced form bit for
+    # bit.  Each span position off the interior is a boundary cell.
+    _, center, laplacian_terms = span_stencil(levels.reshape((-1,) + grid.shape), grid.spacing)
+    acc, *rest = terms = list(np.empty((grid.dim, center.shape[1])))
 
     def step(k: int, t: float) -> None:
-        # 2 u[0], shared by every axis, waits in the last term until its own turn
-        np.multiply(center[k], 2.0, out=twice)
-        for term, (up, dn, h2) in zip(terms, shifted):
-            np.subtract(up[k], twice, out=term)
-            np.add(term, dn[k], out=term)
-            np.divide(term, h2, out=term)
+        laplacian_terms(k, terms)
         np.add(acc, 0.0, out=acc)  # sum()'s leading 0: a -0.0 term becomes +0.0
-        for term in terms[1:]:
+        for term in rest:
             np.add(acc, term, out=acc)
         np.multiply(acc, dt, out=acc)
-        np.add(center[k], acc, out=new[k])
+        np.add(center[k], acc, out=center[k + 1])
 
     return step
 
 
-def _require_finite_levels(levels: np.ndarray, times: Sequence[float], lo: int,
+def _require_finite_levels(owner: str, levels: np.ndarray, times: Sequence[float], lo: int,
                            hi: int) -> None:
-    """Raise ``ValueError`` naming the first non-finite row of ``levels[lo:hi]``."""
+    """Raise ``ValueError`` naming ``owner`` and the first non-finite row of
+    ``levels[lo:hi]``."""
     finite = np.isfinite(levels[lo:hi]).all(axis=1)
     if not finite.all():
         k = lo + int(np.argmin(finite))
-        raise ValueError(f"solve_dirichlet level {k} (t={times[k]:g}) holds non-finite values")
+        raise ValueError(f"{owner} level {k} (t={times[k]:g}) holds non-finite values")
 
 
 def solve_dirichlet(
@@ -409,11 +399,11 @@ def solve_dirichlet(
             levels[k + 1][bcells] = boundary(bpts, t) if callable(boundary) else boundary
         except Exception:
             # a non-finite level written before the failure is the first fault
-            _require_finite_levels(levels, times, checked, len(times))
+            _require_finite_levels("solve_dirichlet", levels, times, checked, len(times))
             raise
         times.append(t)
         if len(times) - checked == _BLOCK_LEVELS or k + 1 == n_steps:
-            _require_finite_levels(levels, times, checked, len(times))
+            _require_finite_levels("solve_dirichlet", levels, times, checked, len(times))
             checked = len(times)
     return HeatTrajectory._from_levels(initial, times, levels, dt)
 
@@ -564,15 +554,15 @@ def caloric_replacement(w: HeatTrajectory, cyl: ParabolicCylinder) -> HeatTrajec
 
     The returned trajectory copies ``w`` outside the ball and on the lateral
     cells, starts from ``w`` on the cylinder's bottom time slice, and steps
-    interior ball cells explicitly.  Its levels are the sub-range of ``w``'s
-    levels covering the cylinder's time slab.
+    interior ball cells with :func:`solve_dirichlet`'s Laplacian step, on
+    the sub-range of ``w``'s levels covering the cylinder's time slab.
 
     Raises
     ------
     ValueError
         If the ball is not resolved by at least 4 cells across, the step
-        violates the pure-Laplacian stability limit, or the slab does not
-        fit the trajectory's time range.
+        violates the pure-Laplacian stability limit, the slab does not fit
+        the trajectory's time range, or a level turns non-finite.
     """
     g = w.grid
     _require_resolved(g, cyl)
@@ -593,17 +583,15 @@ def caloric_replacement(w: HeatTrajectory, cyl: ParabolicCylinder) -> HeatTrajec
     if not interior.any():
         raise ValueError("cylinder ball has no interior cells at this resolution")
 
-    z = w.snapshots[i_bot].values.copy()
-    out = [TemperatureField(g, times[i_bot], z.copy())]
-    for k in range(i_bot, i_top):
-        lap = np.zeros(g.counts)
-        lap[interior_index(g.dim)] = sum(second_differences(z.reshape(g.counts), g.spacing))
-        z_next = w.snapshots[k + 1].values.copy()
-        stepped = z + w.dt * lap.ravel()
-        z_next[interior] = stepped[interior]
-        z = z_next
-        out.append(TemperatureField(g, times[k + 1], z.copy()))
-    return HeatTrajectory(out, w.dt)
+    times, data = times[i_bot:i_top + 1], w.values_matrix()[i_bot:i_top + 1]
+    z = data.copy()
+    step = _stepper(OperatorCoefficients.laplacian(), g, z, w.dt)
+    kept = ~interior  # cells that keep w's values
+    for k in range(len(z) - 1):
+        step(k, times[k])
+        np.copyto(z[k + 1], data[k + 1], where=kept)
+    _require_finite_levels("caloric_replacement", z, times, 1, len(z))
+    return HeatTrajectory._from_levels(TemperatureField(g, times[0], z[0]), times, z, w.dt)
 
 
 def radial_average(
@@ -637,7 +625,7 @@ def radial_average(
     total = 0.0
     for rho, wt in zip(rhos, _trapezoid_1d(n_radii, rhos[1] - rhos[0])):
         z = caloric_replacement(w, ParabolicCylinder(x0, t0, float(rho)))
-        total += wt * z.snapshots[-1].values[center_cell]
+        total += wt * z.values_matrix()[-1, center_cell]
     return float(total / radius)
 
 

@@ -64,8 +64,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Grid, TemperatureField, interior_index, interior_span, \
-    refresh_edge_padding, span_second_differences
+from .grid import Grid, TemperatureField, interior_index, refresh_edge_padding, span_stencil
 from .heat import TimeFunc, require_positive, signed_value, step_count
 
 __all__ = [
@@ -303,16 +302,21 @@ def stability_limit_3d(grid: Grid) -> float:
 
 class _ActiveBlock:
     """A run's state on its active block (see Checks), edge-padded in ``u``; a
-    step writes ``new`` on one flat span, then the two swap."""
+    step writes ``new`` on one flat span, then the two swap.  They are the two
+    rows of ``rows``, ``u`` is row ``k``, and the span views are cut once."""
 
     def __init__(self, grid: Grid, cube: np.ndarray, heights: np.ndarray):
         self.grid, self.heights = grid, heights
         depth = min(int(_layers(heights, grid).max()) + 1, grid.counts[2])
-        self.u = np.pad(cube[:, :, :depth], 1, mode="edge")
-        self.new, *self.terms = (np.zeros_like(self.u) for _ in range(3))
-        self.span = interior_span(self.u.shape)
-        # flat index of each column's bottom cell in the padded buffers
-        self.base = np.arange(self.u.size).reshape(self.u.shape)[1:-1, 1:-1, 1].copy()
+        u = np.pad(cube[:, :, :depth], 1, mode="edge")
+        self.rows = np.stack([u, np.zeros_like(u)])
+        self.k, (self.u, self.new) = 0, self.rows
+        span, self.centre, self.terms = span_stencil(self.rows, grid.spacing)
+        # row k's term buffers: uxx full-size (the front stencil reads it), uzz the other row
+        self.uxy, uyy = np.zeros(u.size), np.zeros_like(self.centre[0])
+        self.out = [(self.uxy[span], uyy, self.centre[1 - k]) for k in (0, 1)]
+        # flat index of each column's bottom cell in the padded rows
+        self.base = np.arange(u.size).reshape(u.shape)[1:-1, 1:-1, 1].copy()
 
     def cube(self) -> np.ndarray:
         return np.pad(self.u[1:-1, 1:-1, 1:-1],
@@ -320,25 +324,24 @@ class _ActiveBlock:
 
     def _heat_step(self, m: np.ndarray, theta: np.ndarray, bottom_value: float,
                    dt: float) -> int:
-        u, new, span, dz = self.u, self.new, self.span, self.grid.spacing[2]
+        k, u, new, dz = self.k, self.u, self.new, self.grid.spacing[2]
         # edge padding mirrors the insulated side walls; in z it only touches the
         # top layer, which is solid or the front cell and rewritten below either way
         # uzz is built in new, which the update then overwrites in place
-        uxx, uyy, uzz = span_second_differences(u, self.grid.spacing, (*self.terms, new))
-        uzz[1:-1, 1:-1, 1] = (8.0 * bottom_value + 4.0 * u[1:-1, 1:-1, 2]
+        uxx, uyy, uzz = self.terms(k, self.out[k])
+        new[1:-1, 1:-1, 1] = (8.0 * bottom_value + 4.0 * u[1:-1, 1:-1, 2]
                               - 12.0 * u[1:-1, 1:-1, 1]) / (3.0 * dz**2)
-        u, uxy, uzz, new = (x.reshape(-1) for x in (u, uxx, uzz, new))
-        np.add(uxy[span], uyy.reshape(-1)[span], out=uxy[span])
-        np.add(uxy[span], uzz[span], out=uzz[span])
-        np.multiply(dt, uzz[span], out=uzz[span])
-        np.add(u[span], uzz[span], out=new[span])  # u + dt * (uxx + uyy + uzz)
+        np.add(uxx, uyy, out=uxx)
+        np.add(uxx, uzz, out=uzz)
+        np.multiply(dt, uzz, out=uzz)
+        np.add(self.centre[k], uzz, out=uzz)  # u + dt * (uxx + uyy + uzz)
 
         # conforming front stencil for the top liquid cell of each column
-        col = self.base + m
+        u, new, col = u.reshape(-1), new.reshape(-1), self.base + m
         u_m = u[col]
         uzz_sw = 2.0 * (theta * u[col - 1] - (1.0 + theta) * u_m) \
             / (theta * (1.0 + theta) * dz**2)
-        top_new = u_m + dt * (uxy[col] + uzz_sw)
+        top_new = u_m + dt * (self.uxy[col] + uzz_sw)
 
         # thin cells are slaved to the quadratic through the front instead;
         # floored at 0 because the extrapolation undershoots on steep profiles
@@ -366,14 +369,14 @@ class _ActiveBlock:
         m, theta = _front_offsets(self.heights, grid)
         thin_count = self._heat_step(m, theta, f_val, dt)
         new = self.new.reshape(-1)
-        self.u_min = _check_temperatures(new[self.span])
+        self.u_min = _check_temperatures(self.centre[1 - self.k])
         samples = [new[self.base + m - k] for k in range(3)]
         d, rx, ry = _front_derivative(grid, samples, self.heights, theta)
         heights, w, consistency = _move_front(grid, self.heights, d, rx, ry, k1, dt,
                                               t + dt)
         info = {"consistency": consistency, "thin_cells": thin_count,
                 "front_speed_max": float(np.max(np.abs(w)))}
-        self.u, self.new, self.heights = self.new, self.u, heights
+        self.k, self.u, self.new, self.heights = 1 - self.k, self.new, self.u, heights
         depth = min(int(_layers(heights, grid).max()) + 1, grid.counts[2])
         if depth > self.u.shape[2] - 2:
             self.__init__(grid, self.cube(), heights)  # the block must grow

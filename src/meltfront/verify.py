@@ -102,7 +102,7 @@ def barrier_residual_constant(dim: int) -> float:
 
 def barrier_field(traj: HeatTrajectory, params: BarrierParams) -> HeatTrajectory:
     """Subtract the parabolic barrier from every snapshot (pointwise exact)."""
-    grid = traj.snapshots[0].grid
+    grid = traj.grid
     if grid.dim != params.dimension:
         raise ValueError(
             f"barrier dimension {params.dimension} does not match grid "
@@ -130,7 +130,7 @@ def heat_residual_field(traj: HeatTrajectory) -> list[TemperatureField]:
     Forward difference in time, central in space; one field per level pair,
     so a trajectory with M snapshots yields M - 1 residual fields.
     """
-    if len(traj.snapshots) < 2:
+    if len(traj) < 2:
         raise ValueError("residuals need at least 2 time levels")
     out = []
     dt = traj.dt
@@ -151,7 +151,7 @@ def max_principle_audit(traj: HeatTrajectory, region: np.ndarray | None = None) 
     the maximum, its location ``(level, cell)``, the attainment flag
     (tolerance ``1e-12 * scale``), and the violation magnitude.
     """
-    grid = traj.snapshots[0].grid
+    grid = traj.grid
     if region is None:
         region = np.ones(grid.total_cells, dtype=bool)
     region = _grid_mask(grid, region, "region")
@@ -192,9 +192,9 @@ def initial_continuity_metric(
     ``heating`` may be a field, a flat array, or a callable of the cell
     centers.
     """
-    if len(traj.snapshots) < 3:
+    if len(traj) < 3:
         raise ValueError("continuity metric needs at least 3 time levels")
-    grid = traj.snapshots[0].grid
+    grid = traj.grid
     if isinstance(heating, TemperatureField):
         h_vals = heating.values
     elif callable(heating):
@@ -227,7 +227,7 @@ def delta_of_t(traj: HeatTrajectory, reference: np.ndarray,
     ValueError
         If the reference mask is empty.
     """
-    grid = traj.snapshots[0].grid
+    grid = traj.grid
     reference = _grid_mask(grid, reference, "reference")
     if times is None:
         levels = list(traj.snapshots)

@@ -16,7 +16,7 @@ from meltfront import (
     write_field_csv,
 )
 from meltfront.grid import interior_index, refresh_edge_padding, second_differences, \
-    span_second_differences
+    span_stencil
 
 
 def test_grid_basic_geometry():
@@ -181,22 +181,29 @@ def bits(x):
     ((2, 5, 6, 7), 1),
 ])
 def test_span_second_differences_match_sliced(counts, lead):
-    """The flat-span form equals the sliced one bit for bit on the interior of
-    an edge-padded random array, in fresh buffers and in reused ones."""
+    """``span_stencil`` equals the sliced form bit for bit on the interior of
+    every row of an edge-padded random array (one row without a batch axis),
+    in fresh buffers and in reused ones."""
     rng = np.random.default_rng(7)
     dim = len(counts) - lead
     u = np.pad(rng.standard_normal(counts), [(0, 0)] * lead + [(1, 1)] * dim,
                mode="edge")
+    rows = u if lead else u[None]
     spacing = tuple(rng.uniform(0.05, 2.0, dim))
-    interior = interior_index(dim, lead=lead)
-    sliced = [bits(t) for t in second_differences(u, spacing, lead)]
-    out = [np.full_like(u, np.nan) for _ in range(dim)]
-    for _ in range(2):  # fresh buffers, then the same ones again
-        span_second_differences(u, spacing, out, lead)
-        for want, got in zip(sliced, out):
-            assert np.array_equal(want, bits(got[interior]))
+    span, centre, terms = span_stencil(rows, spacing)
+    assert np.array_equal(centre, rows.reshape(len(rows), -1)[:, span])
+    interior = interior_index(dim)
+    out = list(np.full((dim, span.stop - span.start), np.nan))
+    for k, row in enumerate(rows):
+        sliced = [bits(t) for t in second_differences(row, spacing)]
+        for _ in range(2):  # fresh buffers, then the same ones again
+            got = terms(k, out)
+            for want, term in zip(sliced, got):
+                full = np.full(row.size, np.nan)
+                full[span] = term
+                assert np.array_equal(want, bits(full.reshape(row.shape)[interior]))
     with pytest.raises(ValueError, match="C-contiguous"):
-        span_second_differences(np.repeat(u, 2, axis=-1)[..., ::2], spacing, out, lead)
+        span_stencil(np.repeat(rows, 2, axis=-1)[..., ::2], spacing)
 
 
 @pytest.mark.parametrize("counts", [(5,), (4, 6), (3, 4, 5)])

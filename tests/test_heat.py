@@ -26,6 +26,7 @@ from meltfront import (
     trapezoid_weights,
     write_trajectory,
 )
+from meltfront.grid import interior_index, second_differences
 
 
 def _quadratic_field(counts=(6, 6)):
@@ -487,6 +488,87 @@ def test_replacement_argument_checks():
     if coarse.dt > 0.5 * g.spacing[0] ** 2:
         with pytest.raises(ValueError, match="stability"):
             caloric_replacement(coarse, ParabolicCylinder((0.5,), t_top, 0.12))
+
+
+def _sliced_replacement(w, cyl):
+    """Times and levels of the replacement marched one level at a time with
+    the sliced stencil, as ``caloric_replacement`` once did."""
+    g, times = w.grid, w.times
+    i_top = w.level_near(cyl.t_top)
+    i_bot = int(np.searchsorted(times, cyl.t_bottom - 1e-12))
+    _, _, interior = cylinder_masks(g, cyl)
+    z = w.snapshots[i_bot].values.copy()
+    out = [z.copy()]
+    for k in range(i_bot, i_top):
+        lap = np.zeros(g.counts)
+        lap[interior_index(g.dim)] = sum(second_differences(z.reshape(g.counts), g.spacing))
+        z_next = w.snapshots[k + 1].values.copy()
+        stepped = z + w.dt * lap.ravel()
+        z_next[interior] = stepped[interior]
+        z = z_next
+        out.append(z.copy())
+    return times[i_bot:i_top + 1], np.stack(out)
+
+
+def _sliced_radial_average(w, x0, t0, radius, n_radii):
+    g = w.grid
+    center_cell = int(np.argmin(((g.cell_centers() - np.asarray(x0)) ** 2).sum(axis=1)))
+    rhos = np.linspace(radius, 2.0 * radius, n_radii)
+    weights = np.full(n_radii, rhos[1] - rhos[0])
+    weights[[0, -1]] *= 0.5
+    total = 0.0
+    for rho, wt in zip(rhos, weights):
+        _, levels = _sliced_replacement(w, ParabolicCylinder(x0, t0, float(rho)))
+        total += wt * levels[-1, center_cell]
+    return float(total / radius)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_caloric_replacement_matches_sliced_chain(dim, seed):
+    """The replacement and its radial average equal the sliced march bit for
+    bit, on random data over boxes whose spacings are not powers of 2.  Seed
+    0 starts from zeros of random sign and a few -5e-324 on spacings above 1,
+    where a second difference can underflow to -0.0, which sum()'s leading 0
+    turns into +0.0."""
+    rng = np.random.default_rng(100 * dim + seed)
+    counts = tuple(int(c) for c in rng.integers(10, 14, dim))
+    scale = 25.0 if seed == 0 else 1.0
+    extent = tuple(c * h * scale for c, h in zip(counts, rng.uniform(0.09, 0.1, dim)))
+    g = Grid(origin=(0.0,) * dim, extent=extent, counts=counts)
+    assert any(math.frexp(h)[0] != 0.5 for h in g.spacing)
+    dt = 0.9 * stability_limit(OperatorCoefficients.laplacian(), g)
+    radius = 2.05 * max(g.spacing)  # 4 cells across on every axis
+    n_levels = int((2.0 * radius) ** 2 / dt) + 3
+    if seed == 0:
+        data = np.where(rng.random((n_levels, g.total_cells)) < 0.5, -0.0, 0.0)
+        data[rng.random(data.shape) < 0.3] = -5e-324
+    else:
+        data = rng.standard_normal((n_levels, g.total_cells))
+    w = HeatTrajectory([TemperatureField(g, k * dt, v) for k, v in enumerate(data)], dt)
+    x0 = tuple(o + e / 2 + rng.uniform(-0.2, 0.2) * h
+               for o, e, h in zip(g.origin, g.extent, g.spacing))
+    t0 = w.times[-1]
+
+    z = caloric_replacement(w, ParabolicCylinder(x0, t0, radius))
+    times, levels = _sliced_replacement(w, ParabolicCylinder(x0, t0, radius))
+    assert z.times.view(np.int64).tolist() == times.view(np.int64).tolist()
+    assert np.array_equal(z.values_matrix().view(np.int64), levels.view(np.int64))
+    got = np.float64(radial_average(w, x0, t0, radius, n_radii=3))
+    want = np.float64(_sliced_radial_average(w, x0, t0, radius, 3))
+    assert got.view(np.int64) == want.view(np.int64)
+
+
+def test_caloric_replacement_rejects_non_finite_levels():
+    """A checkerboard of +-1e308 overflows the first replacement step, and
+    the error names that level."""
+    g = Grid(origin=(0.0, 0.0), extent=(1.0, 1.0), counts=(12, 12))
+    dt = 0.5 * stability_limit(OperatorCoefficients.laplacian(), g)
+    board = 1e308 * (-1.0) ** np.add.outer(np.arange(12), np.arange(12)).ravel()
+    w = HeatTrajectory([TemperatureField(g, k * dt, board) for k in range(60)], dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="caloric_replacement level 1 .*non-finite"):
+            caloric_replacement(w, ParabolicCylinder((0.5, 0.5), w.times[-1], 0.2))
 
 
 def test_radial_average_on_caloric_data():

@@ -26,6 +26,7 @@ from meltfront import (
     positivity_set,
     solve_dirichlet,
 )
+from meltfront import heat
 
 LAPLACE = OperatorCoefficients.laplacian()
 
@@ -196,6 +197,25 @@ def test_continuity_metric_validation():
     with pytest.raises(ValueError, match="empty"):
         initial_continuity_metric(traj, np.zeros(grid.total_cells),
                                   region=np.zeros(grid.total_cells, dtype=bool))
+
+
+def test_audit_and_continuity_build_no_fields_of_a_marched_trajectory(monkeypatch):
+    """Both instruments read a marched trajectory's level matrix: not one of
+    its lazily built snapshot fields is constructed."""
+    grid, traj = sine_run(n_steps=40)
+    built = []
+
+    class CountedField(heat.TemperatureField):
+        def __post_init__(self):
+            built.append(self.time)
+            super().__post_init__()
+
+    monkeypatch.setattr(heat, "TemperatureField", CountedField)
+    max_principle_audit(traj)
+    max_principle_audit(traj, region=grid.interior_mask())
+    initial_continuity_metric(traj, np.zeros(grid.total_cells))
+    assert built == []
+    assert len(traj.snapshots) == 41 and len(built) == 40  # the counter sees a build
 
 
 # ---------------------------------------------------------------------------
