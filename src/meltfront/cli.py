@@ -717,7 +717,13 @@ def run_verify(rundir: str | Path, checks: str = "all",
             raise UsageError(f"no checks given; available: {', '.join(VERIFY_CHECKS)}")
     traj, manifest = _load_rundir(rundir)
 
-    diagnostics = {name: _CHECK_RUNNERS[name](traj) for name in names}
+    diagnostics = {}
+    for name in names:
+        try:
+            diagnostics[name] = _CHECK_RUNNERS[name](traj)
+        except ValueError as exc:  # the stored run does not fit the check
+            raise UsageError(f"{rundir}: check {name} cannot audit a run of "
+                             f"{len(traj)} level(s): {exc}") from exc
     manifest_bytes = (rundir / "manifest.json").read_bytes()
     provenance = _provenance(hashlib.sha256(manifest_bytes).hexdigest(),
                              manifest.get("diagnostics", {}).get("seed"))

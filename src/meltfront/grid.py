@@ -16,7 +16,8 @@ Conventions used throughout the package:
   interior.  The sliced form, ``second_differences`` over ``interior_index``
   (the interior block, shifted and behind batch axes), serves one-off calls:
   ``discrete_laplacian``, the general operators and the conservation
-  residual of ``heat``.  The cut-once span form, ``span_stencil``, cuts the
+  residual of ``heat``, and the residual of ``verify`` over all level pairs
+  of a trajectory at once.  The cut-once span form, ``span_stencil``, cuts the
   flat interior span of every row of an array once and serves the marches
   that step row after row: the Laplacian of ``heat`` (``solve_dirichlet``
   and ``caloric_replacement``) and the edge-padded block of ``stefan3d``,

@@ -237,12 +237,15 @@ def compare_runs(dir_a: str | Path, dir_b: str | Path,
                  tolerance: float = 0.0) -> RunReport:
     """Diff the CSV payloads of two run directories.
 
-    Raises :class:`UsageError` when the manifests, the file sets or a CSV's
-    header, value count or body cannot be compared; reports fail (not raise)
-    when values differ beyond the tolerance.  ``report.json`` files are
-    compared with the ``created_utc`` provenance field removed; two
-    report-only (benchmark) directories are compared by their reports alone.
+    Raises :class:`UsageError` for a negative or NaN tolerance, and when the
+    manifests, the file sets or a CSV's header, value count or body cannot be
+    compared; reports fail (not raise) when values differ beyond the
+    tolerance.  ``report.json`` files are compared with the ``created_utc``
+    provenance field removed; two report-only (benchmark) directories are
+    compared by their reports alone.
     """
+    if not tolerance >= 0.0:  # NaN too: no difference would pass it
+        raise UsageError(f"tolerance must be a nonnegative number, got {tolerance}")
     dir_a, dir_b = Path(dir_a), Path(dir_b)
     manifested = not (_report_only(dir_a) and _report_only(dir_b))
     if manifested:  # a report-only side is read last, so a missing path is an io error

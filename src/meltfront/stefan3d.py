@@ -89,6 +89,13 @@ def _layers(heights: np.ndarray, grid: Grid) -> np.ndarray:
     return np.searchsorted(grid.axis_centers(2), heights)
 
 
+def _require_inside(heights: np.ndarray, grid: Grid) -> None:
+    """Raise unless every front height lies strictly inside the vertical extent."""
+    z_lo = grid.origin[2]
+    if np.any(heights <= z_lo) or np.any(heights >= z_lo + grid.extent[2]):
+        raise ValueError("front heights must lie inside the vertical extent")
+
+
 def _check_temperatures(values: np.ndarray) -> float:
     """Finite temperatures, nonnegative in the liquid up to ``1e-12 max(1, max|u|)``,
     of values whose solid cells hold 0; returns the minimum."""
@@ -156,11 +163,7 @@ class PhaseDomain:
                 not np.allclose(fx.origin, self.grid.origin[:2], atol=1e-12) or \
                 not np.allclose(fx.extent, self.grid.extent[:2], atol=1e-12):
             raise ValueError("front grid must match the horizontal section of the box")
-        z_lo = self.grid.origin[2]
-        z_hi = z_lo + self.grid.extent[2]
-        h = self.front.heights
-        if np.any(h <= z_lo) or np.any(h >= z_hi):
-            raise ValueError("front heights must lie inside the vertical extent")
+        _require_inside(self.front.heights, self.grid)
         v = np.asarray(self.values, dtype=float)
         if v.size != self.grid.total_cells:
             raise ValueError(f"expected {self.grid.total_cells} values, got {v.size}")
@@ -422,6 +425,7 @@ class StefanSpec3D:
         require_positive(k1=self.k1, duration=self.duration)
         if self.dt is not None:
             require_positive(dt=self.dt)
+        _initial_front(self)  # a start the step cannot take is refused here
 
 
 @dataclass(frozen=True)
@@ -436,8 +440,9 @@ class Stefan3DResult:
     spec: StefanSpec3D
 
 
-def _initial_domain(spec: StefanSpec3D) -> PhaseDomain:
-    """The validated start."""
+def _initial_front(spec: StefanSpec3D) -> GraphFront:
+    """The start front: inside the box, over at least 3 liquid layers in every
+    column."""
     grid = spec.grid
     fx = Grid(origin=grid.origin[:2], extent=grid.extent[:2], counts=grid.counts[:2])
     if callable(spec.initial_front):
@@ -449,10 +454,17 @@ def _initial_domain(spec: StefanSpec3D) -> PhaseDomain:
     else:
         heights = np.full(fx.shape, float(spec.initial_front))
     front = GraphFront(fx, heights)
-
-    liquid = grid.axis_centers(2) < front.heights[:, :, None]
-    if np.any(liquid.sum(axis=2) < 3):
+    if np.any(_layers(front.heights, grid) < 3):
         raise ValueError("initial front must leave at least 3 liquid layers")
+    _require_inside(front.heights, grid)
+    return front
+
+
+def _initial_domain(spec: StefanSpec3D) -> PhaseDomain:
+    """The validated start."""
+    grid = spec.grid
+    front = _initial_front(spec)
+    liquid = grid.axis_centers(2) < front.heights[:, :, None]
     vals = np.zeros(grid.shape)
     if spec.initial is not None:
         pts = grid.cell_centers()

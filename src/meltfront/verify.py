@@ -16,13 +16,14 @@ dimension.  The ``barrier`` check of ``meltfront verify`` compares the
 mean interior residual of a stored run with it.
 
 ``heat_residual_field`` forms the raw forward-time, central-space residual
-``Delta v - v_t`` per interior cell so that sign claims about barriers are
-measured rather than assumed.  ``max_principle_audit`` checks attainment
+``Delta v - v_t`` per interior cell, from one pass over the level matrix,
+so that sign claims about barriers are measured rather than assumed.  ``max_principle_audit`` checks attainment
 of the space-time maximum on the parabolic boundary (initial slice plus
 lateral boundary cells).  ``initial_continuity_metric`` tracks
 ``m(t) = integral |u_t - h|`` against a reference heating rate, and
 ``delta_of_t`` measures how far the positivity set travels from a
 reference region.  ``_CHECK_RUNNERS`` holds the ``meltfront verify`` checks.
+All of them read rows of ``values_matrix()``, not snapshot ``valid`` masks.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ import numpy as np
 from .grid import (
     TemperatureField,
     discrete_laplacian,
-    positivity_set,
+    interior_index,
     radius_to,
+    second_differences,
 )
 from .heat import HeatTrajectory, trapezoid_weights
 from .rundir import _check, _rule
@@ -101,7 +103,8 @@ def barrier_residual_constant(dim: int) -> float:
 
 
 def barrier_field(traj: HeatTrajectory, params: BarrierParams) -> HeatTrajectory:
-    """Subtract the parabolic barrier from every snapshot (pointwise exact)."""
+    """Subtract the parabolic barrier from every level (pointwise exact); the
+    input's ``valid`` masks are not consulted, and the result carries none."""
     grid = traj.grid
     if grid.dim != params.dimension:
         raise ValueError(
@@ -114,14 +117,21 @@ def barrier_field(traj: HeatTrajectory, params: BarrierParams) -> HeatTrajectory
             f"vertex time {params.time:g} lies outside the trajectory range "
             f"[{times[0]:g}, {times[-1]:g}]"
         )
-    centers = grid.cell_centers()
-    sq = np.sum((centers - np.asarray(params.center)) ** 2, axis=1)
+    sq = np.sum((grid.cell_centers() - np.asarray(params.center)) ** 2, axis=1)
     c = params.coefficient
-    out = []
-    for snap in traj.snapshots:
-        vals = snap.values - c * (sq + (params.time - snap.time))
-        out.append(TemperatureField(grid, snap.time, vals, valid=snap.valid))
-    return HeatTrajectory(out, traj.dt)
+    levels = traj.values_matrix() - c * (sq + (params.time - times)[:, None])
+    return HeatTrajectory._from_levels(TemperatureField(grid, times[0], levels[0]),
+                                       times, levels, traj.dt)
+
+
+def _residuals(traj: HeatTrajectory) -> np.ndarray:
+    """``Delta v - v_t`` on the interior block, one row per level pair."""
+    if len(traj) < 2:
+        raise ValueError("residuals need at least 2 time levels")
+    g = traj.grid
+    v = traj.values_matrix().reshape(len(traj), *g.shape)
+    lap = sum(second_differences(v[:-1], g.spacing, lead=1))
+    return lap - (v[1:] - v[:-1])[interior_index(g.dim, lead=1)] / traj.dt
 
 
 def heat_residual_field(traj: HeatTrajectory) -> list[TemperatureField]:
@@ -130,17 +140,11 @@ def heat_residual_field(traj: HeatTrajectory) -> list[TemperatureField]:
     Forward difference in time, central in space; one field per level pair,
     so a trajectory with M snapshots yields M - 1 residual fields.
     """
-    if len(traj) < 2:
-        raise ValueError("residuals need at least 2 time levels")
-    out = []
-    dt = traj.dt
-    for prev, nxt in zip(traj.snapshots[:-1], traj.snapshots[1:]):
-        lap = discrete_laplacian(prev)
-        ut = (nxt.values - prev.values) / dt
-        vals = np.where(lap.valid_mask(), lap.values - ut, 0.0)
-        out.append(TemperatureField(prev.grid, prev.time, vals,
-                                    valid=lap.valid_mask()))
-    return out
+    rows = _residuals(traj)
+    g = traj.grid
+    out = np.zeros((len(rows), *g.shape))
+    out[interior_index(g.dim, lead=1)] = rows
+    return [TemperatureField(g, t, v, valid=g.interior_mask()) for t, v in zip(traj.times, out)]
 
 
 def max_principle_audit(traj: HeatTrajectory, region: np.ndarray | None = None) -> dict:
@@ -220,7 +224,7 @@ def delta_of_t(traj: HeatTrajectory, reference: np.ndarray,
     strict positivity set at that level with the one-sided neighborhood
     radius against ``reference``: the positivity set is contained in a
     ``delta(t)``-neighborhood of the reference and in no smaller one at
-    grid resolution.
+    grid resolution.  Snapshot ``valid`` masks are not consulted.
 
     Raises
     ------
@@ -229,12 +233,11 @@ def delta_of_t(traj: HeatTrajectory, reference: np.ndarray,
     """
     grid = traj.grid
     reference = _grid_mask(grid, reference, "reference")
-    if times is None:
-        levels = list(traj.snapshots)
-    else:
-        levels = [traj.snapshots[traj.level_near(t)] for t in np.atleast_1d(times)]
+    levels = traj.values_matrix()
+    if times is not None:
+        levels = levels[[traj.level_near(t) for t in np.atleast_1d(times)]]
     radius = radius_to(grid, reference)
-    return np.array([radius(positivity_set(snap)) for snap in levels])
+    return np.array([radius(row > 0.0) for row in levels])
 
 
 def _caloric_tolerance(traj: HeatTrajectory) -> float:
@@ -244,8 +247,7 @@ def _caloric_tolerance(traj: HeatTrajectory) -> float:
 
 
 def _check_caloric(traj: HeatTrajectory) -> dict:
-    residuals = heat_residual_field(traj)
-    measured = max(float(np.max(np.abs(r.values[r.valid_mask()]))) for r in residuals)
+    measured = float(np.max(np.abs(_residuals(traj))))
     return _rule("at_most", measured, _caloric_tolerance(traj),
                  "sup interior |Lu - u_t| over all recorded steps")
 
@@ -260,7 +262,7 @@ def _check_max_principle(traj: HeatTrajectory) -> dict:
 
 
 def _check_continuity(traj: HeatTrajectory) -> dict:
-    heating = discrete_laplacian(traj.snapshots[0])
+    heating = discrete_laplacian(TemperatureField(traj.grid, traj.times[0], traj.values_matrix()[0]))
     times, metric = initial_continuity_metric(traj, heating)
     measured = float(metric[0])
     return _rule("at_most", measured, _caloric_tolerance(traj),
@@ -269,7 +271,7 @@ def _check_continuity(traj: HeatTrajectory) -> dict:
 
 
 def _check_positivity_spread(traj: HeatTrajectory) -> dict:
-    reference = positivity_set(traj.snapshots[0])
+    reference = traj.values_matrix()[0] > 0.0
     if not reference.any():
         return _check(None, None, True, "initial positivity set empty; check vacuous")
     deltas = delta_of_t(traj, reference)
@@ -285,9 +287,7 @@ def _check_barrier(traj: HeatTrajectory) -> dict:
     center = tuple(o + 0.5 * e for o, e in zip(grid.origin, grid.extent))
     params = BarrierParams(center=center, time=float(traj.times[-1]),
                            dimension=grid.dim)
-    residuals = heat_residual_field(barrier_field(traj, params))
-    vals = np.concatenate([r.values[r.valid_mask()] for r in residuals])
-    measured = float(np.mean(vals))
+    measured = float(np.mean(_residuals(barrier_field(traj, params)).ravel()))
     const = barrier_residual_constant(grid.dim)
     return _rule("abs_at_most", measured - const, _caloric_tolerance(traj) + 1e-12,
                  f"mean interior barrier residual against {const!r}")

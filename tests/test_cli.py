@@ -306,6 +306,19 @@ def test_solve3d_run_and_seed(tmp_path):
     assert set(diag) == {"speed_consistency", "liquid_sign", "stability"}
 
 
+@pytest.mark.parametrize("front, reason", [
+    (0.05, "initial front must leave at least 3 liquid layers"),
+    (1.5, "front heights must lie inside the vertical extent"),
+])
+def test_unusable_initial_front_is_config_error(tmp_path, capsys, front, reason):
+    cfg = {**FLAT_3D, "grid": {**FLAT_3D["grid"], "counts": [8, 8, 32]}, "front": front}
+    out = tmp_path / "run"
+    assert main(["solve3d", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    assert reason in capsys.readouterr().err
+    assert not (out / "FAILED.json").exists()
+
+
 def test_benchmark_run(tmp_path):
     cfg = {"mode": "benchmark", "ladder": [16, 32], "time_refinements": 2,
            "duration": 0.1, "time_nx": 32}
@@ -377,6 +390,14 @@ def test_mollify_rejects_coarse_grid(tmp_path, capsys):
                "--epsilon", "0.125", "--out", str(tmp_path / "m.json")])
     assert rc == 2
     assert "too coarse" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epsilon", ["inf", "nan"])
+def test_mollify_rejects_non_finite_epsilon(tmp_path, capsys, epsilon):
+    rc = main(["mollify", "--input", smooth_field_csv(tmp_path),
+               "--epsilon", epsilon, "--out", str(tmp_path / "m.json")])
+    assert rc == 2
+    assert "epsilon must be finite" in capsys.readouterr().err
 
 
 def test_mollify_missing_input(tmp_path):
@@ -471,6 +492,39 @@ def test_verify_max_principle_applies_its_tolerance(tmp_path, excess, rc):
     assert check["tolerance"] == pytest.approx(1e-12)
     assert check["pass"] is (rc == 0)
     assert check["notes"].endswith(str(rc == 0))
+
+
+def levels_rundir(tmp_path, times):
+    """A stored run of the same field at each of ``times``, 1e-3 apart."""
+    grid = Grid(origin=(0.0,), extent=(1.0,), counts=(8,))
+    u = np.sin(np.pi * grid.cell_centers()[:, 0])
+    traj = HeatTrajectory([TemperatureField(grid, t, u) for t in times], 1e-3)
+    write_trajectory(traj, tmp_path / "run")
+    return tmp_path / "run"
+
+
+@pytest.mark.parametrize("times, checks, failing, reason", [
+    ((0.5,), "all", "caloric", "at least 2 time levels"),
+    ((0.5,), "caloric", "caloric", "at least 2 time levels"),
+    ((0.5,), "barrier", "barrier", "at least 2 time levels"),
+    ((0.5, 0.501), "continuity", "continuity", "at least 3 time levels"),
+    ((-2e-3, -1e-3, 0.0), "barrier", "barrier", "vertex time must be positive"),
+])
+def test_verify_refuses_a_run_its_check_cannot_audit(tmp_path, capsys, times, checks,
+                                                    failing, reason):
+    rundir = levels_rundir(tmp_path, times)
+    assert main(["verify", "--run", str(rundir), "--checks", checks]) == 2
+    err = capsys.readouterr().err
+    assert f"check {failing} cannot audit a run of {len(times)} level(s)" in err
+    assert reason in err
+
+
+def test_verify_audits_a_one_level_run_where_it_can(tmp_path):
+    rundir = levels_rundir(tmp_path, (0.5,))
+    out = tmp_path / "v.json"
+    assert main(["verify", "--run", str(rundir), "--checks",
+                 "max_principle,positivity_spread", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["data"]["levels"] == 1
 
 
 def test_verify_refuses_solve3d_rundir(tmp_path, capsys):
@@ -640,6 +694,13 @@ def test_compare_unparsable_report_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["compare", str(a), str(b)]) == 2
     assert "unreadable report.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "nan"])
+def test_compare_refuses_a_tolerance_nothing_passes(tmp_path, capsys, tolerance):
+    rundir = str(heat_rundir(tmp_path))
+    assert main(["compare", rundir, rundir, "--tolerance", tolerance]) == 2
+    assert "tolerance must be a nonnegative number" in capsys.readouterr().err
 
 
 def test_compare_missing_dir(tmp_path):

@@ -284,6 +284,8 @@ def test_spec3d_validation():
     with pytest.raises(ValueError, match="3 liquid layers"):
         solve3d(StefanSpec3D(grid=BOX, k1=1.0, duration=1e-4,
                              initial_front=0.05, dt=1e-5))
+    with pytest.raises(ValueError, match="vertical extent"):
+        StefanSpec3D(grid=BOX, k1=1.0, duration=1e-4, initial_front=1.5, dt=1e-5)
     with pytest.raises(ValueError, match="nonnegative"):
         solve3d(StefanSpec3D(grid=BOX, k1=1.0, duration=1e-4,
                              initial=lambda p: -np.ones(len(p)), dt=1e-5))

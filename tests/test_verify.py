@@ -25,8 +25,9 @@ from meltfront import (
     neighborhood_radius,
     positivity_set,
     solve_dirichlet,
+    stability_limit,
 )
-from meltfront import heat
+from meltfront import heat, verify
 
 LAPLACE = OperatorCoefficients.laplacian()
 
@@ -199,10 +200,9 @@ def test_continuity_metric_validation():
                                   region=np.zeros(grid.total_cells, dtype=bool))
 
 
-def test_audit_and_continuity_build_no_fields_of_a_marched_trajectory(monkeypatch):
-    """Both instruments read a marched trajectory's level matrix: not one of
-    its lazily built snapshot fields is constructed."""
-    grid, traj = sine_run(n_steps=40)
+@pytest.fixture
+def snapshot_builds(monkeypatch):
+    """Times of the snapshot fields a marched trajectory builds on access."""
     built = []
 
     class CountedField(heat.TemperatureField):
@@ -211,11 +211,75 @@ def test_audit_and_continuity_build_no_fields_of_a_marched_trajectory(monkeypatc
             super().__post_init__()
 
     monkeypatch.setattr(heat, "TemperatureField", CountedField)
+    return built
+
+
+def test_audit_and_continuity_build_no_fields_of_a_marched_trajectory(snapshot_builds):
+    """Both instruments read a marched trajectory's level matrix: not one of
+    its lazily built snapshot fields is constructed."""
+    grid, traj = sine_run(n_steps=40)
     max_principle_audit(traj)
     max_principle_audit(traj, region=grid.interior_mask())
     initial_continuity_metric(traj, np.zeros(grid.total_cells))
-    assert built == []
-    assert len(traj.snapshots) == 41 and len(built) == 40  # the counter sees a build
+    assert snapshot_builds == []
+    assert len(traj.snapshots) == 41 and len(snapshot_builds) == 40  # the counter sees a build
+
+
+@pytest.mark.parametrize("check", list(verify._CHECK_RUNNERS))
+def test_verify_checks_build_no_fields_of_a_marched_trajectory(snapshot_builds, check):
+    """Every ``meltfront verify`` check reads the level matrix of a marched
+    trajectory, none of its lazily built snapshots."""
+    _, traj = sine_run(n_steps=10)
+    verify._CHECK_RUNNERS[check](traj)
+    assert snapshot_builds == []
+    assert len(traj.snapshots) == 11 and len(snapshot_builds) == 10  # the counter sees a build
+
+
+def per_level_residuals(traj):
+    """The residual as one field per level pair forms it: a Laplacian field
+    of the earlier level, then the forward time difference, 0 off the interior."""
+    rows = []
+    for prev, nxt in zip(traj.snapshots[:-1], traj.snapshots[1:]):
+        lap = discrete_laplacian(prev)
+        ut = (nxt.values - prev.values) / traj.dt
+        rows.append(np.where(lap.valid_mask(), lap.values - ut, 0.0))
+    return rows
+
+
+def bits(arrays):
+    return np.asarray(arrays, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 37), (2, 13), (3, 7)])
+def test_level_matrix_instruments_match_per_level_loops(dim, n):
+    """The residual, the barrier transform and the positivity spread, read off
+    the level matrix, equal bit for bit the loops over snapshot fields."""
+    rng = np.random.default_rng(dim)
+    grid = Grid(origin=tuple(rng.uniform(-1.0, 0.0, dim)),
+                extent=tuple(rng.uniform(0.5, 2.0, dim)), counts=(n,) * dim)
+    dt = 0.9 * stability_limit(LAPLACE, grid)
+    u0 = TemperatureField(grid, 0.3, rng.standard_normal(grid.total_cells))
+    traj = solve_dirichlet(LAPLACE, u0, 0.0, 12 * dt, dt)
+
+    res = heat_residual_field(traj)
+    np.testing.assert_array_equal(bits([f.values for f in res]),
+                                  bits(per_level_residuals(traj)))
+    assert [f.time for f in res] == list(traj.times[:-1])
+    assert all(np.array_equal(f.valid_mask(), grid.interior_mask()) for f in res)
+
+    params = BarrierParams(center=tuple(rng.uniform(-1.0, 1.0, dim)),
+                           time=float(traj.times[7]), dimension=dim)
+    sq = np.sum((grid.cell_centers() - np.asarray(params.center)) ** 2, axis=1)
+    barrier = [s.values - params.coefficient * (sq + (params.time - s.time))
+               for s in traj.snapshots]
+    out = barrier_field(traj, params)
+    np.testing.assert_array_equal(bits(out.values_matrix()), bits(barrier))
+    np.testing.assert_array_equal(out.times, traj.times)
+
+    reference = traj.values_matrix()[0] > 0.5
+    spread = [neighborhood_radius(grid, positivity_set(s), reference)
+              for s in traj.snapshots]
+    np.testing.assert_array_equal(bits(delta_of_t(traj, reference)), bits(spread))
 
 
 # ---------------------------------------------------------------------------
