@@ -22,7 +22,6 @@ from .grid import (
 from .heat import (
     HeatTrajectory,
     OperatorCoefficients,
-    apply_operator,
     caloric_replacement,
     conservation_residual,
     cylinder_masks,
@@ -83,8 +82,8 @@ __all__ = [
     "parabolic_distance", "positivity_set", "neighborhood_radius",
     "format_float", "read_field_csv", "write_field_csv",
     # heat
-    "OperatorCoefficients", "HeatTrajectory", "apply_operator",
-    "stability_limit", "solve_dirichlet",
+    "OperatorCoefficients", "HeatTrajectory", "stability_limit",
+    "solve_dirichlet",
     "heat_kernel_solution", "heat_kernel_field", "conservation_residual",
     "caloric_replacement", "cylinder_masks", "radial_average",
     "trapezoid_weights", "interior_trapezoid_weights", "write_trajectory",

@@ -233,6 +233,9 @@ class ExperimentConfig:
         err = best_match(validator.iter_errors(raw))
         if err is not None:
             raise UsageError(f"config error at {err.json_path}: {err.message}")
+        where = _non_finite_path(raw)
+        if where is not None:
+            raise UsageError(f"config error at {where}: must be a finite number")
         seed = raw.get("seed")
         return cls(mode=mode, payload=dict(raw), seed=seed)
 
@@ -257,6 +260,22 @@ class ExperimentConfig:
 
     def sha256(self) -> str:
         return hashlib.sha256(self.canonical().encode()).hexdigest()
+
+
+def _non_finite_path(node, path: str = "$") -> str | None:
+    """The ``$.path`` of the first number in a JSON ``node`` that is no finite
+    float, or None.  ``json`` reads the ``NaN`` and ``Infinity`` literals and
+    overflows such as ``1e400`` as such floats, and the schema's number type
+    admits them, as it admits integers past the float range."""
+    if isinstance(node, (int, float)):
+        return None if abs(node) <= sys.float_info.max else path
+    if isinstance(node, Mapping):
+        children = ((f"{path}.{key}", value) for key, value in node.items())
+    elif isinstance(node, list):
+        children = ((f"{path}[{i}]", value) for i, value in enumerate(node))
+    else:
+        return None
+    return next(filter(None, (_non_finite_path(v, p) for p, v in children)), None)
 
 
 def _time_func(node) -> float | Callable[[float], float]:

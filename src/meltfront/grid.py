@@ -15,15 +15,15 @@ Conventions used throughout the package:
   The central second difference has two forms, equal bit for bit on the
   interior.  The sliced form, ``second_differences`` over ``interior_index``
   (the interior block, shifted and behind batch axes), serves one-off calls:
-  ``discrete_laplacian``, the general operators and the conservation
-  residual of ``heat``, and the residual of ``verify`` over all level pairs
-  of a trajectory at once.  The cut-once span form, ``span_stencil``, cuts the
-  flat interior span of every row of an array once and serves the marches
-  that step row after row: the Laplacian of ``heat`` (``solve_dirichlet``
-  and ``caloric_replacement``) and the edge-padded block of ``stefan3d``,
-  whose pad ``refresh_edge_padding`` rebuilds.  The mapped step in
-  ``stefan1d`` keeps its own hand-sliced difference: ``second_differences``
-  divides by ``h^2`` first, and that would move the bits of every 1D run.
+  ``discrete_laplacian``, the conservation residual of ``heat``, and the
+  residual of ``verify`` over all level pairs of a trajectory at once.  The
+  cut-once span form, ``span_stencil``, cuts the flat interior span of every
+  row of an array once and serves the marches that step row after row: the
+  Laplacian of ``heat`` (``solve_dirichlet`` and ``caloric_replacement``)
+  and the edge-padded block of ``stefan3d``, whose pad
+  ``refresh_edge_padding`` rebuilds.  The mapped step in ``stefan1d`` keeps
+  its own hand-sliced difference: ``second_differences`` divides by ``h^2``
+  first, and that would move the bits of every 1D run.
 
 Serialization: every CSV is one header line, then rows of ``%.17g`` values
 (17 significant digits round-trip doubles), through ``write_csv_rows`` and

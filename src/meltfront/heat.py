@@ -1,23 +1,14 @@
-"""Explicit finite-difference machinery for parabolic operators.
+"""Explicit finite-difference machinery for the heat equation.
 
-The operator is ``L u = sum_jk a_jk D_jk u + sum_j b_j D_j u + c u`` with a
-symmetric positive-definite ``a``.  Second derivatives use the standard
-central stencil, mixed derivatives the 4-point cross
-``(f[+,+] + f[-,-] - f[+,-] - f[-,+]) / (4 h_j h_k)``, first derivatives
-central differences.  Coefficients are sampled at cell centers at the
-current time level.
-
-Time stepping is forward Euler on interior cells with Dirichlet data written
-into the boundary cell layer at the new time; :func:`solve_dirichlet` is the
-one stepping entry point.  It marches the rows of one ``(levels, cells)``
-matrix, which the returned :class:`HeatTrajectory` holds: the Laplacian on
-the flat interior span (``grid.span_stencil``), every other operator through
-the sliced stencils of ``_interior_operator``.  ``caloric_replacement`` steps
-a copy of its slab of levels with the same Laplacian step.  The stability
-limit ``dt <= 1 / (2 sum_j max(a_jj) / h_j^2)`` is enforced, never assumed;
-it reduces to ``h^2 / (2 n max a)`` on isotropic grids.  A solve checks it,
-and the positive-definiteness of ``a``, at its first step, and again at
-every step when the diffusion is a callable of time.
+Time stepping is forward Euler for ``u_t = lap u`` on interior cells, with
+Dirichlet data written into the boundary cell layer at the new time.  There
+is one step path: the Laplacian on the flat interior span of each row
+(``grid.span_stencil``) of one ``(levels, cells)`` matrix.
+:func:`solve_dirichlet` marches it and returns the matrix in a
+:class:`HeatTrajectory`; ``caloric_replacement`` steps a copy of its slab of
+levels with it.  The stability limit ``dt <= 1 / (2 sum_j 1 / h_j^2)``,
+``h^2 / (2 n)`` on isotropic grids, is enforced, never assumed: each march
+checks it once, before its first step.
 
 The module also carries the integral-identity tooling used by the
 verification layer: whole-space heat-kernel quadrature, the discrete
@@ -45,7 +36,6 @@ from .rundir import write_manifest
 __all__ = [
     "OperatorCoefficients",
     "HeatTrajectory",
-    "apply_operator",
     "stability_limit",
     "solve_dirichlet",
     "heat_kernel_solution",
@@ -87,145 +77,37 @@ def signed_value(fn: TimeFunc, t: float, sign: int, name: str) -> float:
 
 
 def require_positive(**values: float) -> None:
-    """Raise ``ValueError`` for the first of ``values``, in order, that is not positive."""
+    """Raise ``ValueError`` for the first of ``values``, in order, that is not
+    positive, or not finite (NaN passes ``v <= 0``)."""
     for name, v in values.items():
         if v <= 0:
             raise ValueError(f"{name} must be positive, got {v}")
-
-
-def _sample(coeff, grid: Grid, t: float, shape: tuple[int, ...]) -> np.ndarray:
-    """A callable coefficient evaluated at the cell centers, otherwise the
-    array itself, broadcast to ``shape``."""
-    if callable(coeff):
-        vals = np.asarray(coeff(grid.cell_centers(), t), dtype=float)
-    else:
-        vals = np.asarray(coeff, dtype=float)
-    return np.broadcast_to(vals, shape)
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
 
 
 class OperatorCoefficients:
-    """Coefficient functions of the parabolic operator.
-
-    Parameters
-    ----------
-    diffusion : callable or array-like or None
-        ``a(points, t) -> (N, d, d)`` matrices at cell centers.  A constant
-        ``(d, d)`` matrix or scalar is broadcast; ``None`` means the identity
-        (pure Laplacian).
-    drift : callable or array-like or None
-        ``b(points, t) -> (N, d)``; ``None`` means zero.
-    reaction : callable or array-like or None
-        ``c(points, t) -> (N,)``; ``None`` means zero.
-    """
-
-    def __init__(self, diffusion=None, drift=None, reaction=None):
-        self.diffusion = diffusion
-        self.drift = drift
-        self.reaction = reaction
+    """The Laplacian, the one operator the package steps.  It carries no
+    coefficients; :func:`solve_dirichlet` and :func:`stability_limit` take it
+    as their first argument."""
 
     @classmethod
     def laplacian(cls) -> "OperatorCoefficients":
-        """Pure Laplacian: identity diffusion, no drift, no reaction."""
+        """The pure Laplacian."""
         return cls()
 
-    @classmethod
-    def constant(cls, a=None, b=None, c=None) -> "OperatorCoefficients":
-        return cls(diffusion=a, drift=b, reaction=c)
 
-    @property
-    def is_laplacian(self) -> bool:
-        return self.diffusion is None and self.drift is None and self.reaction is None
-
-    def diffusion_matrix(self, grid: Grid, t: float) -> np.ndarray:
-        """Diffusion matrices at all cell centers, shape ``(N, d, d)``."""
-        d = grid.dim
-        a = np.eye(d) if self.diffusion is None else self.diffusion
-        if not callable(a) and np.ndim(a) == 0:
-            a = np.asarray(a, dtype=float) * np.eye(d)
-        return _sample(a, grid, t, (grid.total_cells, d, d))
-
-    def drift_vector(self, grid: Grid, t: float) -> np.ndarray | None:
-        if self.drift is None:
-            return None
-        return _sample(self.drift, grid, t, (grid.total_cells, grid.dim))
-
-    def reaction_scalar(self, grid: Grid, t: float) -> np.ndarray | None:
-        if self.reaction is None:
-            return None
-        return _sample(self.reaction, grid, t, (grid.total_cells,))
-
-    def check_definite(self, grid: Grid, t: float) -> None:
-        """Reject diffusion matrices that are asymmetric or not positive definite."""
-        if self.diffusion is None:
-            return
-        a = self.diffusion_matrix(grid, t)
-        if not np.allclose(a, np.swapaxes(a, -1, -2), rtol=1e-12, atol=1e-12):
-            raise ValueError("diffusion matrix must be symmetric")
-        eigs = np.linalg.eigvalsh(a)
-        emin = float(eigs.min())
-        if emin <= 0.0:
-            raise ValueError(
-                f"diffusion matrix is not positive definite (min eigenvalue {emin:g})"
-            )
+def stability_limit(coeffs: OperatorCoefficients, grid: Grid) -> float:
+    """Largest stable forward-Euler step of the Laplacian on ``grid``,
+    ``1 / (2 sum_j 1 / h_j^2)``."""
+    return 1.0 / (2.0 * sum(1.0 / h**2 for h in grid.spacing))
 
 
-def _interior_operator(coeffs: OperatorCoefficients, grid: Grid, u: np.ndarray,
-                       t: float) -> np.ndarray:
-    """``L u`` on the interior block of the grid-shaped array ``u``; unchecked."""
-    d = grid.dim
-    interior = interior_index(d)
-    terms = second_differences(u, grid.spacing)
-    if coeffs.is_laplacian:
-        return sum(terms)
-
-    a = coeffs.diffusion_matrix(grid, t).reshape(grid.shape + (d, d))
-    acc = sum(a[interior + (j, j)] * d2 for j, d2 in enumerate(terms))
-    for j in range(d):
-        for k in range(j + 1, d):
-            pp = u[interior_index(d, {j: 1, k: 1})]
-            mm = u[interior_index(d, {j: -1, k: -1})]
-            pm = u[interior_index(d, {j: 1, k: -1})]
-            mp = u[interior_index(d, {j: -1, k: 1})]
-            cross = (pp + mm - pm - mp) / (4.0 * grid.spacing[j] * grid.spacing[k])
-            acc += 2.0 * a[interior + (j, k)] * cross
-    b = coeffs.drift_vector(grid, t)
-    if b is not None:
-        b = b.reshape(grid.shape + (d,))
-        for j in range(d):
-            up, dn = u[interior_index(d, {j: 1})], u[interior_index(d, {j: -1})]
-            acc += b[interior + (j,)] * ((up - dn) / (2.0 * grid.spacing[j]))
-    c = coeffs.reaction_scalar(grid, t)
-    if c is not None:
-        acc += c.reshape(grid.shape)[interior] * u[interior]
-    return acc
-
-
-def apply_operator(coeffs: OperatorCoefficients, f: TemperatureField) -> TemperatureField:
-    """Apply ``L`` to a field; result valid on interior cells only.
-
-    Raises
-    ------
-    ValueError
-        For non-finite input or an indefinite diffusion matrix.
-    """
-    if not np.all(np.isfinite(f.values)):
-        raise ValueError("apply_operator requires finite input values")
-    g = f.grid
-    coeffs.check_definite(g, f.time)
-    out = np.zeros(g.shape)
-    out[interior_index(g.dim)] = _interior_operator(coeffs, g, f.reshaped(), f.time)
-    return TemperatureField(g, f.time, out.ravel(), g.interior_mask())
-
-
-def stability_limit(coeffs: OperatorCoefficients, grid: Grid, t: float = 0.0) -> float:
-    """Largest stable forward-Euler step, ``1 / (2 sum_j max(a_jj) / h_j^2)``."""
-    if coeffs.is_laplacian:
-        diag_max = [1.0] * grid.dim
-    else:
-        a = coeffs.diffusion_matrix(grid, t)
-        diag_max = [float(a[:, j, j].max()) for j in range(grid.dim)]
-    denom = 2.0 * sum(m / h**2 for m, h in zip(diag_max, grid.spacing))
-    return 1.0 / denom
+def _require_stable(grid: Grid, dt: float, name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` if ``dt`` exceeds the stability limit."""
+    limit = stability_limit(OperatorCoefficients.laplacian(), grid)
+    if dt > limit * (1.0 + 1e-12):
+        raise ValueError(f"{name}={dt:g} violates the stability limit {limit:g}")
 
 
 class HeatTrajectory:
@@ -311,27 +193,19 @@ class HeatTrajectory:
 _BLOCK_LEVELS = 64
 
 
-def _stepper(coeffs: OperatorCoefficients, grid: Grid, levels: np.ndarray,
-             dt: float) -> Callable[[int, float], None]:
-    """``step(k, t)`` writes ``u + dt L u`` on the interior of row ``k + 1`` of
-    ``levels``, where ``u`` is row ``k`` at time ``t``.  It may write boundary
-    cells of row ``k + 1`` too; the caller overwrites them."""
-    if not coeffs.is_laplacian:
-        interior = interior_index(grid.dim)
+def _stepper(grid: Grid, levels: np.ndarray, dt: float) -> Callable[[int], None]:
+    """``step(k)`` writes ``u + dt lap u`` on the interior of row ``k + 1`` of
+    ``levels``, where ``u`` is row ``k``.  It may write boundary cells of row
+    ``k + 1`` too; the caller overwrites them.
 
-        def step(k: int, t: float) -> None:
-            u, new = levels[k].reshape(grid.shape), levels[k + 1].reshape(grid.shape)
-            new[interior] = u[interior] + dt * _interior_operator(coeffs, grid, u, t)
-
-        return step
-
-    # The Laplacian runs on the flat interior span of each row, its terms
-    # summed as sum() does, so interior cells equal the sliced form bit for
-    # bit.  Each span position off the interior is a boundary cell.
+    The Laplacian runs on the flat interior span of each row, its terms
+    summed as sum() does, so interior cells equal the sliced form
+    (``grid.discrete_laplacian``) bit for bit.  Each span position off the
+    interior is a boundary cell."""
     _, center, laplacian_terms = span_stencil(levels.reshape((-1,) + grid.shape), grid.spacing)
     acc, *rest = terms = list(np.empty((grid.dim, center.shape[1])))
 
-    def step(k: int, t: float) -> None:
+    def step(k: int) -> None:
         laplacian_terms(k, terms)
         np.add(acc, 0.0, out=acc)  # sum()'s leading 0: a -0.0 term becomes +0.0
         for term in rest:
@@ -359,42 +233,35 @@ def solve_dirichlet(
     duration: float,
     dt: float,
 ) -> HeatTrajectory:
-    """March ``ceil(duration / dt)`` forward-Euler steps from the initial field.
+    """March ``ceil(duration / dt)`` forward-Euler steps of the heat equation
+    from the initial field; ``coeffs`` is the Laplacian.
 
-    Interior cells take ``u + dt L u``, boundary cells the Dirichlet data at
+    Interior cells take ``u + dt lap u``, boundary cells the Dirichlet data at
     the new time; each level is written into one preallocated ``(levels,
     cells)`` matrix, which the returned trajectory holds.  The initial values
-    are checked once per solve; positive-definiteness and the stability
-    limit at the first step, and at every step when ``coeffs.diffusion`` is
-    callable, since only then can time change them.  The finiteness of the
-    levels is checked in blocks of ``_BLOCK_LEVELS``, and before any other
-    error a step raises, so the first failure is the one reported.  Each
-    failed check raises ``ValueError``.
+    and the stability limit are checked once, before the march.  The
+    finiteness of the levels is checked in blocks of ``_BLOCK_LEVELS``, and
+    before any other error a step raises, so the first failure is the one
+    reported.  Each failed check raises ``ValueError``.
     """
     require_positive(duration=duration, dt=dt)
     if not np.all(np.isfinite(initial.values)):
         raise ValueError("solve_dirichlet requires finite initial values")
     g = initial.grid
+    _require_stable(g, dt, "dt")
     n_steps = step_count(duration, dt)
     bcells = np.flatnonzero(g.boundary_mask())
     bpts = g.cell_centers()[bcells]
     bpts.setflags(write=False)  # every step's boundary call shares these centres
     levels = np.empty((n_steps + 1, g.total_cells))
     levels[0] = initial.values
-    step = _stepper(coeffs, g, levels, dt)
+    step = _stepper(g, levels, dt)
     t = initial.time
     times = [t]
     checked = 1  # levels[:checked] are known finite
     for k in range(n_steps):
         try:
-            if k == 0 or callable(coeffs.diffusion):
-                coeffs.check_definite(g, t)
-                limit = stability_limit(coeffs, g, t)
-                if dt > limit * (1.0 + 1e-12):
-                    raise ValueError(
-                        f"dt={dt:g} violates the stability limit {limit:g} for this grid/operator"
-                    )
-            step(k, t)
+            step(k)
             t += dt
             levels[k + 1][bcells] = boundary(bpts, t) if callable(boundary) else boundary
         except Exception:
@@ -566,11 +433,7 @@ def caloric_replacement(w: HeatTrajectory, cyl: ParabolicCylinder) -> HeatTrajec
     """
     g = w.grid
     _require_resolved(g, cyl)
-    limit = stability_limit(OperatorCoefficients.laplacian(), g)
-    if w.dt > limit * (1.0 + 1e-12):
-        raise ValueError(
-            f"trajectory step dt={w.dt:g} violates the stability limit {limit:g}"
-        )
+    _require_stable(g, w.dt, "trajectory step dt")
     times = w.times
     i_top = w.level_near(cyl.t_top)
     if cyl.t_bottom < times[0] - 1e-9 * max(1.0, abs(times[0])):
@@ -585,10 +448,10 @@ def caloric_replacement(w: HeatTrajectory, cyl: ParabolicCylinder) -> HeatTrajec
 
     times, data = times[i_bot:i_top + 1], w.values_matrix()[i_bot:i_top + 1]
     z = data.copy()
-    step = _stepper(OperatorCoefficients.laplacian(), g, z, w.dt)
+    step = _stepper(g, z, w.dt)
     kept = ~interior  # cells that keep w's values
     for k in range(len(z) - 1):
-        step(k, times[k])
+        step(k)
         np.copyto(z[k + 1], data[k + 1], where=kept)
     _require_finite_levels("caloric_replacement", z, times, 1, len(z))
     return HeatTrajectory._from_levels(TemperatureField(g, times[0], z[0]), times, z, w.dt)

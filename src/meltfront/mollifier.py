@@ -109,8 +109,6 @@ def build_kernel(epsilon: float, dim: int, samples_per_radius: int = 256) -> Mol
         for the mass tolerance (message reports the achieved mass).
     """
     require_positive(epsilon=epsilon)
-    if not math.isfinite(epsilon):
-        raise ValueError(f"epsilon must be finite, got {epsilon}")
     if dim not in (1, 2, 3):
         raise ValueError(f"dim must be 1, 2, or 3, got {dim}")
     if samples_per_radius < 4:

@@ -289,6 +289,39 @@ def test_two_phase_run_skips_one_phase_monotone_check(tmp_path):
     assert all(entry["pass"] for entry in diag.values())
 
 
+BENCH = {"mode": "benchmark", "ladder": [16, 32]}
+
+
+@pytest.mark.parametrize("cfg, key, literal, path", [
+    (SIM_1D, "duration", "Infinity", "$.duration"),
+    (SIM_1D, "duration", "1e400", "$.duration"),
+    (SIM_1D, "duration", "1" + "0" * 400, "$.duration"),
+    (SIM_1D, "t0", "NaN", "$.t0"),
+    (TWO_PHASE_1D, "dt", "NaN", "$.dt"),
+    (TWO_PHASE_1D, "b", "NaN", "$.b"),
+    (TWO_PHASE_1D, "k1", "NaN", "$.k1"),
+    (TWO_PHASE_1D, "k2", "NaN", "$.k2"),
+    (TWO_PHASE_1D, "length", "NaN", "$.length"),
+    (FLAT_3D, "t0", "NaN", "$.t0"),
+    (FLAT_3D, "bottom", "NaN", "$.bottom"),
+    (FLAT_3D, "bottom", '{"kind": "ramp", "value": 1, "rate": -Infinity}', "$.bottom.rate"),
+    (FLAT_3D, "grid", '{"origin": [0, -1e999, 0], "extent": [1, 1, 1], "counts": [4, 4, 8]}',
+     "$.grid.origin[1]"),
+    (BENCH, "duration", "NaN", "$.duration"),
+], ids=["1d_duration_inf", "1d_duration_1e400", "1d_duration_int_1e400", "1d_t0_nan",
+        "1d_dt_nan", "1d_b_nan", "1d_k1_nan", "1d_k2_nan", "1d_length_nan", "3d_t0_nan",
+        "3d_bottom_nan", "3d_bottom_rate_-inf", "3d_grid_origin_-inf", "benchmark_duration_nan"])
+def test_non_finite_config_number_is_config_error(tmp_path, capsys, cfg, key, literal, path):
+    """A NaN or an infinity anywhere in a config, from a literal or an
+    overflow, is refused before anything runs, at its path."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(cfg, **{key: "@"})).replace('"@"', literal))
+    out = tmp_path / "run"
+    assert main([cfg["mode"], "--config", str(config), "--out", str(out)]) == 2
+    assert f"config error at {path}: must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve3d_run_and_seed(tmp_path):
     out = tmp_path / "run3"
     rc = main(["solve3d", "--config", write_config(tmp_path, FLAT_3D),

@@ -1,4 +1,4 @@
-"""Explicit stepping, operator stencils, and the integral-identity tooling."""
+"""Explicit stepping of the Laplacian, and the integral-identity tooling."""
 
 import json
 import math
@@ -12,10 +12,10 @@ from meltfront import (
     OperatorCoefficients,
     ParabolicCylinder,
     TemperatureField,
-    apply_operator,
     caloric_replacement,
     conservation_residual,
     cylinder_masks,
+    discrete_laplacian,
     heat_kernel_field,
     heat_kernel_solution,
     interior_trapezoid_weights,
@@ -29,58 +29,6 @@ from meltfront import (
 from meltfront.grid import interior_index, second_differences
 
 
-def _quadratic_field(counts=(6, 6)):
-    g = Grid(origin=(0.0,) * len(counts), extent=(1.0,) * len(counts), counts=counts)
-    pts = g.cell_centers()
-    return g, pts, TemperatureField(g, 0.0, (pts**2).sum(axis=1))
-
-
-# ---------------------------------------------------------------------------
-# operator
-# ---------------------------------------------------------------------------
-
-def test_apply_operator_pure_laplacian():
-    g, _, f = _quadratic_field()
-    lf = apply_operator(OperatorCoefficients.laplacian(), f)
-    np.testing.assert_allclose(lf.values[lf.valid_mask()], 4.0, atol=1e-11)
-
-
-def test_apply_operator_diagonal_diffusion():
-    g, pts, _ = _quadratic_field()
-    # a = diag(2, 3) on u = x^2 + y^2 gives 2*2 + 3*2 = 10
-    f = TemperatureField(g, 0.0, (pts**2).sum(axis=1))
-    coeffs = OperatorCoefficients.constant(a=np.diag([2.0, 3.0]))
-    lf = apply_operator(coeffs, f)
-    np.testing.assert_allclose(lf.values[lf.valid_mask()], 10.0, atol=1e-11)
-
-
-def test_apply_operator_cross_term():
-    """Mixed derivative of u = xy is 1; the off-diagonal enters twice."""
-    g, pts, _ = _quadratic_field()
-    f = TemperatureField(g, 0.0, pts[:, 0] * pts[:, 1])
-    a = np.array([[1.0, 0.25], [0.25, 1.0]])
-    lf = apply_operator(OperatorCoefficients.constant(a=a), f)
-    np.testing.assert_allclose(lf.values[lf.valid_mask()], 2 * 0.25, atol=1e-12)
-
-
-def test_apply_operator_drift_and_reaction():
-    g, pts, _ = _quadratic_field()
-    f = TemperatureField(g, 0.0, 3.0 * pts[:, 0])
-    coeffs = OperatorCoefficients.constant(b=np.array([2.0, 5.0]), c=-1.0)
-    lf = apply_operator(coeffs, f)
-    expected = 2.0 * 3.0 - 3.0 * pts[:, 0]
-    mask = lf.valid_mask()
-    np.testing.assert_allclose(lf.values[mask], expected[mask], atol=1e-11)
-
-
-def test_apply_operator_rejects_bad_diffusion():
-    g, pts, f = _quadratic_field()
-    with pytest.raises(ValueError, match="symmetric"):
-        apply_operator(OperatorCoefficients.constant(a=[[1.0, 0.5], [0.0, 1.0]]), f)
-    with pytest.raises(ValueError, match="positive definite"):
-        apply_operator(OperatorCoefficients.constant(a=[[1.0, 2.0], [2.0, 1.0]]), f)
-
-
 def test_stability_limit_values():
     g1 = Grid(origin=(0.0,), extent=(1.0,), counts=(10,))
     assert stability_limit(OperatorCoefficients.laplacian(), g1) == pytest.approx(
@@ -88,8 +36,6 @@ def test_stability_limit_values():
     g2 = Grid(origin=(0.0, 0.0), extent=(1.0, 2.0), counts=(10, 10))
     got = stability_limit(OperatorCoefficients.laplacian(), g2)
     assert got == pytest.approx(1.0 / (2.0 / 0.1**2 + 2.0 / 0.2**2))
-    scaled = stability_limit(OperatorCoefficients.constant(a=4.0), g1)
-    assert scaled == pytest.approx(0.1**2 / 8.0)
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +92,13 @@ def _chain_start(g: Grid, kind: str) -> np.ndarray:
 ])
 @pytest.mark.parametrize("coeffs", [
     pytest.param(OperatorCoefficients.laplacian(), id="laplacian"),
-    pytest.param(OperatorCoefficients.constant(a=1.5, c=-0.5), id="constant_ac"),
 ])
 @pytest.mark.parametrize("dim", ["1d", "2d", "3d"])
 def test_dirichlet_chain_matches_apply_operator(dim, coeffs, boundary, start):
     """Every level of a 12-step march equals, bit for bit, the chain of
-    ``u + dt * apply_operator(u)`` with the Dirichlet data written at the new
-    time: the Laplacian's flat-span step must keep the sliced stencil's
-    operations and order, down to the signs of zeros."""
+    ``u + dt * discrete_laplacian(u)`` with the Dirichlet data written at the
+    new time: the flat-span step must keep the sliced stencil's operations and
+    order, down to the signs of zeros."""
     g = _CHAIN_GRIDS[dim]
     f = TemperatureField(g, 0.25, _chain_start(g, start))
     dt = 0.45 * stability_limit(coeffs, g)
@@ -163,7 +108,7 @@ def test_dirichlet_chain_matches_apply_operator(dim, coeffs, boundary, start):
     levels, times = [f.values], [f.time]
     for _ in range(12):
         u = TemperatureField(g, times[-1], levels[-1])
-        new = u.values + dt * apply_operator(coeffs, u).values
+        new = u.values + dt * discrete_laplacian(u).values
         times.append(times[-1] + dt)
         new[bmask] = boundary(g.cell_centers()[bmask], times[-1]) if callable(boundary) \
             else boundary
@@ -247,25 +192,23 @@ def test_step_explicit_boundary_evaluated_at_new_time():
     assert out.values[-1] == pytest.approx(10.0 * 1e-3)
 
 
-@pytest.mark.parametrize("boundary, coeffs", [
-    pytest.param(lambda pts, t: 2.0, OperatorCoefficients.laplacian(), id="<lambda>"),
-    pytest.param(0, OperatorCoefficients.laplacian(), id="0"),
-    pytest.param(0.5, OperatorCoefficients.constant(
-        a=[[1.0, 0.3], [0.3, 2.0]], b=[0.7, -1.2], c=-0.4), id="constant_abc"),
+@pytest.mark.parametrize("boundary", [
+    pytest.param(lambda pts, t: 2.0, id="<lambda>"),
+    pytest.param(0, id="0"),
 ])
-def test_step_explicit_scalar_boundary_broadcasts(boundary, coeffs):
+def test_step_explicit_scalar_boundary_broadcasts(boundary):
     """A scalar from a boundary callable, or a constant, fills the whole
-    boundary layer; the interior is the plain operator update, also for an
-    anisotropic operator with drift and reaction."""
+    boundary layer; the interior is the plain Laplacian update."""
     g = Grid(origin=(0.0, 0.0), extent=(1.0, 1.0), counts=(6, 7))
     f = TemperatureField(g, 0.0, np.random.default_rng(1).random(42))
+    coeffs = OperatorCoefficients.laplacian()
     dt = 0.4 * stability_limit(coeffs, g)
     out = _one_step(coeffs, f, dt, boundary=boundary)
     value = boundary(None, dt) if callable(boundary) else boundary
     bmask = g.boundary_mask()
     assert np.all(out.values[bmask] == value)
     interior = ~bmask
-    expected = f.values + dt * apply_operator(coeffs, f).values
+    expected = f.values + dt * discrete_laplacian(f).values
     np.testing.assert_array_equal(out.values[interior], expected[interior])
 
 
@@ -280,24 +223,6 @@ def test_step_explicit_enforces_cfl():
         _one_step(coeffs, f, -1.0, boundary=0.0)
     # the limit itself is allowed
     _one_step(coeffs, f, limit, boundary=0.0)
-
-
-def test_time_dependent_diffusion_is_checked_at_every_time():
-    """``a(t) = [[1, 2t], [2t, 1]]`` loses definiteness at t = 1/2; neither
-    the operator nor the solver may accept it after an earlier good time."""
-    def a(pts, t):
-        return np.broadcast_to([[1.0, 2.0 * t], [2.0 * t, 1.0]], (len(pts), 2, 2))
-
-    g = Grid(origin=(0.0, 0.0), extent=(1.0, 1.0), counts=(6, 6))
-    f = TemperatureField(g, 0.0, np.zeros(36))
-    coeffs = OperatorCoefficients(diffusion=a)
-    apply_operator(coeffs, f)
-    with pytest.raises(ValueError, match="positive definite"):
-        apply_operator(coeffs, f.with_values(f.values, time=1.0))
-    dt = 0.4 * stability_limit(coeffs, g)
-    with pytest.raises(ValueError, match="positive definite"):
-        solve_dirichlet(OperatorCoefficients(diffusion=a), f, 0.0, 0.6, dt)
-    assert solve_dirichlet(coeffs, f, 0.0, 0.4, dt).times[-1] < 0.5
 
 
 def test_solve_dirichlet_step_count_and_times():

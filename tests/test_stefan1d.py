@@ -120,6 +120,18 @@ def test_spec_validation():
         StefanSpec1D(k1=1.0, b=1.0, duration=1.0, k2=1.0, length=0.5)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("duration", math.inf), ("duration", math.nan), ("dt", math.nan), ("dt", math.inf),
+    ("k1", math.nan), ("k2", math.inf),
+])
+def test_spec_rejects_non_finite_numbers(field, value):
+    """``require_positive`` refuses NaN and infinity, which ``v <= 0`` lets
+    through, so a library caller cannot start an endless or undefined run."""
+    kwargs = dict(k1=1.0, b=0.3, duration=1.0, k2=1.0, length=1.0)
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        StefanSpec1D(**dict(kwargs, **{field: value}))
+
+
 def test_front_trajectory_container():
     ft = FrontTrajectory(times=[0.0, 1.0], positions=[1.0, 2.0],
                          velocities=[1.0, 1.0])
