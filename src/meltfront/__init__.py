@@ -14,8 +14,6 @@ from .grid import (
     discrete_laplacian,
     format_float,
     neighborhood_radius,
-    parabolic_distance,
-    positivity_set,
     read_field_csv,
     write_field_csv,
 )
@@ -26,7 +24,6 @@ from .heat import (
     conservation_residual,
     cylinder_masks,
     heat_kernel_field,
-    heat_kernel_solution,
     interior_trapezoid_weights,
     radial_average,
     solve_dirichlet,
@@ -48,8 +45,6 @@ from .stefan1d import (
     SimilaritySolution,
     StefanResult,
     StefanSpec1D,
-    front_gradient,
-    physical_trajectory,
     similarity_oracle,
     solve_stefan,
     transcendental_residual,
@@ -79,12 +74,10 @@ __all__ = [
     "__version__",
     # grid
     "Grid", "TemperatureField", "ParabolicCylinder", "discrete_laplacian",
-    "parabolic_distance", "positivity_set", "neighborhood_radius",
-    "format_float", "read_field_csv", "write_field_csv",
+    "neighborhood_radius", "format_float", "read_field_csv", "write_field_csv",
     # heat
     "OperatorCoefficients", "HeatTrajectory", "stability_limit",
-    "solve_dirichlet",
-    "heat_kernel_solution", "heat_kernel_field", "conservation_residual",
+    "solve_dirichlet", "heat_kernel_field", "conservation_residual",
     "caloric_replacement", "cylinder_masks", "radial_average",
     "trapezoid_weights", "interior_trapezoid_weights", "write_trajectory",
     # mollifier
@@ -92,8 +85,8 @@ __all__ = [
     "mollify", "smoothness_report", "l2_convergence",
     # stefan1d
     "StefanSpec1D", "StefanResult", "FrontTrajectory", "SimilaritySolution",
-    "similarity_oracle", "transcendental_residual", "front_gradient",
-    "solve_stefan", "physical_trajectory", "write_front_csv",
+    "similarity_oracle", "transcendental_residual", "solve_stefan",
+    "write_front_csv",
     # stefan3d
     "StefanSpec3D", "Stefan3DResult", "GraphFront", "PhaseDomain",
     "coupled_step_3d", "solve3d", "stability_limit_3d", "front_field",

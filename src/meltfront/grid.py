@@ -7,8 +7,7 @@ Conventions used throughout the package:
   ``spacing[j] = extent[j] / counts[j]``; samples live at cell centers
   ``origin[j] + (i + 1/2) * spacing[j]``.
 * Field values are stored flat in row-major (C) order, so the last axis
-  varies fastest.  ``Grid.flat_index`` / ``Grid.multi_index`` expose the
-  index arithmetic explicitly.
+  varies fastest.
 * Stencil operations are defined on interior cells only.  The outermost
   layer of cells carries boundary data; operations that cannot produce a
   value there return a field whose ``valid`` mask excludes those cells.
@@ -46,8 +45,6 @@ __all__ = [
     "TemperatureField",
     "ParabolicCylinder",
     "discrete_laplacian",
-    "parabolic_distance",
-    "positivity_set",
     "neighborhood_radius",
     "write_csv_rows",
     "read_csv_rows",
@@ -99,8 +96,10 @@ class Grid:
             raise ValueError(f"grid dimension must be 1, 2, or 3, got {len(self.counts)}")
         if len(self.origin) != len(self.counts) or len(self.extent) != len(self.counts):
             raise ValueError("origin, extent, and counts must have matching lengths")
-        if any(e <= 0 for e in self.extent):
-            raise ValueError(f"extent must be positive, got {self.extent}")
+        if not all(map(math.isfinite, self.origin)):
+            raise ValueError(f"origin must be finite, got {self.origin}")
+        if not all(0 < e < math.inf for e in self.extent):
+            raise ValueError(f"extent must be positive and finite, got {self.extent}")
         if any(c < 4 for c in self.counts):
             raise ValueError(f"need at least 4 cells per axis, got {self.counts}")
 
@@ -130,25 +129,6 @@ class Grid:
         axes = [self.axis_centers(j) for j in range(self.dim)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
-
-    def flat_index(self, multi: Sequence[int]) -> int:
-        """Row-major flat index of a cell given per-axis indices."""
-        idx = 0
-        for j, (i, c) in enumerate(zip(multi, self.counts)):
-            if not 0 <= i < c:
-                raise ValueError(f"index {i} out of range for axis {j} with {c} cells")
-            idx = idx * c + i
-        return idx
-
-    def multi_index(self, flat: int) -> tuple[int, ...]:
-        """Inverse of :meth:`flat_index`."""
-        if not 0 <= flat < self.total_cells:
-            raise ValueError(f"flat index {flat} out of range")
-        out = []
-        for c in reversed(self.counts):
-            out.append(flat % c)
-            flat //= c
-        return tuple(reversed(out))
 
     def interior_mask(self) -> np.ndarray:
         """Boolean flat mask of cells with a full stencil neighborhood."""
@@ -216,11 +196,6 @@ class TemperatureField:
         if self.valid is None:
             return np.ones(self.grid.total_cells, dtype=bool)
         return self.valid
-
-    def with_values(self, values: np.ndarray, time: float | None = None) -> "TemperatureField":
-        return TemperatureField(
-            self.grid, self.time if time is None else time, values, self.valid
-        )
 
 
 @dataclass(frozen=True)
@@ -342,26 +317,6 @@ def discrete_laplacian(f: TemperatureField) -> TemperatureField:
     out = np.zeros(g.shape)
     out[interior_index(g.dim)] = sum(second_differences(f.reshaped(), g.spacing))
     return TemperatureField(g, f.time, out.ravel(), g.interior_mask())
-
-
-def parabolic_distance(x: Sequence[float], t: float, x0: Sequence[float], t0: float) -> float:
-    """Parabolic distance ``(|x - x0|^2 + |t - t0|)^(1/2)``."""
-    dx = np.asarray(x, dtype=float) - np.asarray(x0, dtype=float)
-    return float(np.sqrt(np.dot(dx, dx) + abs(float(t) - float(t0))))
-
-
-def positivity_set(f: TemperatureField, region: np.ndarray | None = None) -> np.ndarray:
-    """Boolean flat mask of cells where ``f > 0`` strictly.
-
-    ``region`` optionally restricts the search; invalid cells never qualify.
-    """
-    mask = (f.values > 0.0) & f.valid_mask()
-    if region is not None:
-        region = np.asarray(region, dtype=bool).ravel()
-        if region.size != f.values.size:
-            raise ValueError("region mask size does not match field")
-        mask &= region
-    return mask
 
 
 def neighborhood_radius(grid: Grid, cells_a: np.ndarray, cells_b: np.ndarray) -> float:

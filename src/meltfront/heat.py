@@ -18,7 +18,8 @@ trapezoid weights are tensor products, so the quadrature runs as one 1D
 contraction per axis, ``O(N sum_j n_j)`` for ``N`` cells.
 
 It also owns the run rules every solver shares: ``step_count``,
-``eval_time``, the edge sign rule ``signed_value`` and ``require_positive``.
+``eval_time``, the edge sign rule ``signed_value``, ``require_positive`` and
+``require_finite``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "HeatTrajectory",
     "stability_limit",
     "solve_dirichlet",
-    "heat_kernel_solution",
     "heat_kernel_field",
     "conservation_residual",
     "caloric_replacement",
@@ -82,6 +82,14 @@ def require_positive(**values: float) -> None:
     for name, v in values.items():
         if v <= 0:
             raise ValueError(f"{name} must be positive, got {v}")
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+
+
+def require_finite(**values: float) -> None:
+    """Raise ``ValueError`` for the first of ``values``, in order, that is NaN
+    or infinite."""
+    for name, v in values.items():
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
 
@@ -320,19 +328,6 @@ def _heat_kernel_on_axes(phi: TemperatureField, t: float, targets: list[np.ndarr
         kern *= _trapezoid_1d(g.counts[j], g.spacing[j])
         out = np.moveaxis(np.tensordot(kern, out, axes=([1], [j])), 0, j)
     return (4.0 * np.pi * t) ** (-g.dim / 2.0) * out
-
-
-def heat_kernel_solution(phi: TemperatureField, x: Sequence[float], t: float) -> float:
-    """Whole-space heat solution ``(4 pi t)^(-n/2) int phi(y) exp(-|x-y|^2/4t) dy``.
-
-    The integral is tensor-product trapezoid quadrature over ``phi``'s grid,
-    so the domain must be wide enough that the Gaussian tail outside it is
-    negligible for the intended use.  It runs :func:`heat_kernel_field`'s
-    per-axis contraction on a one-point target, ``O(N)`` for ``N`` cells.
-    Raises ``ValueError`` for ``t <= 0`` or a point of another dimension.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    return float(_heat_kernel_on_axes(phi, t, [x[j : j + 1] for j in range(x.size)]).item())
 
 
 def heat_kernel_field(

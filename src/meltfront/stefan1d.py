@@ -37,8 +37,8 @@ from typing import Callable
 import numpy as np
 
 from .grid import Grid, TemperatureField, write_csv_rows
-from .heat import SIGN_RULE, HeatTrajectory, TimeFunc, eval_time, require_positive, \
-    signed_value, step_count
+from .heat import SIGN_RULE, HeatTrajectory, TimeFunc, eval_time, require_finite, \
+    require_positive, signed_value, step_count
 
 __all__ = [
     "StefanSpec1D",
@@ -47,10 +47,8 @@ __all__ = [
     "SimilaritySolution",
     "similarity_oracle",
     "transcendental_residual",
-    "front_gradient",
     "solve_stefan",
     "time_steps",
-    "physical_trajectory",
     "write_front_csv",
 ]
 
@@ -172,10 +170,8 @@ class StefanSpec1D:
     snapshot_every: int | None = None
 
     def __post_init__(self):
-        require_positive(k1=self.k1)
-        if self.b <= 0:
-            raise ValueError(f"initial front b must be positive, got {self.b}")
-        require_positive(duration=self.duration)
+        require_positive(k1=self.k1, b=self.b, duration=self.duration)
+        require_finite(t0=self.t0)
         if self.nx < 4:
             raise ValueError(f"need nx >= 4 mapped cells, got {self.nx}")
         if self.dt is not None:
@@ -184,6 +180,7 @@ class StefanSpec1D:
             require_positive(k2=self.k2)
             if self.length is None or self.length <= self.b:
                 raise ValueError("two-phase runs need length L > b")
+            require_finite(length=self.length)
 
     @property
     def two_phase(self) -> bool:
@@ -258,34 +255,6 @@ def _front_difference(vals: np.ndarray, h: float, width: float) -> float:
     """One-sided second-order 3-point ``dU/deta`` at the last node, over ``width``
     (in Python floats: numpy's IEEE arithmetic at a fraction of the call cost)."""
     return (3.0 * vals.item(-1) - 4.0 * vals.item(-2) + vals.item(-3)) / (2.0 * h * width)
-
-
-def front_gradient(u: np.ndarray | TemperatureField, s: float, side: str = "liquid",
-                   width: float | None = None) -> float:
-    """One-sided second-order ``du/dx`` at the front.
-
-    ``u`` holds mapped node samples in x order on ``[0, 1]``; the front is
-    the last node for the liquid phase and the first node for the solid
-    phase.  ``width`` is the physical extent of the mapped phase (defaults
-    to ``s`` for the liquid; required for the solid, else ``ValueError``,
-    as for fewer than 3 nodes).
-    """
-    vals = u.values if isinstance(u, TemperatureField) else np.asarray(u, dtype=float)
-    if vals.size < 3:
-        raise ValueError("front gradient needs at least 3 nodes per phase")
-    if side not in ("liquid", "solid"):
-        raise ValueError(f"side must be 'liquid' or 'solid', got {side!r}")
-    if width is None:
-        if side == "solid":
-            raise ValueError("solid-side gradient needs the phase width L - s")
-        width = s
-    if width <= 0:
-        raise ValueError(f"phase width must be positive, got {width}")
-    h = 1.0 / (vals.size - 1)
-    if side == "liquid":
-        return _front_difference(vals, h, width)
-    # mirrored onto eta = (L - x)/(L - s), which runs against x
-    return -_front_difference(vals[::-1], h, width)
 
 
 def _front_speed(phases: list[_Phase], fields: list[np.ndarray], s: float,
@@ -544,29 +513,6 @@ def solve_stefan(spec: StefanSpec1D) -> StefanResult:
     return StefanResult(trajectory=trajs[0], front=front, report=report,
                         snapshot_fronts=np.asarray(snap_fronts),
                         solid_trajectory=trajs[1] if spec.two_phase else None, spec=spec)
-
-
-def physical_trajectory(result: StefanResult, grid: Grid) -> HeatTrajectory:
-    """Resample mapped snapshots onto a fixed physical grid (zero past the front
-    in one-phase runs, solid values past it in two-phase runs)."""
-    if grid.dim != 1:
-        raise ValueError("physical resampling targets a 1D grid")
-    xs = grid.axis_centers(0)
-    xi = np.linspace(0.0, 1.0, result.spec.nx + 1)
-    length = result.spec.length
-    fields = []
-    for idx, (snap, s) in enumerate(zip(result.trajectory.snapshots,
-                                        result.snapshot_fronts)):
-        vals = np.zeros(xs.size)
-        inside = xs <= s
-        vals[inside] = np.interp(xs[inside] / s, xi, snap.values)
-        if result.solid_trajectory is not None:
-            w = result.solid_trajectory.snapshots[idx].values
-            outside = ~inside
-            zeta = np.clip((xs[outside] - s) / (length - s), 0.0, 1.0)
-            vals[outside] = np.interp(zeta, xi, w)
-        fields.append(TemperatureField(grid, snap.time, vals))
-    return HeatTrajectory(fields, result.trajectory.dt)
 
 
 def write_front_csv(front: FrontTrajectory, path: str | Path) -> None:

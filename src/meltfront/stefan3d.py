@@ -65,7 +65,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import Grid, TemperatureField, interior_index, refresh_edge_padding, span_stencil
-from .heat import TimeFunc, require_positive, signed_value, step_count
+from .heat import TimeFunc, require_finite, require_positive, signed_value, step_count
 
 __all__ = [
     "GraphFront",
@@ -423,6 +423,7 @@ class StefanSpec3D:
         if self.grid.dim != 3:
             raise ValueError("3D runs need a 3D grid")
         require_positive(k1=self.k1, duration=self.duration)
+        require_finite(t0=self.t0)
         if self.dt is not None:
             require_positive(dt=self.dt)
         _initial_front(self)  # a start the step cannot take is refused here

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -79,16 +78,6 @@ class BarrierParams:
     @property
     def coefficient(self) -> float:
         return 1.0 / (8.0 * self.dimension)
-
-
-def _grid_mask(grid, mask, name: str) -> np.ndarray:
-    """``mask`` as a flat boolean array, checked to cover ``grid`` and be non-empty."""
-    mask = np.asarray(mask, dtype=bool).reshape(-1)
-    if mask.size != grid.total_cells:
-        raise ValueError(f"{name} mask does not conform to the grid")
-    if not mask.any():
-        raise ValueError(f"{name} mask is empty")
-    return mask
 
 
 def barrier_residual_constant(dim: int) -> float:
@@ -147,32 +136,22 @@ def heat_residual_field(traj: HeatTrajectory) -> list[TemperatureField]:
     return [TemperatureField(g, t, v, valid=g.interior_mask()) for t, v in zip(traj.times, out)]
 
 
-def max_principle_audit(traj: HeatTrajectory, region: np.ndarray | None = None) -> dict:
+def max_principle_audit(traj: HeatTrajectory) -> dict:
     """Check that the space-time maximum sits on the parabolic boundary.
 
     The parabolic boundary is the initial slice plus the grid-boundary
-    cells of every slice, intersected with ``region`` when given.  Returns
-    the maximum, its location ``(level, cell)``, the attainment flag
-    (tolerance ``1e-12 * scale``), and the violation magnitude.
+    cells of every slice.  Returns the maximum, its location
+    ``(level, cell)``, the attainment flag (tolerance ``1e-12 * scale``),
+    and the violation magnitude.
     """
     grid = traj.grid
-    if region is None:
-        region = np.ones(grid.total_cells, dtype=bool)
-    region = _grid_mask(grid, region, "region")
-    lateral = grid.boundary_mask() & region
-
     values = traj.values_matrix()
-    masked = np.where(region[None, :], values, -np.inf)
-    flat_arg = int(np.argmax(masked))
-    level, cell = divmod(flat_arg, grid.total_cells)
-    overall_max = float(masked[level, cell])
+    level, cell = divmod(int(np.argmax(values)), grid.total_cells)
+    overall_max = float(values[level, cell])
+    lateral_max = values[:, grid.boundary_mask()].max()
+    parabolic_max = float(np.maximum(values[0].max(), lateral_max))
 
-    parabolic = np.full_like(masked, -np.inf)
-    parabolic[0] = masked[0]
-    parabolic[:, lateral] = masked[:, lateral]
-    parabolic_max = float(np.max(parabolic))
-
-    scale = max(1.0, float(np.max(np.abs(values[:, region]))))
+    scale = max(1.0, float(np.max(np.abs(values))))
     violation = max(0.0, overall_max - parabolic_max)
     return {
         "max_value": overall_max,
@@ -184,60 +163,49 @@ def max_principle_audit(traj: HeatTrajectory, region: np.ndarray | None = None) 
     }
 
 
-def initial_continuity_metric(
-    traj: HeatTrajectory,
-    heating: TemperatureField | np.ndarray | Callable[[np.ndarray], np.ndarray],
-    region: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def initial_continuity_metric(traj: HeatTrajectory,
+                              heating: TemperatureField) -> tuple[np.ndarray, np.ndarray]:
     """L1 distance of the discrete ``u_t`` from a reference heating rate.
 
-    ``m(t_k) = sum_region w |u_t^k - h|`` with trapezoid weights in space
+    ``m(t_k) = sum_interior w |u_t^k - h|`` with trapezoid weights in space
     and forward differences in time; defined for levels ``0 .. M-2``.
-    ``heating`` may be a field, a flat array, or a callable of the cell
-    centers.
+    ``heating`` is a field on the trajectory's grid.
     """
     if len(traj) < 3:
         raise ValueError("continuity metric needs at least 3 time levels")
     grid = traj.grid
-    if isinstance(heating, TemperatureField):
-        h_vals = heating.values
-    elif callable(heating):
-        h_vals = np.asarray(heating(grid.cell_centers()), dtype=float).reshape(-1)
-    else:
-        h_vals = np.asarray(heating, dtype=float).reshape(-1)
-    if h_vals.size != grid.total_cells:
+    if not heating.grid.grids_match(grid):
         raise ValueError("heating rate does not conform to the grid")
-    region = _grid_mask(grid, grid.interior_mask() if region is None else region, "region")
 
-    weights = trapezoid_weights(grid) * region
+    weights = trapezoid_weights(grid) * grid.interior_mask()
     values = traj.values_matrix()
     ut = (values[1:] - values[:-1]) / traj.dt
-    metric = np.abs(ut - h_vals[None, :]) @ weights
+    metric = np.abs(ut - heating.values[None, :]) @ weights
     return traj.times[:-1].copy(), metric
 
 
-def delta_of_t(traj: HeatTrajectory, reference: np.ndarray,
-               times: np.ndarray | None = None) -> np.ndarray:
+def delta_of_t(traj: HeatTrajectory, reference: np.ndarray) -> np.ndarray:
     """How far the positivity set has traveled from a reference region.
 
-    For each requested time (every level by default) this composes the
-    strict positivity set at that level with the one-sided neighborhood
-    radius against ``reference``: the positivity set is contained in a
-    ``delta(t)``-neighborhood of the reference and in no smaller one at
-    grid resolution.  Snapshot ``valid`` masks are not consulted.
+    For each level this composes the strict positivity set at that level
+    with the one-sided neighborhood radius against ``reference``: the
+    positivity set is contained in a ``delta(t)``-neighborhood of the
+    reference and in no smaller one at grid resolution.  Snapshot ``valid``
+    masks are not consulted.
 
     Raises
     ------
     ValueError
-        If the reference mask is empty.
+        If the reference mask is empty or does not cover the grid.
     """
     grid = traj.grid
-    reference = _grid_mask(grid, reference, "reference")
-    levels = traj.values_matrix()
-    if times is not None:
-        levels = levels[[traj.level_near(t) for t in np.atleast_1d(times)]]
+    reference = np.asarray(reference, dtype=bool).reshape(-1)
+    if reference.size != grid.total_cells:
+        raise ValueError("reference mask does not conform to the grid")
+    if not reference.any():
+        raise ValueError("reference mask is empty")
     radius = radius_to(grid, reference)
-    return np.array([radius(row > 0.0) for row in levels])
+    return np.array([radius(row > 0.0) for row in traj.values_matrix()])
 
 
 def _caloric_tolerance(traj: HeatTrajectory) -> float:

@@ -10,8 +10,6 @@ from meltfront import (
     discrete_laplacian,
     format_float,
     neighborhood_radius,
-    parabolic_distance,
-    positivity_set,
     read_field_csv,
     write_field_csv,
 )
@@ -37,6 +35,10 @@ def test_grid_basic_geometry():
         dict(origin=(0.0,), extent=(-1.0,), counts=(8,)),
         dict(origin=(0.0, 0.0), extent=(1.0,), counts=(8,)),
         dict(origin=(0.0,) * 4, extent=(1.0,) * 4, counts=(8,) * 4),
+        dict(origin=(float("nan"),), extent=(1.0,), counts=(8,)),
+        dict(origin=(0.0,), extent=(float("inf"),), counts=(8,)),
+        dict(origin=(0.0, float("-inf")), extent=(1.0, 1.0), counts=(8, 8)),
+        dict(origin=(0.0,), extent=(float("nan"),), counts=(8,)),
     ],
 )
 def test_grid_rejects_bad_construction(kwargs):
@@ -54,25 +56,14 @@ def test_cell_centers_row_major():
     np.testing.assert_allclose(pts[5], [0.375, 0.1])
 
 
-def test_index_round_trip():
-    g = Grid(origin=(0.0,) * 3, extent=(1.0,) * 3, counts=(4, 5, 6))
-    for flat in (0, 17, 59, g.total_cells - 1):
-        assert g.flat_index(g.multi_index(flat)) == flat
-    assert g.flat_index((1, 2, 3)) == 1 * 30 + 2 * 6 + 3
-    with pytest.raises(ValueError):
-        g.flat_index((4, 0, 0))
-    with pytest.raises(ValueError):
-        g.multi_index(g.total_cells)
-
-
 def test_interior_and_boundary_masks():
     g = Grid(origin=(0.0, 0.0), extent=(1.0, 1.0), counts=(5, 6))
     interior = g.interior_mask()
     assert interior.sum() == 3 * 4
     assert np.array_equal(g.boundary_mask(), ~interior)
     # corner cell is boundary, center cell interior
-    assert not interior[g.flat_index((0, 0))]
-    assert interior[g.flat_index((2, 3))]
+    assert not interior[np.ravel_multi_index((0, 0), g.shape)]
+    assert interior[np.ravel_multi_index((2, 3), g.shape)]
 
 
 def test_boundary_distance():
@@ -112,16 +103,6 @@ def test_field_values_frozen():
     f = TemperatureField(g, 0.0, np.zeros(6))
     with pytest.raises(ValueError):
         f.values[0] = 1.0
-
-
-def test_with_values_keeps_grid_and_mask():
-    g = Grid(origin=(0.0,), extent=(1.0,), counts=(6,))
-    valid = g.interior_mask()
-    f = TemperatureField(g, 1.0, np.zeros(6), valid)
-    f2 = f.with_values(np.ones(6), time=2.0)
-    assert f2.time == 2.0
-    assert f2.grid is g
-    assert np.array_equal(f2.valid, valid)
 
 
 def test_parabolic_cylinder():
@@ -216,30 +197,6 @@ def test_refresh_edge_padding_rebuilds_the_pad(counts):
         np.moveaxis(stale, ax, 0)[-1] = 9.0
     refresh_edge_padding(stale)
     assert np.array_equal(bits(stale), bits(padded))
-
-
-def test_parabolic_distance():
-    assert parabolic_distance([1.0, 0.0], 2.0, [0.0, 0.0], 1.0) == np.sqrt(2.0)
-    assert parabolic_distance([0.0], 1.0, [0.0], 3.0) == np.sqrt(2.0)
-    assert parabolic_distance([3.0, 4.0], 0.0, [0.0, 0.0], 0.0) == 5.0
-
-
-def test_positivity_set_strict_and_region():
-    g = Grid(origin=(0.0,), extent=(1.0,), counts=(5,))
-    f = TemperatureField(g, 0.0, [-1.0, 0.0, 1e-300, 2.0, 3.0])
-    mask = positivity_set(f)
-    assert mask.tolist() == [False, False, True, True, True]
-    region = np.array([True, True, True, True, False])
-    assert positivity_set(f, region).tolist() == [False, False, True, True, False]
-    with pytest.raises(ValueError):
-        positivity_set(f, region[:3])
-
-
-def test_positivity_set_ignores_invalid_cells():
-    g = Grid(origin=(0.0,), extent=(1.0,), counts=(5,))
-    valid = np.array([True, True, False, True, True])
-    f = TemperatureField(g, 0.0, np.ones(5), valid)
-    assert positivity_set(f).tolist() == [True, True, False, True, True]
 
 
 def test_neighborhood_radius():

@@ -4,11 +4,14 @@ They are the demos, the benchmark harness, the Python heredocs of the CI
 workflow and README's ``python`` blocks.  A public name removed from the
 package would otherwise surface only when one of them is run.  Each script
 is parsed, not run: every ``meltfront`` module it imports is imported, and
-every name it takes from one must resolve.
+every name it takes from one must resolve.  So must every name that
+``__all__`` of meltfront or of a submodule lists, or ``from <module> import *``
+fails.
 """
 
 import ast
 import importlib
+import pkgutil
 import re
 import textwrap
 from pathlib import Path
@@ -83,3 +86,12 @@ def test_script_imports_resolve(path):
 @pytest.mark.parametrize("label, source", EMBEDDED, ids=[label for label, _ in EMBEDDED])
 def test_embedded_script_imports_resolve(label, source):
     assert_imports_resolve(source, label)
+
+
+def test_every_exported_name_resolves():
+    package = importlib.import_module("meltfront")
+    modules = [package] + [importlib.import_module(f"meltfront.{m.name}")
+                           for m in pkgutil.iter_modules(package.__path__)]
+    stale = [f"{m.__name__}.{name}" for m in modules for name in getattr(m, "__all__", ())
+             if not hasattr(m, name)]
+    assert len(modules) > 8 and stale == []

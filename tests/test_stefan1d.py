@@ -16,15 +16,13 @@ from scipy.special import erf, erfc
 
 from meltfront import (
     FrontTrajectory,
-    Grid,
     StefanSpec1D,
-    front_gradient,
-    physical_trajectory,
     similarity_oracle,
     solve_stefan,
     transcendental_residual,
     write_front_csv,
 )
+from meltfront.stefan1d import _front_speed, _phases
 
 # bisection roots of lam e^(lam^2) erf(lam) = St/sqrt(pi), frozen
 LAMBDA = {
@@ -90,21 +88,19 @@ def test_similarity_gradient_and_velocity_consistent():
 # ---------------------------------------------------------------------------
 
 def test_front_gradient_exact_on_quadratics():
-    xi = np.linspace(0.0, 1.0, 11)
-    s = 0.7
-    # u(x) = 2 - 3x + x^2 sampled on x = xi * s
-    u = 2.0 - 3.0 * (xi * s) + (xi * s) ** 2
-    got = front_gradient(u, s)
-    assert got == pytest.approx(-3.0 + 2.0 * s, rel=1e-13)
-    # solid side: first node is the front, width required
-    w = 5.0 * (xi * 0.3)
-    assert front_gradient(w, s, side="solid", width=0.3) == pytest.approx(5.0)
-    with pytest.raises(ValueError):
-        front_gradient(u, s, side="solid")
-    with pytest.raises(ValueError):
-        front_gradient(u[:2], s)
-    with pytest.raises(ValueError):
-        front_gradient(u, s, side="middle")
+    """The two-phase front law ``s' = -k1 u_x(s-) + k2 w_x(s+)`` from mapped
+    node samples is exact on quadratics, with the solid stored mirrored (node 0
+    on ``x = L``, the last node on the front)."""
+    k1, k2, s, length = 1.5, 0.5, 0.7, 1.0
+    spec = StefanSpec1D(k1=k1, b=s, duration=1.0, k2=k2, length=length)
+    eta = np.linspace(0.0, 1.0, 11)
+    # u(x) = 2 - 3x + x^2 on x = eta s; w(x) = 5(x - s) - 2(x - s)^2 on x = L - eta (L - s)
+    u = 2.0 - 3.0 * (eta * s) + (eta * s) ** 2
+    r = (length - eta * (length - s)) - s
+    w = 5.0 * r - 2.0 * r**2
+    widths, v = _front_speed(_phases(spec), [u, w], s, 0.1)
+    assert widths == [s, length - s]
+    assert v == pytest.approx(-k1 * (-3.0 + 2.0 * s) + k2 * 5.0, rel=1e-13)
 
 
 def test_spec_validation():
@@ -122,11 +118,13 @@ def test_spec_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("duration", math.inf), ("duration", math.nan), ("dt", math.nan), ("dt", math.inf),
-    ("k1", math.nan), ("k2", math.inf),
+    ("k1", math.nan), ("k2", math.inf), ("b", math.nan), ("b", math.inf),
+    ("t0", math.nan), ("t0", math.inf), ("length", math.nan), ("length", math.inf),
 ])
 def test_spec_rejects_non_finite_numbers(field, value):
     """``require_positive`` refuses NaN and infinity, which ``v <= 0`` lets
-    through, so a library caller cannot start an endless or undefined run."""
+    through, and ``require_finite`` does for ``t0`` and ``length``, so a
+    library caller cannot start an endless or undefined run."""
     kwargs = dict(k1=1.0, b=0.3, duration=1.0, k2=1.0, length=1.0)
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         StefanSpec1D(**dict(kwargs, **{field: value}))
@@ -353,29 +351,8 @@ def test_monitors_match_every_stored_state(two_phase):
 
 
 # ---------------------------------------------------------------------------
-# resampling and export
+# export
 # ---------------------------------------------------------------------------
-
-def test_physical_trajectory_matches_similarity():
-    sim = similarity_oracle(1.0)
-    t0 = 0.25
-    b = float(sim.front(t0))
-    spec = StefanSpec1D(k1=1.0, b=b, duration=0.05, boundary=1.0,
-                        initial=lambda x: sim.temperature(x, t0),
-                        nx=100, t0=t0, snapshot_every=10**9)
-    res = solve_stefan(spec)
-    grid = Grid(origin=(0.0,), extent=(1.0,), counts=(64,))
-    phys = physical_trajectory(res, grid)
-    xs = grid.axis_centers(0)
-    final = phys.snapshots[-1]
-    np.testing.assert_allclose(final.values, sim.temperature(xs, final.time),
-                               atol=5e-3)
-    # zero past the front in one-phase runs
-    assert np.all(final.values[xs > res.snapshot_fronts[-1]] == 0.0)
-    with pytest.raises(ValueError):
-        physical_trajectory(res, Grid(origin=(0., 0.), extent=(1., 1.),
-                                      counts=(8, 8)))
-
 
 def test_front_csv_format(tmp_path):
     ft = FrontTrajectory(times=[0.0, 0.5], positions=[1.0, 1.25],

@@ -5,6 +5,7 @@ the coupled step (interior, half-cell bottom row, conforming top cell, thin
 slaving, quadratic front fit), so they pin the front law to rounding.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +290,16 @@ def test_spec3d_validation():
     with pytest.raises(ValueError, match="nonnegative"):
         solve3d(StefanSpec3D(grid=BOX, k1=1.0, duration=1e-4,
                              initial=lambda p: -np.ones(len(p)), dt=1e-5))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("k1", math.nan), ("duration", math.inf), ("dt", math.nan), ("t0", math.nan),
+    ("t0", math.inf),
+])
+def test_spec3d_rejects_non_finite_numbers(field, value):
+    """A NaN or infinite number is refused with its name, not run to a NaN time."""
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        StefanSpec3D(**dict(dict(grid=BOX, k1=1.0, duration=1e-3, dt=1e-5), **{field: value}))
 
 
 @pytest.mark.parametrize("dt_factor, late_bottom, match", [

@@ -23,7 +23,6 @@ from meltfront import (
     initial_continuity_metric,
     max_principle_audit,
     neighborhood_radius,
-    positivity_set,
     solve_dirichlet,
     stability_limit,
 )
@@ -149,19 +148,6 @@ def test_audit_flags_interior_spike():
     assert audit["max_cell"] == spike_cell
 
 
-def test_audit_region_argument():
-    grid, traj = sine_run()
-    region = grid.interior_mask()
-    audit = max_principle_audit(traj, region=region)
-    # no lateral cells in the region, so only the initial slice competes
-    assert audit["max_level"] == 0
-    assert audit["violation"] == 0.0
-    with pytest.raises(ValueError, match="conform"):
-        max_principle_audit(traj, region=np.ones(3, dtype=bool))
-    with pytest.raises(ValueError, match="empty"):
-        max_principle_audit(traj, region=np.zeros(grid.total_cells, dtype=bool))
-
-
 # ---------------------------------------------------------------------------
 # continuity metric
 # ---------------------------------------------------------------------------
@@ -170,7 +156,7 @@ def test_continuity_metric_matches_discrete_rate():
     grid, traj = sine_run()
     rate = discrete_laplacian(traj.snapshots[0])
     h_vals = np.where(rate.valid_mask(), rate.values, 0.0)
-    times, metric = initial_continuity_metric(traj, h_vals)
+    times, metric = initial_continuity_metric(traj, TemperatureField(grid, 0.0, h_vals))
     assert metric.shape == (len(traj.snapshots) - 1,)
     np.testing.assert_array_equal(times, traj.times[:-1])
     # the first step is the rate itself; afterwards the wall cells snap to
@@ -178,26 +164,14 @@ def test_continuity_metric_matches_discrete_rate():
     assert metric[0] <= 1e-9
     assert np.all(metric[1:] > 0.1)
 
-    as_field = TemperatureField(grid, 0.0, h_vals)
-    _, m_field = initial_continuity_metric(traj, as_field)
-    _, m_callable = initial_continuity_metric(traj, lambda pts: h_vals)
-    np.testing.assert_array_equal(m_field, metric)
-    np.testing.assert_array_equal(m_callable, metric)
-
 
 def test_continuity_metric_validation():
     grid, traj = sine_run()
     with pytest.raises(ValueError, match="3 time levels"):
         initial_continuity_metric(HeatTrajectory(traj.snapshots[:2], traj.dt),
-                                  np.zeros(grid.total_cells))
+                                  TemperatureField(grid, 0.0, np.zeros(grid.total_cells)))
     with pytest.raises(ValueError, match="heating rate"):
-        initial_continuity_metric(traj, np.zeros(3))
-    with pytest.raises(ValueError, match="conform"):
-        initial_continuity_metric(traj, np.zeros(grid.total_cells),
-                                  region=np.ones(2, dtype=bool))
-    with pytest.raises(ValueError, match="empty"):
-        initial_continuity_metric(traj, np.zeros(grid.total_cells),
-                                  region=np.zeros(grid.total_cells, dtype=bool))
+        initial_continuity_metric(traj, TemperatureField(unit_grid(1, 5), 0.0, np.zeros(5)))
 
 
 @pytest.fixture
@@ -219,8 +193,7 @@ def test_audit_and_continuity_build_no_fields_of_a_marched_trajectory(snapshot_b
     its lazily built snapshot fields is constructed."""
     grid, traj = sine_run(n_steps=40)
     max_principle_audit(traj)
-    max_principle_audit(traj, region=grid.interior_mask())
-    initial_continuity_metric(traj, np.zeros(grid.total_cells))
+    initial_continuity_metric(traj, TemperatureField(grid, 0.0, np.zeros(grid.total_cells)))
     assert snapshot_builds == []
     assert len(traj.snapshots) == 41 and len(snapshot_builds) == 40  # the counter sees a build
 
@@ -277,7 +250,7 @@ def test_level_matrix_instruments_match_per_level_loops(dim, n):
     np.testing.assert_array_equal(out.times, traj.times)
 
     reference = traj.values_matrix()[0] > 0.5
-    spread = [neighborhood_radius(grid, positivity_set(s), reference)
+    spread = [neighborhood_radius(grid, s.values > 0.0, reference)
               for s in traj.snapshots]
     np.testing.assert_array_equal(bits(delta_of_t(traj, reference)), bits(spread))
 
@@ -297,15 +270,12 @@ def spreading_bump():
 
 def test_delta_of_t_spreads_monotonically():
     grid, traj = spreading_bump()
-    reference = positivity_set(traj.snapshots[0])
+    reference = traj.snapshots[0].values > 0.0
     deltas = delta_of_t(traj, reference)
     assert deltas.shape == (len(traj.snapshots),)
     assert deltas[0] == 0.0
     assert np.all(np.diff(deltas) >= 0.0)
     assert deltas[-1] > 0.0
-    # explicit times hit the same levels
-    picked = delta_of_t(traj, reference, times=[0.0, traj.times[-1]])
-    np.testing.assert_array_equal(picked, deltas[[0, -1]])
     # explicit support spreads at most one cell per step
     n_steps = len(traj.snapshots) - 1
     assert deltas[-1] <= (n_steps + 1) * grid.spacing[0]
@@ -321,7 +291,7 @@ def test_delta_of_t_validation():
 
 def test_neighborhood_radius_consistency():
     grid, traj = spreading_bump()
-    reference = positivity_set(traj.snapshots[0])
-    pos_end = positivity_set(traj.snapshots[-1])
+    reference = traj.snapshots[0].values > 0.0
+    pos_end = traj.snapshots[-1].values > 0.0
     assert delta_of_t(traj, reference)[-1] == neighborhood_radius(
         grid, pos_end, reference)
