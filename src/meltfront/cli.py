@@ -48,8 +48,8 @@ from .grid import Grid, TemperatureField, field_name, read_field_csv, write_fiel
 from .heat import HeatTrajectory, OperatorCoefficients, conservation_residual, \
     eval_time, signed_value, solve_dirichlet, write_trajectory
 from .mollifier import admissible_mask, bump_profile, build_kernel, mollify, smoothness_report
-from .rundir import REPORT_SCHEMA, RunReport, UsageError, _RULES, _check, _provenance, \
-    _read_manifest, _rule, compare_runs, write_failure, write_json, write_manifest
+from .rundir import REPORT_SCHEMA, RunReport, UsageError, _check, _provenance, _read_manifest, \
+    _rule, compare_runs, write_failure, write_json, write_manifest
 from .stefan1d import StefanSpec1D, similarity_oracle, solve_stefan, time_steps, \
     write_front_csv
 from .stefan3d import StefanSpec3D, front_field, solve3d, time_steps as time_steps_3d

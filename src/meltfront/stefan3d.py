@@ -44,17 +44,23 @@ layer above the highest liquid cell (capped at the box).  The solid layers
 above it hold 0 and are never stepped; the block grows as the front climbs.
 ``solve3d`` keeps one block across its steps and builds the full cube only
 at snapshots; ``coupled_step_3d`` runs the same step on a block of its
-domain and wraps the result in a ``PhaseDomain``.  Every step checks
-what one step can break: ``dt`` against the stability limit, bottom
-heating >= 0, finite temperatures that are nonnegative in the liquid up to
-``1e-12 max(1, max|u|)`` (the block holds the cube's extremes, as every
-cell above it is 0), at least 3 liquid layers per column, and the moved
-front inside the box.  The front only advances (see ``_front_derivative``),
-so no column ever loses a liquid layer.  What
-holds by construction (solid cells exactly 0, the front grid matching the
-box section) is checked when a ``PhaseDomain`` is built.  ``solve3d`` builds
-one at each snapshot for that check and keeps only its front, except for
-the last, which it returns as the final domain.
+domain and wraps the result in a ``PhaseDomain``.  The block takes the
+grid's spacing, z centers and stability limit once, and holds the front in
+one edge-padded ``(a, b, rho)`` buffer: a step writes the column fits and
+the moved heights into its interior and ``refresh_edge_padding`` rebuilds
+its pad.  Every step checks what one step can break: ``dt`` against the held
+stability limit, bottom heating >= 0, finite temperatures that are
+nonnegative in the liquid up to ``1e-12 max(1, max|u|)`` (the block holds
+the cube's extremes, as every cell above it is 0), at least 3 liquid layers
+per column (counted once per step, after the move, for the block depth and
+the next step's front offsets), and the moved front inside the box.  The
+Lipschitz monitor reads the padded heights every step without
+``np.gradient`` and equals ``GraphFront.lipschitz_constant`` bit for bit.
+The front only advances (see ``_front_derivative``), so no column ever
+loses a liquid layer.  What holds by construction (solid cells exactly 0,
+the front grid matching the box section) is checked when a ``PhaseDomain``
+is built.  ``solve3d`` builds one at each snapshot for that check and keeps
+only its front, except for the last, which it returns as the final domain.
 """
 
 from __future__ import annotations
@@ -84,9 +90,26 @@ __all__ = [
 # front and domain containers
 # ---------------------------------------------------------------------------
 
-def _layers(heights: np.ndarray, grid: Grid) -> np.ndarray:
-    """Liquid cells per column: the count of cell centers strictly below the front."""
-    return np.searchsorted(grid.axis_centers(2), heights)
+# a padded section's interior and its four neighbor planes, cut once
+_INSIDE = interior_index(2)
+_EAST, _WEST, _NORTH, _SOUTH = (interior_index(2, {j: s})
+                                for j, s in ((0, 1), (0, -1), (1, 1), (1, -1)))
+# depths below the top liquid layer of the three samples of a column fit
+_DEPTHS = np.arange(3)[:, None, None]
+
+
+def _front_buffer(heights: np.ndarray) -> np.ndarray:
+    """Edge-padded ``(a, b, rho)`` planes over the section, ``rho`` the heights."""
+    fronts = np.zeros((3,) + tuple(n + 2 for n in heights.shape))
+    fronts[2][_INSIDE] = heights
+    refresh_edge_padding(fronts[2])
+    return fronts
+
+
+def _layers(heights: np.ndarray, zc: np.ndarray) -> np.ndarray:
+    """Liquid cells per column: the count of cell centers ``zc`` strictly below
+    the front."""
+    return np.searchsorted(zc, heights)
 
 
 def _require_inside(heights: np.ndarray, grid: Grid) -> None:
@@ -107,13 +130,23 @@ def _check_temperatures(values: np.ndarray) -> float:
     return lo
 
 
-def _slopes(heights: np.ndarray, spacing) -> tuple[np.ndarray, ...]:
-    """Central-difference slopes per horizontal axis, one-sided at the walls."""
-    return tuple(np.gradient(heights, h, axis=j) for j, h in enumerate(spacing))
+def _padded_lipschitz(rp: np.ndarray, spacing) -> float:
+    """``GraphFront.lipschitz_constant`` of the heights inside the edge-padded
+    ``rp``, bit for bit.
 
-
-def _lipschitz(heights: np.ndarray, spacing) -> float:
-    return float(max(np.max(np.abs(s)) for s in _slopes(heights, spacing)))
+    Inside the section a neighbor difference spans two cells; at a wall the pad
+    repeats the wall height, so it spans one, the one-sided slope of
+    ``np.gradient``.  Dividing the largest difference rounds as dividing each
+    would, since rounding is monotone.
+    """
+    slopes = []
+    for diff, h in ((rp[_EAST] - rp[_WEST], spacing[0]),
+                    ((rp[_NORTH] - rp[_SOUTH]).T, spacing[1])):
+        diff = np.abs(diff)
+        walls = diff[::len(diff) - 1]  # the first and last rows
+        # np.maximum, as np.max, keeps a NaN
+        slopes.append(np.maximum(diff[1:-1].max() / (2.0 * h), walls.max() / h))
+    return float(max(slopes))
 
 
 @dataclass(frozen=True)
@@ -136,11 +169,18 @@ class GraphFront:
         object.__setattr__(self, "heights", h)
 
     def slopes(self) -> tuple[np.ndarray, ...]:
-        return _slopes(self.heights, self.grid.spacing)
+        """Central-difference slopes per horizontal axis, one-sided at the walls."""
+        return tuple(np.gradient(self.heights, h, axis=j)
+                     for j, h in enumerate(self.grid.spacing))
 
     @property
     def lipschitz_constant(self) -> float:
-        return _lipschitz(self.heights, self.grid.spacing)
+        return float(max(np.max(np.abs(s)) for s in self.slopes()))
+
+
+def _close(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
+    """``np.allclose(a, b, atol=1e-12)`` on tuples of finite floats, in Python floats."""
+    return all(abs(x - y) <= 1e-12 + 1e-5 * abs(y) for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -160,15 +200,15 @@ class PhaseDomain:
             raise ValueError("phase domain needs a 3D grid")
         fx = self.front.grid
         if fx.counts != self.grid.counts[:2] or \
-                not np.allclose(fx.origin, self.grid.origin[:2], atol=1e-12) or \
-                not np.allclose(fx.extent, self.grid.extent[:2], atol=1e-12):
+                not _close(fx.origin, self.grid.origin[:2]) or \
+                not _close(fx.extent, self.grid.extent[:2]):
             raise ValueError("front grid must match the horizontal section of the box")
         _require_inside(self.front.heights, self.grid)
         v = np.asarray(self.values, dtype=float)
         if v.size != self.grid.total_cells:
             raise ValueError(f"expected {self.grid.total_cells} values, got {v.size}")
         cube = v.reshape(self.grid.shape)
-        if np.any(cube[~self._liquid_cube()] != 0.0):
+        if np.any(np.greater(cube != 0.0, self._liquid_cube())):
             raise ValueError("solid cells must hold exactly 0")
         _check_temperatures(cube)
         v = v.reshape(-1).copy()
@@ -187,7 +227,7 @@ class PhaseDomain:
 
     def liquid_layers(self) -> np.ndarray:
         """Number of liquid cells per column."""
-        return _layers(self.front.heights, self.grid)
+        return _layers(self.front.heights, self.grid.axis_centers(2))
 
 
 def front_field(front: GraphFront, time: float) -> TemperatureField:
@@ -199,16 +239,17 @@ def front_field(front: GraphFront, time: float) -> TemperatureField:
 # front kinematics
 # ---------------------------------------------------------------------------
 
-def _front_offsets(heights: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Top liquid layer ``m`` and front offset ``theta`` per column."""
-    layers = _layers(heights, grid)
+def _front_offsets(layers: np.ndarray, heights: np.ndarray, zc: np.ndarray,
+                   dz: float) -> tuple[np.ndarray, np.ndarray]:
+    """Top liquid layer ``m`` and front offset ``theta`` per column, from the
+    liquid ``layers`` under ``heights`` over the cell centers ``zc``."""
     if np.any(layers < 3):
         raise ValueError(
             f"front handling needs at least 3 liquid layers per column, "
             f"found a column with {int(layers.min())}"
         )
     m = layers - 1
-    theta = (heights - grid.axis_centers(2)[m]) / grid.spacing[2]
+    theta = (heights - zc[m]) / dz
     return m, theta
 
 
@@ -238,9 +279,13 @@ def _column_fits(u0: np.ndarray, u1: np.ndarray, u2: np.ndarray, theta: np.ndarr
     return a, b
 
 
-def _front_derivative(grid: Grid, samples, rho: np.ndarray, theta: np.ndarray):
+def _front_derivative(fronts: np.ndarray, spacing, samples, theta: np.ndarray):
     """Directional derivative ``D = u_z - rho_x u_x - rho_y u_y``, capped at 0,
     and slopes.
+
+    ``fronts`` is the edge-padded ``(a, b, rho)`` buffer of
+    :func:`_front_buffer` holding the current heights; the column fits are
+    written into its ``a`` and ``b`` planes.
 
     ``D`` equals ``grad(u) . n`` times the metric factor ``J``.  Horizontal
     derivatives difference neighbor fits evaluated at the column's own front
@@ -252,42 +297,44 @@ def _front_derivative(grid: Grid, samples, rho: np.ndarray, theta: np.ndarray):
     layers.  So the vertical rate ``-k1 D`` is zero or positive, and the
     front never retreats.
     """
-    dx, dy, dz = grid.spacing
+    dx, dy, dz = spacing
     a, b = _column_fits(*samples, theta, dz)
 
     # mirror images across the insulated walls
-    ap, bp, rp = np.pad(np.stack([a, b, rho]), ((0, 0), (1, 1), (1, 1)), mode="edge")
+    ap, bp, rp = fronts
+    ap[_INSIDE], bp[_INSIDE] = a, b
+    refresh_edge_padding(ap)
+    refresh_edge_padding(bp)
+    rho = rp[_INSIDE]
 
-    def fit_value(sx, sy):
+    def fit_value(nb):
         # neighbor fit evaluated at this column's front height
-        nb = interior_index(2, {0: sx, 1: sy})
         d = rho - rp[nb]
         return ap[nb] * d + bp[nb] * d * d
 
-    gx = (fit_value(1, 0) - fit_value(-1, 0)) / (2.0 * dx)
-    gy = (fit_value(0, 1) - fit_value(0, -1)) / (2.0 * dy)
-    rx = (rp[2:, 1:-1] - rp[:-2, 1:-1]) / (2.0 * dx)
-    ry = (rp[1:-1, 2:] - rp[1:-1, :-2]) / (2.0 * dy)
+    gx = (fit_value(_EAST) - fit_value(_WEST)) / (2.0 * dx)
+    gy = (fit_value(_NORTH) - fit_value(_SOUTH)) / (2.0 * dy)
+    rx = (rp[_EAST] - rp[_WEST]) / (2.0 * dx)
+    ry = (rp[_NORTH] - rp[_SOUTH]) / (2.0 * dy)
     return np.minimum(a - rx * gx - ry * gy, 0.0), rx, ry
 
 
-def _move_front(grid: Grid, heights: np.ndarray, d: np.ndarray, rx: np.ndarray,
-                ry: np.ndarray, k1: float, dt: float, t: float):
+def _move_front(heights: np.ndarray, d: np.ndarray, rx: np.ndarray, ry: np.ndarray,
+                k1: float, dt: float, ceiling: float, t: float):
     """Forward Euler on the graph law; returns ``(heights, w, consistency)``
     with ``w`` the vertical rate and ``consistency`` the gap to the
-    normal-speed form.  Errors name the time ``t``.
+    normal-speed form.  A front at or above ``ceiling`` (one cell under the
+    top of the box) is an error naming the time ``t``.
 
     With ``w`` zero or positive, ``heights + dt w`` never rounds below
     ``heights``, so every column keeps the liquid layers it had."""
     w = -k1 * d
     j = np.sqrt(1.0 + rx * rx + ry * ry)
-    vn = -k1 * d / j
+    vn = w / j
     consistency = float(np.max(np.abs(dt * w - dt * vn * j)))
 
-    dz = grid.spacing[2]
     new_heights = heights + dt * w
-    z_top = grid.origin[2] + grid.extent[2]
-    if np.any(new_heights >= z_top - dz):
+    if np.any(new_heights >= ceiling):
         raise RuntimeError(f"front reached the top of the box at t={t:g}")
     return new_heights, w, consistency
 
@@ -306,11 +353,21 @@ def stability_limit_3d(grid: Grid) -> float:
 class _ActiveBlock:
     """A run's state on its active block (see Checks), edge-padded in ``u``; a
     step writes ``new`` on one flat span, then the two swap.  They are the two
-    rows of ``rows``, ``u`` is row ``k``, and the span views are cut once."""
+    rows of ``rows``, ``u`` is row ``k``, and the span views are cut once.
+
+    The front lives in the edge-padded ``(a, b, rho)`` buffer ``fronts``, with
+    ``heights`` its ``rho`` interior and ``layers`` its liquid layer counts;
+    the grid's spacing, z centers, stability limit and the ceiling of the
+    front are taken once."""
 
     def __init__(self, grid: Grid, cube: np.ndarray, heights: np.ndarray):
-        self.grid, self.heights = grid, heights
-        depth = min(int(_layers(heights, grid).max()) + 1, grid.counts[2])
+        self.grid, self.spacing, self.zc = grid, grid.spacing, grid.axis_centers(2)
+        self.limit = stability_limit_3d(grid)
+        self.ceiling = grid.origin[2] + grid.extent[2] - self.spacing[2]
+        self.fronts = _front_buffer(heights)
+        self.heights = self.fronts[2][_INSIDE]
+        self.layers = _layers(self.heights, self.zc)
+        depth = min(int(self.layers.max()) + 1, grid.counts[2])
         u = np.pad(cube[:, :, :depth], 1, mode="edge")
         self.rows = np.stack([u, np.zeros_like(u)])
         self.k, (self.u, self.new) = 0, self.rows
@@ -327,7 +384,7 @@ class _ActiveBlock:
 
     def _heat_step(self, m: np.ndarray, theta: np.ndarray, bottom_value: float,
                    dt: float) -> int:
-        k, u, new, dz = self.k, self.u, self.new, self.grid.spacing[2]
+        k, u, new, dz = self.k, self.u, self.new, self.spacing[2]
         # edge padding mirrors the insulated side walls; in z it only touches the
         # top layer, which is solid or the front cell and rewritten below either way
         # uzz is built in new, which the update then overwrites in place
@@ -363,27 +420,31 @@ class _ActiveBlock:
     def step(self, t: float, k1: float, bottom: TimeFunc, dt: float) -> dict:
         """One coupled step from ``t`` to ``t + dt``; returns the info dict and
         leaves the minimum temperature of the new state in ``u_min``."""
-        grid = self.grid
-        limit = stability_limit_3d(grid)
-        if dt > limit * (1.0 + 1e-12):
-            raise ValueError(f"dt={dt:g} violates the 3D stability limit {limit:g}")
+        if dt > self.limit * (1.0 + 1e-12):
+            raise ValueError(f"dt={dt:g} violates the 3D stability limit {self.limit:g}")
         f_val = signed_value(bottom, t, 1, "bottom heating")
 
-        m, theta = _front_offsets(self.heights, grid)
+        m, theta = _front_offsets(self.layers, self.heights, self.zc, self.spacing[2])
         thin_count = self._heat_step(m, theta, f_val, dt)
-        new = self.new.reshape(-1)
         self.u_min = _check_temperatures(self.centre[1 - self.k])
-        samples = [new[self.base + m - k] for k in range(3)]
-        d, rx, ry = _front_derivative(grid, samples, self.heights, theta)
-        heights, w, consistency = _move_front(grid, self.heights, d, rx, ry, k1, dt,
-                                              t + dt)
+        samples = self.new.reshape(-1)[(self.base + m) - _DEPTHS]
+        d, rx, ry = _front_derivative(self.fronts, self.spacing, samples, theta)
+        heights, w, consistency = _move_front(self.heights, d, rx, ry, k1, dt,
+                                              self.ceiling, t + dt)
         info = {"consistency": consistency, "thin_cells": thin_count,
                 "front_speed_max": float(np.max(np.abs(w)))}
-        self.k, self.u, self.new, self.heights = 1 - self.k, self.new, self.u, heights
-        depth = min(int(_layers(heights, grid).max()) + 1, grid.counts[2])
+        self.k, self.u, self.new = 1 - self.k, self.new, self.u
+        self.heights[...] = heights  # the one write of rho per step
+        refresh_edge_padding(self.fronts[2])
+        self.layers = _layers(heights, self.zc)
+        depth = min(int(self.layers.max()) + 1, self.grid.counts[2])
         if depth > self.u.shape[2] - 2:
-            self.__init__(grid, self.cube(), heights)  # the block must grow
+            self.__init__(self.grid, self.cube(), heights)  # the block must grow
         return info
+
+    def lipschitz(self) -> float:
+        """``GraphFront(..., heights).lipschitz_constant``, bit for bit."""
+        return _padded_lipschitz(self.fronts[2], self.spacing)
 
 
 def coupled_step_3d(domain: PhaseDomain, k1: float, bottom: TimeFunc, dt: float):
@@ -455,7 +516,7 @@ def _initial_front(spec: StefanSpec3D) -> GraphFront:
     else:
         heights = np.full(fx.shape, float(spec.initial_front))
     front = GraphFront(fx, heights)
-    if np.any(_layers(front.heights, grid) < 3):
+    if np.any(_layers(front.heights, grid.axis_centers(2)) < 3):
         raise ValueError("initial front must leave at least 3 liquid layers")
     _require_inside(front.heights, grid)
     return front
@@ -502,12 +563,13 @@ def solve3d(spec: StefanSpec3D) -> Stefan3DResult:
     fronts = [domain.front]
     times = [t]
     infos = []
-    lipschitz_max = _lipschitz(block.heights, fx.spacing)
+    lipschitz = lipschitz_max = block.lipschitz()
     u_min = float(domain.values.min())
     for k in range(n_steps):
         infos.append(block.step(t, spec.k1, spec.bottom, dt))
         t = t + dt
-        lipschitz_max = max(lipschitz_max, _lipschitz(block.heights, fx.spacing))
+        lipschitz = block.lipschitz()
+        lipschitz_max = max(lipschitz_max, lipschitz)
         # cells above the block hold 0, and so does the block's top layer
         u_min = min(u_min, block.u_min)
         if (k + 1) % snap_every == 0 or k + 1 == n_steps:
@@ -528,7 +590,7 @@ def solve3d(spec: StefanSpec3D) -> Stefan3DResult:
         "front_min": float(heights.min()),
         "front_max": float(heights.max()),
         "lipschitz_max": lipschitz_max,
-        "lipschitz_final": _lipschitz(heights, fx.spacing),
+        "lipschitz_final": lipschitz,
     }
     return Stefan3DResult(fronts=tuple(fronts), final=domain, times=np.asarray(times),
                           report=report, spec=spec)

@@ -27,12 +27,12 @@ from meltfront.cli import (
     ExperimentConfig,
     RunReport,
     UsageError,
-    _RULES,
     _rule,
     compare_runs,
     main,
 )
 from meltfront.grid import write_field_csv
+from meltfront.rundir import _RULES
 
 
 def write_config(tmp_path, payload, name="config.json"):

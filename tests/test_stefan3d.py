@@ -22,8 +22,8 @@ from meltfront import (
     stability_limit_3d,
 )
 from meltfront.grid import read_field_csv
-from meltfront.stefan3d import _column_fits, _front_derivative, _front_offsets, \
-    _initial_domain, time_steps
+from meltfront.stefan3d import _column_fits, _front_buffer, _front_derivative, \
+    _front_offsets, _initial_domain, _padded_lipschitz, time_steps
 
 DATA = Path(__file__).parent / "data"
 
@@ -93,6 +93,79 @@ def test_phase_domain_validation():
         PhaseDomain(BOX, front, neg)
 
 
+def shifted_section(origin_shift=0.0, extent_scale=1.0):
+    """SECTION with its origin moved by ``origin_shift`` and its extent scaled."""
+    return Grid(origin=(origin_shift, 0.0), extent=(1.0, extent_scale), counts=(6, 5))
+
+
+@pytest.mark.parametrize("section, top", [
+    (SECTION, -0.0),
+    (shifted_section(origin_shift=1e-13), 0.0),
+    (shifted_section(extent_scale=1.0 + 5e-6), 0.0),
+], ids=["negative_zero_solid", "origin_off_1e-13", "extent_off_5e-6"])
+def test_phase_domain_accepts_edge_inputs(section, top):
+    """The edges the validation lets through: -0.0 equals 0, and the section
+    matches the box to ``1e-12 + 1e-5 |box|`` per number."""
+    front = GraphFront(section, np.full(section.shape, 0.5))
+    vals = column_linear(BOX, front.heights, 1.0)
+    vals[:, :, -1] = top
+    dom = PhaseDomain(BOX, front, vals.reshape(-1))
+    assert np.array_equal(bits(dom.values), bits(vals.reshape(-1)))
+
+
+@pytest.mark.parametrize("section, top, match", [
+    (SECTION, np.nan, "exactly 0"),
+    (SECTION, 5e-324, "exactly 0"),
+    (shifted_section(origin_shift=1e-11), 0.0, "horizontal section"),
+    (shifted_section(extent_scale=1.0 + 2e-5), 0.0, "horizontal section"),
+], ids=["nan_solid", "subnormal_solid", "origin_off_1e-11", "extent_off_2e-5"])
+def test_phase_domain_rejects_edge_inputs(section, top, match):
+    """The edges the validation refuses: any solid value but a zero, and a
+    section off the box by more than ``1e-12 + 1e-5 |box|``."""
+    front = GraphFront(section, np.full(section.shape, 0.5))
+    vals = column_linear(BOX, front.heights, 1.0)
+    vals[0, 0, -1] = top
+    with pytest.raises(ValueError, match=match):
+        PhaseDomain(BOX, front, vals.reshape(-1))
+
+
+def test_padded_lipschitz_equals_graph_front():
+    """The step's Lipschitz monitor, read off the edge-padded front buffer,
+    equals ``np.gradient``'s value bit for bit, one-sided walls included."""
+    rng = np.random.default_rng(22)
+    for counts, extent in [((4, 4), (1.0, 1.0)), ((6, 5), (1.0, 1.0)),
+                           ((12, 20), (0.9, 1.5)), ((9, 4), (0.3, 2.0)),
+                           ((32, 32), (1.0, 1.0))]:
+        section = Grid(origin=(0.0, 0.0), extent=extent, counts=counts)
+        xc, yc = section.axis_centers(0)[:, None], section.axis_centers(1)[None, :]
+        cases = [0.5 + 0.01 * rng.standard_normal(counts),
+                 np.broadcast_to(0.45 + 0.4 * xc - 0.3 * yc, counts)]
+        # a spike on each wall, in a corner and next to a wall
+        for i, j in [(0, 1), (-1, 2), (1, 0), (2, -1), (0, 0), (1, 1)]:
+            heights = np.full(counts, 0.5) + 1e-3 * rng.standard_normal(counts)
+            heights[i, j] += rng.uniform(0.05, 0.2)
+            cases.append(heights)
+        for heights in cases:
+            expected = GraphFront(section, heights).lipschitz_constant
+            assert _padded_lipschitz(_front_buffer(heights)[2], section.spacing) == expected
+
+
+def test_solve3d_lipschitz_report_equals_graph_fronts():
+    """With a snapshot every step, the reported Lipschitz constants are the
+    stored fronts' own, on a section neither square nor a power of two."""
+    from meltfront.cli import _build_spec3d
+    spec = _build_spec3d({
+        "mode": "solve3d", "k1": 1, "t0": 0.25, "duration": 0.002,
+        "grid": {"origin": [0, 0, 0], "extent": [0.9, 1.5, 1.1], "counts": [12, 20, 40]},
+        "front": {"kind": "bump", "height": 0.6, "amplitude": 0.08, "width": 0.3},
+        "initial": {"kind": "similarity"}, "snapshot_every": 1,
+    })
+    res = solve3d(spec)
+    assert len(res.fronts) == res.report["steps"] + 1
+    assert res.report["lipschitz_final"] == res.fronts[-1].lipschitz_constant
+    assert res.report["lipschitz_max"] == max(f.lipschitz_constant for f in res.fronts)
+
+
 def test_liquid_masks_and_layers():
     dom = flat_domain(0.5, 1.0)
     zc = BOX.axis_centers(2)
@@ -111,7 +184,8 @@ def test_liquid_masks_and_layers():
 def front_samples(dom):
     """The top three liquid samples per column, as a step takes them, and the
     front offset ``theta``."""
-    m, theta = _front_offsets(dom.front.heights, dom.grid)
+    m, theta = _front_offsets(dom.liquid_layers(), dom.front.heights,
+                              dom.grid.axis_centers(2), dom.grid.spacing[2])
     i, j = np.indices(m.shape)
     return [dom.cube()[i, j, m - k] for k in range(3)], theta
 
@@ -122,7 +196,8 @@ def test_normal_velocity_flat_linear():
     a, k1 = 3.0, 2.0
     dom = flat_domain(0.6, a)
     samples, theta = front_samples(dom)
-    d, _, _ = _front_derivative(BOX, samples, dom.front.heights, theta)
+    d, _, _ = _front_derivative(_front_buffer(dom.front.heights), BOX.spacing, samples,
+                                theta)
     np.testing.assert_allclose(-k1 * d, k1 * a, rtol=1e-12)
     with pytest.raises(ValueError, match="k1"):
         coupled_step_3d(dom, 0.0, a * 0.6, 0.5 * stability_limit_3d(BOX))
@@ -136,7 +211,7 @@ def test_normal_velocity_tilted_plane_interior():
     vals = column_linear(BOX, heights, a)
     dom = PhaseDomain(BOX, front, vals.reshape(-1))
     samples, theta = front_samples(dom)
-    d, rx, ry = _front_derivative(BOX, samples, heights, theta)
+    d, rx, ry = _front_derivative(_front_buffer(heights), BOX.spacing, samples, theta)
     vn = -d / np.sqrt(1.0 + rx * rx + ry * ry)  # V_n at k1 = 1
     # wall columns see a mirrored neighbor and lose half the x-derivative,
     # so only interior columns reproduce a sqrt(1 + c^2)
@@ -191,7 +266,8 @@ def test_clamp_suppresses_spurious_freezing():
     samples, theta = front_samples(dom)
     a, _ = _column_fits(*samples, theta, dom.grid.spacing[2])
     assert np.all(a > 1000.0)
-    d, _, _ = _front_derivative(dom.grid, samples, dom.front.heights, theta)
+    d, _, _ = _front_derivative(_front_buffer(dom.front.heights), dom.grid.spacing,
+                                samples, theta)
     assert np.all(d == 0.0)
 
 
