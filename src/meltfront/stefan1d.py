@@ -251,21 +251,18 @@ def _phases(spec: StefanSpec1D) -> list[_Phase]:
     return phases
 
 
-def _front_difference(vals: np.ndarray, h: float, width: float) -> float:
-    """One-sided second-order 3-point ``dU/deta`` at the last node, over ``width``
-    (in Python floats: numpy's IEEE arithmetic at a fraction of the call cost)."""
-    return (3.0 * vals.item(-1) - 4.0 * vals.item(-2) + vals.item(-3)) / (2.0 * h * width)
-
-
 def _front_speed(phases: list[_Phase], fields: list[np.ndarray], s: float,
                  h: float) -> tuple[list[float], float]:
-    """Phase widths ``w_p`` and the front law ``s' = -sum_p k_p D(U_p) / w_p``."""
+    """Phase widths ``w_p`` and the front law ``s' = -sum_p k_p D(U_p) / w_p``,
+    ``D`` the one-sided second-order 3-point ``dU/deta`` at the last node (in
+    Python floats: numpy's IEEE arithmetic at a fraction of the call cost)."""
     widths = []
     v = -0.0  # a still front keeps the sign -k1 * 0 gives it
     for p, vals in zip(phases, fields):
         w = p.sigma * (s - p.anchor)
         widths.append(w)
-        v -= p.k * _front_difference(vals, h, w)
+        far, near, front = vals[-3:].tolist()
+        v -= p.k * ((3.0 * front - 4.0 * near + far) / (2.0 * h * w))
     return widths, v
 
 
@@ -282,23 +279,32 @@ _BLOCK_FLOATS = 2**14
 _BLOCK_STEPS = 64
 
 
-def _slot(bufs: list[np.ndarray], r: int) -> tuple[list[np.ndarray], list[tuple]]:
-    """Row ``r`` of each phase's state buffer, with the stencil views a step
-    reads from or writes into it: ``(u[:-2], u[1:-1], u[2:])``, cut once per
-    solve."""
-    fields = [buf[r] for buf in bufs]
-    return fields, [(u[:-2], u[1:-1], u[2:]) for u in fields]
+def _plan(phases: list[_Phase], srcs: list[np.ndarray], dsts: list[np.ndarray],
+          uts: list[np.ndarray], work: tuple) -> tuple[list[np.ndarray], list[tuple]]:
+    """The plan of a step from the state rows ``srcs`` into ``dsts`` that
+    leaves its heating rates in ``uts`` (one row of each per phase): the
+    source rows the front law reads, and per phase the tuple
+    ``(phase, sigma, anchor, edge, left, mid, right, dst, dst_mid, ut, *work)``.
+    ``edge`` is the phase's edge data if it is callable, else ``None``;
+    ``(left, mid, right)`` are the source's stencil views
+    ``(u[:-2], u[1:-1], u[2:])`` and ``dst_mid`` is ``dst[1:-1]``.  ``work``
+    is shared by all plans of a solve: the interior nodes ``eta``, a scratch
+    row and two 0-d scratch arrays for the step's scalar factors."""
+    return srcs, [(p, p.sigma, p.anchor, p.edge if callable(p.edge) else None,
+                   u[:-2], u[1:-1], u[2:], new, new[1:-1], ut, *work)
+                  for p, u, new, ut in zip(phases, srcs, dsts, uts)]
 
 
-def _step(phases: list[_Phase], src: tuple, dst: tuple, uts: list[np.ndarray],
-          d1: np.ndarray, t: float, s: float, dt: float, h: float,
-          eta_int: np.ndarray) -> tuple[float, float]:
-    """One explicit step from the state slot ``src`` into ``dst`` (as
-    :func:`_slot` cuts them); returns ``(s_new, v)`` with the front speed
-    ``v`` of the pre-step state, and leaves its interior heating rates
-    ``U_etaeta / w^2`` in ``uts``.  Only a callable edge is written: the
-    caller fills the constant edge and the front node of every row once."""
-    widths, v = _front_speed(phases, src[0], s, h)
+def _step(phases: list[_Phase], plan: tuple, t: float, s: float, dt: float,
+          dt_arr: np.ndarray, h: float) -> tuple[float, float]:
+    """One explicit step along ``plan`` (as :func:`_plan` cuts it), with
+    ``dt_arr`` holding ``dt`` as a 0-d array; returns ``(s_new, v)`` with the
+    front speed ``v`` of the pre-step state, and leaves its interior heating
+    rates ``U_etaeta / w^2`` in the plan's rate rows.  Only a callable edge is
+    written: the caller fills the constant edge and the front node of every
+    row once."""
+    fields, moves = plan
+    widths, v = _front_speed(phases, fields, s, h)
     rate = _mapped_rate(min(widths), v, h)
     if dt * rate > 1.0 + 1e-12:
         raise ValueError(
@@ -308,26 +314,32 @@ def _step(phases: list[_Phase], src: tuple, dst: tuple, uts: list[np.ndarray],
 
     ds = dt * v
     s_new = s + ds
-    for p, (left, mid, right), new, (_, new_mid, _), ut, w in zip(phases, src[1], dst[0],
-                                                                   dst[1], uts, widths):
-        if p.sigma * (s_new - p.anchor) <= 0:
+    for (p, sigma, anchor, edge, left, mid, right, new, new_mid, ut,
+         eta, d1, scale, adv), w in zip(moves, widths):
+        if sigma * (s_new - anchor) <= 0:
             raise RuntimeError(f"front {s_new:g} reached the {p.name}'s far edge "
-                               f"x={p.anchor:g} at t={t + dt:g}")
+                               f"x={anchor:g} at t={t + dt:g}")
         # new = mid + dt * ((right - 2 mid + left) / (w^2 h^2))
         #           + (sigma ds / (2 h w)) * (eta * (right - left)), op for op;
-        # each ufunc's third argument is its output
-        np.multiply(mid, 2.0, ut)
+        # each ufunc's third argument is its output.  mid + mid is 2 mid bit
+        # for bit: both round the exact double of mid once (IEEE-754), for
+        # signed zeros, subnormals, overflow, inf and NaN alike.  The scalar
+        # factors go in as 0-d float64 arrays holding the same doubles, which
+        # numpy takes at less cost than Python floats
+        scale[()] = w * w * h * h
+        adv[()] = sigma * ds / (2.0 * h * w)
+        np.add(mid, mid, ut)
         np.subtract(right, ut, ut)
         np.add(ut, left, ut)
-        np.divide(ut, w * w * h * h, ut)
-        np.multiply(ut, dt, new_mid)
+        np.divide(ut, scale, ut)
+        np.multiply(ut, dt_arr, new_mid)
         np.add(mid, new_mid, new_mid)
         np.subtract(right, left, d1)
-        np.multiply(eta_int, d1, d1)
-        np.multiply(d1, p.sigma * ds / (2.0 * h * w), d1)
+        np.multiply(eta, d1, d1)
+        np.multiply(d1, adv, d1)
         np.add(new_mid, d1, new_mid)
-        if callable(p.edge):
-            new[0] = signed_value(p.edge, t + dt, p.sigma, p.edge_name)
+        if edge is not None:
+            new[0] = signed_value(edge, t + dt, sigma, p.edge_name)
     return s_new, v
 
 
@@ -386,10 +398,16 @@ def solve_stefan(spec: StefanSpec1D) -> StefanResult:
 
     Steps write into preallocated per-phase blocks of up to 64 state rows,
     and the monitors behind the report (per-step extremes of the states and
-    of the liquid's heating rates, and of the heating edge) are reduced once
-    per block.  The checks that can stop a run are unchanged and still made
-    at every step: the stability limit, the front reaching a phase's far
-    edge, and the sign rule of a time-dependent edge.
+    of the liquid's heating rates, and of both edges) are reduced once per
+    block.  Everything a step reads besides the state is bound once per
+    solve: one plan per block row (:func:`_plan`: the rows, the stencil
+    views, a callable edge, the scratch), ``dt`` and the warm-up's
+    ``dt / 10`` as 0-d arrays; only a warm-up step cuts plans as it goes,
+    for its ten substeps through the scratch rows.  Times, fronts and
+    velocities collect in Python lists.  The checks that can stop a run
+    are still made at every step and substep: the stability limit, the
+    front reaching a phase's far edge, and the sign rule of a
+    time-dependent edge.
     """
     phases = _phases(spec)
     n = spec.nx
@@ -411,15 +429,15 @@ def solve_stefan(spec: StefanSpec1D) -> StefanResult:
     _record(snapshots, phases, fields, grid, t)
     snap_fronts = [s]
 
-    times = np.empty(n_steps + 1)
-    fronts = np.empty(n_steps + 1)
-    vels = np.empty(n_steps + 1)
-    times[0], fronts[0] = t, s
+    times, fronts, vels = [t], [s], []
     step_umax = np.empty(n_steps)
     step_umin = np.empty(n_steps)
     step_utmin = np.empty(n_steps)
     step_utmax = np.empty(n_steps)
+    # the maximum principle bounds u by its parabolic-boundary data: the
+    # initial nodes and both edges; g_min is the solid's far edge over the steps
     f_max = f_min = float(fields[0][0])
+    g_min = 0.0
     phi_max = max(float(np.max(vals)) for vals in fields)
     phi_min = min(0.0, *(float(np.min(vals)) for vals in fields))
 
@@ -435,34 +453,37 @@ def solve_stefan(spec: StefanSpec1D) -> StefanResult:
     for buf, spare, vals in zip(states, scratch, fields):
         buf[:] = vals
         spare[:] = vals
-    slots = [_slot(states, r) for r in range(block + 1)]
-    spares = [_slot(scratch, j) for j in range(2)]
+    rows = [[buf[r] for buf in states] for r in range(block + 1)]
+    spares = [[buf[j] for buf in scratch] for j in range(2)]
     ut_rows = [[buf[r] for buf in rates] for r in range(block)]
-    d1 = np.empty(n - 1)
+    work = (eta_int, np.empty(n - 1), np.empty(()), np.empty(()))
+    plans = [_plan(phases, rows[r], rows[r + 1], ut_rows[r], work) for r in range(block)]
+    dt_arr = np.array(dt, dtype=float)
+    sub_dt = dt / 10.0
+    sub_arr = np.array(sub_dt, dtype=float)
 
     for k0 in range(0, n_steps, block):
         m = min(block, n_steps - k0)
         for r in range(m):
             k = k0 + r
             if k < warm_steps:
-                # 10 substeps, ping-ponged through the scratch rows; the last
-                # lands in the block row and leaves its rates in the block
-                sub_dt = dt / 10.0
-                src = slots[r]
+                # 10 substeps of dt / 10, ping-ponged through the scratch rows;
+                # the last lands in the block row, and each leaves its rates in
+                # the block's rates row r
+                route = [rows[r], *(spares[j % 2] for j in range(9)), rows[r + 1]]
                 for j in range(10):
-                    dst = slots[r + 1] if j == 9 else spares[j % 2]
-                    s, v = _step(phases, src, dst, ut_rows[r], d1, t + j * sub_dt, s, sub_dt,
-                                 h, eta_int)
+                    s, v = _step(phases, _plan(phases, route[j], route[j + 1], ut_rows[r], work),
+                                 t + j * sub_dt, s, sub_dt, sub_arr, h)
                     if j == 0:
-                        vels[k] = v
-                    src = dst
+                        vels.append(v)
             else:
-                s, vels[k] = _step(phases, slots[r], slots[r + 1], ut_rows[r], d1, t, s, dt,
-                                   h, eta_int)
+                s, v = _step(phases, plans[r], t, s, dt, dt_arr, h)
+                vels.append(v)
             t = spec.t0 + (k + 1) * dt
-            times[k + 1], fronts[k + 1] = t, s
+            times.append(t)
+            fronts.append(s)
             if (k + 1) % snap_every == 0:
-                _record(snapshots, phases, slots[r + 1][0], grid, t)
+                _record(snapshots, phases, rows[r + 1], grid, t)
                 snap_fronts.append(s)
 
         # the monitors of the block's m steps, one reduction each
@@ -471,6 +492,7 @@ def solve_stefan(spec: StefanSpec1D) -> StefanResult:
         umin = liquid.min(axis=1)
         for buf in states[1:]:
             np.minimum(umin, buf[1:m + 1].min(axis=1), out=umin)
+            g_min = min(g_min, float(buf[1:m + 1, 0].min()))
         step_umin[k0:k0 + m] = umin
         step_utmin[k0:k0 + m] = rates[0][:m].min(axis=1)
         step_utmax[k0:k0 + m] = rates[0][:m].max(axis=1)
@@ -478,10 +500,11 @@ def solve_stefan(spec: StefanSpec1D) -> StefanResult:
         f_min = min(f_min, float(liquid[:, 0].min()))
         for buf in states:
             buf[0] = buf[m]
-    vels[n_steps] = _front_speed(phases, slots[0][0], s, h)[1]
+    vels.append(_front_speed(phases, rows[0], s, h)[1])
+    times, fronts, vels = (np.array(x, dtype=float) for x in (times, fronts, vels))
 
     bound_high = max(f_max, phi_max)
-    bound_low = min(0.0, f_min, phi_min)
+    bound_low = min(0.0, f_min, g_min, phi_min)
     mp_slack = 1e-12 * max(1.0, abs(bound_high), abs(bound_low))
     mp_violations = int(np.sum((step_umax > bound_high + mp_slack)
                                | (step_umin < bound_low - mp_slack)))

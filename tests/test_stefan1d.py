@@ -326,7 +326,11 @@ def test_monitors_match_every_stored_state(two_phase):
     assert rep["u_min"] == min(vals.min() for states in phases for vals in states[1:])
     edge = [vals[0] for vals in liquid]
     assert rep["bound_high"] == max(*edge, *(states[0].max() for states in phases))
-    assert rep["bound_low"] == min(0.0, *edge, *(states[0].min() for states in phases))
+    # the parabolic boundary holds both edges: the solid's far edge x = L is
+    # its last stored node, and here it falls below its start value
+    far = [vals[-1] for vals in phases[1]] if two_phase else []
+    assert rep["bound_low"] == min(0.0, *edge, *far, *(states[0].min() for states in phases))
+    assert rep["max_principle_violations"] == 0
 
     # the heating rate of each step is that of its pre-step state
     h = 1.0 / nx
@@ -348,6 +352,70 @@ def test_monitors_match_every_stored_state(two_phase):
             step = vals[1:-1] + spec.dt * (d2 / (w * w * h * h)) \
                 + (sigma * ds / (2.0 * h * w)) * (eta_int * d1)
             assert np.array_equal(nxt[1:], np.append(step, 0.0)), k
+
+
+@pytest.mark.parametrize("two_phase, nx", [(False, 12), (True, 12), (True, 4096)],
+                         ids=["one_phase", "two_phase", "two_phase_blocks_of_3"])
+def test_warm_up_steps_are_ten_reference_substeps(two_phase, nx):
+    """A degenerate start takes each of its first 5 steps as 10 substeps of
+    dt / 10 through two spare rows.  Every stored state must equal those
+    substeps bit for bit, each substep taking its speed from the front law
+    and its callable edges at its own end time, and each step's velocity is
+    that of its first substep.  At nx = 4096 a block holds 3 steps, so the
+    warm-up crosses a block edge."""
+    t0, b, length = 0.1, 0.2, 1.0
+    solid = dict(k2=0.5, length=length, far_boundary=lambda t: -0.25 - (t - t0),
+                 initial_solid=lambda x: -0.25 * (x - b) / (length - b)) if two_phase else {}
+    h = 1.0 / nx
+    dt = 0.25 * (b * h) ** 2
+    spec = StefanSpec1D(k1=1.0, b=b, duration=8 * dt, dt=dt, t0=t0, nx=nx,
+                        boundary=lambda t: 1.0 + 2.0 * (t - t0), snapshot_every=1, **solid)
+    res = solve_stefan(spec)
+    rep = res.report
+    assert rep["steps"] == 8 and rep["warmup_steps"] == 5
+
+    phases = _phases(spec)
+    trajs = [res.trajectory, res.solid_trajectory][:len(phases)]
+    # the solver's orientation: the solid mirrored, its far edge at node 0
+    stored = [[snap.values[::p.sigma] for snap in traj.snapshots]
+              for p, traj in zip(phases, trajs)]
+    eta_int = np.linspace(0.0, 1.0, nx + 1)[1:-1]
+    state = [states[0] for states in stored]
+    s, t = res.snapshot_fronts[0], t0
+    for k in range(rep["steps"]):
+        subs = 10 if k < 5 else 1
+        sub_dt = dt / subs
+        for j in range(subs):
+            widths, v = _front_speed(phases, state, s, h)
+            if j == 0:
+                assert res.front.velocities[k] == v, k
+            ds = sub_dt * v
+            new = []
+            for p, vals, w in zip(phases, state, widths):
+                d2 = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
+                d1 = vals[2:] - vals[:-2]
+                step = vals[1:-1] + sub_dt * (d2 / (w * w * h * h)) \
+                    + (p.sigma * ds / (2.0 * h * w)) * (eta_int * d1)
+                new.append(np.concatenate(([p.edge(t + j * sub_dt + sub_dt)], step, [0.0])))
+            state, s = new, s + ds
+        t = t0 + (k + 1) * dt
+        assert s == res.snapshot_fronts[k + 1] == res.front.positions[k + 1], k
+        for vals, states in zip(state, stored):
+            assert vals.tobytes() == states[k + 1].tobytes(), k
+    # the front moves within the warm-up (heat reaches it, or the solid pulls it)
+    assert res.front.positions[5] != b
+
+
+@pytest.mark.parametrize("steps_to_sign_change", [2.35, 20.5], ids=["in_warm_up", "after_warm_up"])
+def test_heating_edge_turning_negative_mid_run_rejected(steps_to_sign_change):
+    """The sign rule of a callable heating edge is checked at every step and
+    every warm-up substep, not only at the start."""
+    dt = 2e-4
+    t_flip = steps_to_sign_change * dt
+    spec = StefanSpec1D(k1=1.0, b=0.5, duration=40 * dt, dt=dt, nx=10,
+                        boundary=lambda t: 1.0 if t < t_flip else -1.0)
+    with pytest.raises(ValueError, match="boundary heating must stay nonnegative, got -1"):
+        solve_stefan(spec)
 
 
 # ---------------------------------------------------------------------------
