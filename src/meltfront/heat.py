@@ -315,21 +315,6 @@ def interior_trapezoid_weights(grid: Grid) -> np.ndarray:
     return full.ravel()
 
 
-def _heat_kernel_on_axes(phi: TemperatureField, t: float, targets: list[np.ndarray]) -> np.ndarray:
-    """Quadrature at the tensor product of the 1D target centers ``targets``."""
-    if t <= 0:
-        raise ValueError(f"heat kernel requires t > 0, got {t}")
-    g = phi.grid
-    if len(targets) != g.dim:
-        raise ValueError(f"evaluation target is {len(targets)}-d for a {g.dim}-d grid")
-    out = phi.reshaped()
-    for j, y in enumerate(targets):
-        kern = np.exp(-((y[:, None] - g.axis_centers(j)) ** 2) / (4.0 * t))
-        kern *= _trapezoid_1d(g.counts[j], g.spacing[j])
-        out = np.moveaxis(np.tensordot(kern, out, axes=([1], [j])), 0, j)
-    return (4.0 * np.pi * t) ** (-g.dim / 2.0) * out
-
-
 def heat_kernel_field(
     phi: TemperatureField, t: float, eval_grid: Grid | None = None
 ) -> TemperatureField:
@@ -343,8 +328,18 @@ def heat_kernel_field(
     dimension differs from ``phi``'s.
     """
     target = eval_grid if eval_grid is not None else phi.grid
-    axes = [target.axis_centers(j) for j in range(target.dim)]
-    return TemperatureField(target, phi.time + t, _heat_kernel_on_axes(phi, t, axes))
+    if t <= 0:
+        raise ValueError(f"heat kernel requires t > 0, got {t}")
+    g = phi.grid
+    if target.dim != g.dim:
+        raise ValueError(f"evaluation target is {target.dim}-d for a {g.dim}-d grid")
+    out = phi.reshaped()
+    for j in range(g.dim):
+        y = target.axis_centers(j)
+        kern = np.exp(-((y[:, None] - g.axis_centers(j)) ** 2) / (4.0 * t))
+        kern *= _trapezoid_1d(g.counts[j], g.spacing[j])
+        out = np.moveaxis(np.tensordot(kern, out, axes=([1], [j])), 0, j)
+    return TemperatureField(target, phi.time + t, (4.0 * np.pi * t) ** (-g.dim / 2.0) * out)
 
 
 def conservation_residual(traj: HeatTrajectory) -> float:

@@ -66,7 +66,6 @@ class MollifierKernel:
     epsilon: float
     dim: int
     normalization: float
-    samples_per_radius: int
 
     def eta_unit(self, points: np.ndarray) -> np.ndarray:
         """Unit-radius kernel ``Z * exp(1/(|x|^2-1))``; exactly 0 for ``|x| >= 1``."""
@@ -122,7 +121,7 @@ def build_kernel(epsilon: float, dim: int, samples_per_radius: int = 256) -> Mol
             f"{samples_per_radius} samples per radius cannot normalize the kernel "
             f"to 1 +- 1e-8; achieved mass {achieved:.12g}"
         )
-    return MollifierKernel(float(epsilon), dim, z, samples_per_radius)
+    return MollifierKernel(float(epsilon), dim, z)
 
 
 def admissible_mask(grid: Grid, epsilon: float) -> np.ndarray:

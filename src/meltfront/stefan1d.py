@@ -252,25 +252,22 @@ def _phases(spec: StefanSpec1D) -> list[_Phase]:
 
 
 def _front_speed(phases: list[_Phase], fields: list[np.ndarray], s: float,
-                 h: float) -> tuple[list[float], float]:
-    """Phase widths ``w_p`` and the front law ``s' = -sum_p k_p D(U_p) / w_p``,
-    ``D`` the one-sided second-order 3-point ``dU/deta`` at the last node (in
-    Python floats: numpy's IEEE arithmetic at a fraction of the call cost)."""
-    widths = []
+                 h: float) -> tuple[float, float]:
+    """The front law ``s' = -sum_p k_p D(U_p) / w_p`` and the diffusion/advection
+    rate ``2 / (w^2 h^2) + |s'| / (w h)`` of the mapped update at the narrowest
+    phase width ``w`` (``1 / rate`` is the largest stable step).  ``D`` is the
+    one-sided second-order 3-point ``dU/deta`` at the last node and ``w_p =
+    sigma_p (s - anchor_p)``, in Python floats: numpy's IEEE arithmetic at a
+    fraction of the call cost."""
     v = -0.0  # a still front keeps the sign -k1 * 0 gives it
+    narrow = math.inf
     for p, vals in zip(phases, fields):
         w = p.sigma * (s - p.anchor)
-        widths.append(w)
+        if w < narrow:
+            narrow = w
         far, near, front = vals[-3:].tolist()
         v -= p.k * ((3.0 * front - 4.0 * near + far) / (2.0 * h * w))
-    return widths, v
-
-
-def _mapped_rate(width: float, v: float, h: float) -> float:
-    """Combined diffusion/advection rate of the mapped update; ``1 / rate``
-    is the largest stable step for front speed ``v``.  The rate falls with
-    the width, so the narrowest phase sets it."""
-    return 2.0 / (width * width * h * h) + abs(v) / (width * h)
+    return v, 2.0 / (narrow * narrow * h * h) + abs(v) / (narrow * h)
 
 
 # Steps per block: 64 already amortize the monitor reductions (256 measured
@@ -304,8 +301,7 @@ def _step(phases: list[_Phase], plan: tuple, t: float, s: float, dt: float,
     written: the caller fills the constant edge and the front node of every
     row once."""
     fields, moves = plan
-    widths, v = _front_speed(phases, fields, s, h)
-    rate = _mapped_rate(min(widths), v, h)
+    v, rate = _front_speed(phases, fields, s, h)
     if dt * rate > 1.0 + 1e-12:
         raise ValueError(
             f"dt={dt:g} violates the mapped-grid stability limit {1.0 / rate:g} "
@@ -315,7 +311,8 @@ def _step(phases: list[_Phase], plan: tuple, t: float, s: float, dt: float,
     ds = dt * v
     s_new = s + ds
     for (p, sigma, anchor, edge, left, mid, right, new, new_mid, ut,
-         eta, d1, scale, adv), w in zip(moves, widths):
+         eta, d1, scale, adv) in moves:
+        w = sigma * (s - anchor)
         if sigma * (s_new - anchor) <= 0:
             raise RuntimeError(f"front {s_new:g} reached the {p.name}'s far edge "
                                f"x={anchor:g} at t={t + dt:g}")
@@ -380,8 +377,7 @@ def time_steps(spec: StefanSpec1D, fields: list[np.ndarray] | None = None
     phases, h = _phases(spec), 1.0 / spec.nx
     if fields is None:
         fields = _initial_nodes(spec, phases, np.linspace(0.0, 1.0, spec.nx + 1))
-    widths, v = _front_speed(phases, fields, spec.b, h)
-    limit = 1.0 / _mapped_rate(min(widths), v, h)
+    limit = 1.0 / _front_speed(phases, fields, spec.b, h)[1]
     dt = spec.dt if spec.dt is not None else 0.8 * limit
     return limit, dt, step_count(spec.duration, dt)
 
@@ -403,11 +399,15 @@ def solve_stefan(spec: StefanSpec1D) -> StefanResult:
     solve: one plan per block row (:func:`_plan`: the rows, the stencil
     views, a callable edge, the scratch), ``dt`` and the warm-up's
     ``dt / 10`` as 0-d arrays; only a warm-up step cuts plans as it goes,
-    for its ten substeps through the scratch rows.  Times, fronts and
-    velocities collect in Python lists.  The checks that can stop a run
-    are still made at every step and substep: the stability limit, the
-    front reaching a phase's far edge, and the sign rule of a
-    time-dependent edge.
+    for its ten substeps through the scratch rows.  Fronts and velocities
+    collect in Python lists; the times ``t0 + k dt``, the snapshot fronts
+    and the largest heating rate are derived, not collected.  The checks
+    that can stop a run are still made at every step and substep: the
+    stability limit, the front reaching a phase's far edge, and the sign
+    rule of a time-dependent edge.  The per-step extremes the monitors
+    reduce must be finite (NaN and +-inf carry through them): a
+    ``ValueError`` names the first step whose extremes are not, before
+    that block's snapshots are recorded.
     """
     phases = _phases(spec)
     n = spec.nx
@@ -427,13 +427,10 @@ def solve_stefan(spec: StefanSpec1D) -> StefanResult:
     grid = Grid(origin=(-0.5 * h,), extent=(1.0 + h,), counts=(n + 1,))
     snapshots = [[] for _ in phases]
     _record(snapshots, phases, fields, grid, t)
-    snap_fronts = [s]
 
-    times, fronts, vels = [t], [s], []
-    step_umax = np.empty(n_steps)
-    step_umin = np.empty(n_steps)
-    step_utmin = np.empty(n_steps)
-    step_utmax = np.empty(n_steps)
+    fronts, vels = [s], []
+    monitors = np.empty((3, n_steps))  # per step: max u (liquid), min u, min u_t (liquid)
+    ut_max = -math.inf
     # the maximum principle bounds u by its parabolic-boundary data: the
     # initial nodes and both edges; g_min is the solid's far edge over the steps
     f_max = f_min = float(fields[0][0])
@@ -480,36 +477,45 @@ def solve_stefan(spec: StefanSpec1D) -> StefanResult:
                 s, v = _step(phases, plans[r], t, s, dt, dt_arr, h)
                 vels.append(v)
             t = spec.t0 + (k + 1) * dt
-            times.append(t)
             fronts.append(s)
-            if (k + 1) % snap_every == 0:
-                _record(snapshots, phases, rows[r + 1], grid, t)
-                snap_fronts.append(s)
 
         # the monitors of the block's m steps, one reduction each
+        block_monitors = monitors[:, k0:k0 + m]
+        umax, umin, utmin = block_monitors
         liquid = states[0][1:m + 1]
-        step_umax[k0:k0 + m] = liquid.max(axis=1)
-        umin = liquid.min(axis=1)
+        liquid.max(axis=1, out=umax)
+        liquid.min(axis=1, out=umin)
         for buf in states[1:]:
             np.minimum(umin, buf[1:m + 1].min(axis=1), out=umin)
             g_min = min(g_min, float(buf[1:m + 1, 0].min()))
-        step_umin[k0:k0 + m] = umin
-        step_utmin[k0:k0 + m] = rates[0][:m].min(axis=1)
-        step_utmax[k0:k0 + m] = rates[0][:m].max(axis=1)
+        rates[0][:m].min(axis=1, out=utmin)
+        finite = np.isfinite(block_monitors).all(axis=0)
+        if not finite.all():
+            q = k0 + 1 + int(np.argmin(finite))
+            raise ValueError(f"solve_stefan step {q} (t={spec.t0 + q * dt:g}) "
+                             f"holds non-finite values")
+        ut_max = max(ut_max, float(rates[0][:m].max()))
         f_max = max(f_max, float(liquid[:, 0].max()))
         f_min = min(f_min, float(liquid[:, 0].min()))
+        # the block's states q = k0 + 1, ..., k0 + m that fall on the cadence
+        for q in range(k0 - k0 % snap_every + snap_every, k0 + m + 1, snap_every):
+            _record(snapshots, phases, rows[q - k0], grid, spec.t0 + q * dt)
         for buf in states:
             buf[0] = buf[m]
-    vels.append(_front_speed(phases, rows[0], s, h)[1])
-    times, fronts, vels = (np.array(x, dtype=float) for x in (times, fronts, vels))
+    vels.append(_front_speed(phases, rows[0], s, h)[0])
+    fronts, vels = np.array(fronts, dtype=float), np.array(vels, dtype=float)
+    times = spec.t0 + np.arange(n_steps + 1) * dt
+    times[0] = spec.t0  # a -0.0 start keeps its sign
+    step_umax, step_umin, step_utmin = monitors
 
     bound_high = max(f_max, phi_max)
     bound_low = min(0.0, f_min, g_min, phi_min)
     mp_slack = 1e-12 * max(1.0, abs(bound_high), abs(bound_low))
     mp_violations = int(np.sum((step_umax > bound_high + mp_slack)
                                | (step_umin < bound_low - mp_slack)))
-    ut_scale = max(float(np.max(np.abs(step_utmin))), float(np.max(np.abs(step_utmax))))
-    ut_tol = 10.0 * (h * h + dt) * max(1.0, ut_scale)
+    ut_min = float(step_utmin.min())
+    # max |u_t| over the run is the larger magnitude of its two extremes
+    ut_tol = 10.0 * (h * h + dt) * max(1.0, abs(ut_min), abs(ut_max))
     ut_violations = int(np.sum(step_utmin < -ut_tol))
 
     report = {
@@ -525,16 +531,17 @@ def solve_stefan(spec: StefanSpec1D) -> StefanResult:
         "bound_low": bound_low,
         "bound_high": bound_high,
         "max_principle_violations": mp_violations,
-        "ut_min": float(step_utmin.min()),
+        "ut_min": ut_min,
         "ut_tol": ut_tol,
         "ut_violation_steps": ut_violations,
     }
 
+    snap_fronts = fronts[::snap_every].copy()
     snap_dt = dt * snap_every if len(snap_fronts) > 1 else dt
     trajs = [HeatTrajectory(snaps, snap_dt) for snaps in snapshots]
     front = FrontTrajectory(times, fronts, vels)
     return StefanResult(trajectory=trajs[0], front=front, report=report,
-                        snapshot_fronts=np.asarray(snap_fronts),
+                        snapshot_fronts=snap_fronts,
                         solid_trajectory=trajs[1] if spec.two_phase else None, spec=spec)
 
 

@@ -321,8 +321,8 @@ def _front_derivative(fronts: np.ndarray, spacing, samples, theta: np.ndarray):
 
 def _move_front(heights: np.ndarray, d: np.ndarray, rx: np.ndarray, ry: np.ndarray,
                 k1: float, dt: float, ceiling: float, t: float):
-    """Forward Euler on the graph law; returns ``(heights, w, consistency)``
-    with ``w`` the vertical rate and ``consistency`` the gap to the
+    """Forward Euler on the graph law with vertical rate ``w``; returns
+    ``(heights, consistency)`` with ``consistency`` the gap to the
     normal-speed form.  A front at or above ``ceiling`` (one cell under the
     top of the box) is an error naming the time ``t``.
 
@@ -336,7 +336,7 @@ def _move_front(heights: np.ndarray, d: np.ndarray, rx: np.ndarray, ry: np.ndarr
     new_heights = heights + dt * w
     if np.any(new_heights >= ceiling):
         raise RuntimeError(f"front reached the top of the box at t={t:g}")
-    return new_heights, w, consistency
+    return new_heights, consistency
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +429,9 @@ class _ActiveBlock:
         self.u_min = _check_temperatures(self.centre[1 - self.k])
         samples = self.new.reshape(-1)[(self.base + m) - _DEPTHS]
         d, rx, ry = _front_derivative(self.fronts, self.spacing, samples, theta)
-        heights, w, consistency = _move_front(self.heights, d, rx, ry, k1, dt,
-                                              self.ceiling, t + dt)
-        info = {"consistency": consistency, "thin_cells": thin_count,
-                "front_speed_max": float(np.max(np.abs(w)))}
+        heights, consistency = _move_front(self.heights, d, rx, ry, k1, dt,
+                                           self.ceiling, t + dt)
+        info = {"consistency": consistency, "thin_cells": thin_count}
         self.k, self.u, self.new = 1 - self.k, self.new, self.u
         self.heights[...] = heights  # the one write of rho per step
         refresh_edge_padding(self.fronts[2])
@@ -452,8 +451,8 @@ def coupled_step_3d(domain: PhaseDomain, k1: float, bottom: TimeFunc, dt: float)
 
     The front only advances; newly liquid cells start at the melting value 0.
 
-    Returns ``(domain, info)`` with ``info`` carrying the consistency gap,
-    the thin-cell count and the largest front speed.
+    Returns ``(domain, info)`` with ``info`` carrying the consistency gap
+    and the thin-cell count.
     """
     require_positive(dt=dt, k1=k1)
     block = _ActiveBlock(domain.grid, domain.cube(), domain.front.heights)
@@ -550,8 +549,8 @@ def solve3d(spec: StefanSpec3D) -> Stefan3DResult:
     and a report.
 
     The report carries the rounding-level consistency gap between the two
-    front-speed forms, thin-cell counts, the largest front speed, the front
-    Lipschitz constant, and the enforced stability limit.
+    front-speed forms, thin-cell counts, the front Lipschitz constant, and
+    the enforced stability limit.
     """
     domain = _initial_domain(spec)
     grid, fx = spec.grid, domain.front.grid
@@ -585,7 +584,6 @@ def solve3d(spec: StefanSpec3D) -> Stefan3DResult:
         "steps": n_steps,
         "consistency_max": max(i["consistency"] for i in infos),
         "thin_cell_steps": sum(i["thin_cells"] for i in infos),
-        "front_speed_max": max(i["front_speed_max"] for i in infos),
         "u_min": u_min,
         "front_min": float(heights.min()),
         "front_max": float(heights.max()),

@@ -219,6 +219,24 @@ def test_unstable_dt_leaves_failure_marker(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+def test_overflowing_edge_leaves_failure_marker(tmp_path, capsys):
+    """A heating ramp that overflows makes the first step's state non-finite;
+    the run stops there with exit 3 and a marker naming the step, and writes
+    no NaN fronts and no report (NaN comparisons are false, so its
+    max-principle check would pass)."""
+    cfg = {"mode": "solve1d", "k1": 1, "b": 0.5, "t0": 1,
+           "boundary": {"kind": "ramp", "value": 1, "rate": 1e308},
+           "duration": 1, "nx": 8, "snapshot_every": 1000000}
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        rc = main(["solve1d", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    assert rc == 3
+    assert "numerical failure: solve_stefan step 1 (t=1.00156)" in capsys.readouterr().err
+    marker = json.loads((out / "FAILED.json").read_text())
+    assert marker["error"] == "solve_stefan step 1 (t=1.00156) holds non-finite values"
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("cfg, key", [
     (dict(SIM_1D, boundary=0.0), "boundary"),
     (dict(FLAT_3D, t0=0.25, initial={"kind": "similarity"}, bottom=0.0), "bottom"),

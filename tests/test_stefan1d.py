@@ -8,6 +8,7 @@ law by construction.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,9 +99,11 @@ def test_front_gradient_exact_on_quadratics():
     u = 2.0 - 3.0 * (eta * s) + (eta * s) ** 2
     r = (length - eta * (length - s)) - s
     w = 5.0 * r - 2.0 * r**2
-    widths, v = _front_speed(_phases(spec), [u, w], s, 0.1)
-    assert widths == [s, length - s]
+    v, rate = _front_speed(_phases(spec), [u, w], s, 0.1)
     assert v == pytest.approx(-k1 * (-3.0 + 2.0 * s) + k2 * 5.0, rel=1e-13)
+    # the narrower phase, the solid's L - s, sets the stable rate
+    narrow = length - s
+    assert rate == 2.0 / (narrow * narrow * 0.1 * 0.1) + abs(v) / (narrow * 0.1)
 
 
 def test_spec_validation():
@@ -332,11 +335,14 @@ def test_monitors_match_every_stored_state(two_phase):
     assert rep["bound_low"] == min(0.0, *edge, *far, *(states[0].min() for states in phases))
     assert rep["max_principle_violations"] == 0
 
-    # the heating rate of each step is that of its pre-step state
+    # the heating rate of each step is that of its pre-step state, and the
+    # tolerance scales with its largest magnitude over the run
     h = 1.0 / nx
-    ut_min = min(((vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / (s * s * h * h)).min()
-                 for vals, s in zip(liquid[:-1], res.snapshot_fronts[:-1]))
-    assert rep["ut_min"] == ut_min
+    ut = [(vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / (s * s * h * h)
+          for vals, s in zip(liquid[:-1], res.snapshot_fronts[:-1])]
+    assert rep["ut_min"] == min(rates.min() for rates in ut)
+    ut_scale = max(np.abs(rates).max() for rates in ut)
+    assert rep["ut_tol"] == 10.0 * (h * h + spec.dt) * max(1.0, ut_scale)
 
     # and each stored state is one explicit step of the one before it, block
     # edges included (the solid is stepped mirrored, as the solver does)
@@ -352,6 +358,47 @@ def test_monitors_match_every_stored_state(two_phase):
             step = vals[1:-1] + spec.dt * (d2 / (w * w * h * h)) \
                 + (sigma * ds / (2.0 * h * w)) * (eta_int * d1)
             assert np.array_equal(nxt[1:], np.append(step, 0.0)), k
+
+
+def test_snapshot_cadence_stores_every_kth_state_of_the_run():
+    """Snapshots are recorded once per block, after its monitors.  A run that
+    stores every 7th state must store exactly the states, fronts and times of
+    a run that stores every one, over 150 steps (blocks of 64, 64 and 22, the
+    last step off the cadence), and a -0.0 start keeps its sign."""
+    b, length, dt = 0.3, 1.0, 5e-5
+    spec = StefanSpec1D(k1=1.0, b=b, duration=149.5 * dt, dt=dt, t0=-0.0, nx=20,
+                        boundary=lambda t: 1.0 + t, initial=lambda x: 1.0 - x / b,
+                        k2=0.5, length=length, far_boundary=-0.5,
+                        initial_solid=lambda x: -0.5 * (x - b) / (length - b))
+    every = solve_stefan(replace(spec, snapshot_every=1))
+    seventh = solve_stefan(replace(spec, snapshot_every=7))
+    assert seventh.report == every.report
+    assert seventh.report["steps"] == len(every.trajectory) - 1 == 150
+    assert len(seventh.trajectory) == 22  # states 0, 7, ..., 147
+
+    for full, kept in ((every.trajectory, seventh.trajectory),
+                       (every.solid_trajectory, seventh.solid_trajectory)):
+        assert kept.values_matrix().tobytes() == full.values_matrix()[::7].tobytes()
+        assert kept.times.tobytes() == full.times[::7].tobytes()
+        assert kept.times.tobytes() == seventh.front.times[::7].tobytes()
+    assert seventh.snapshot_fronts.tobytes() == every.snapshot_fronts[::7].tobytes()
+    assert seventh.snapshot_fronts.tobytes() == seventh.front.positions[::7].tobytes()
+    for name in ("times", "positions", "velocities"):
+        assert getattr(seventh.front, name).tobytes() == getattr(every.front, name).tobytes()
+    assert math.copysign(1.0, seventh.front.times[0]) == -1.0
+    assert seventh.front.times[150] == -0.0 + 150 * dt
+
+
+@pytest.mark.parametrize("snapshot_every", [10**9, None], ids=["snapshots_off", "snapshots_on"])
+def test_non_finite_state_is_named_at_its_step(snapshot_every):
+    """A NaN edge from t = 0.005 on (step 20) stops the run there.  NaN
+    comparisons are false, so unchecked it would finish with NaN monitors and
+    no max-principle violation, or fail unnamed at its first snapshot."""
+    spec = StefanSpec1D(k1=1.0, b=0.5, duration=0.01, nx=20,
+                        boundary=lambda t: 1.0 if t < 0.005 else math.nan,
+                        snapshot_every=snapshot_every)
+    with pytest.raises(ValueError, match=r"^solve_stefan step 20 \(t=0.005\) holds non-finite"):
+        solve_stefan(spec)
 
 
 @pytest.mark.parametrize("two_phase, nx", [(False, 12), (True, 12), (True, 4096)],
@@ -386,12 +433,13 @@ def test_warm_up_steps_are_ten_reference_substeps(two_phase, nx):
         subs = 10 if k < 5 else 1
         sub_dt = dt / subs
         for j in range(subs):
-            widths, v = _front_speed(phases, state, s, h)
+            v, _ = _front_speed(phases, state, s, h)
             if j == 0:
                 assert res.front.velocities[k] == v, k
             ds = sub_dt * v
             new = []
-            for p, vals, w in zip(phases, state, widths):
+            for p, vals in zip(phases, state):
+                w = p.sigma * (s - p.anchor)
                 d2 = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
                 d1 = vals[2:] - vals[:-2]
                 step = vals[1:-1] + sub_dt * (d2 / (w * w * h * h)) \
