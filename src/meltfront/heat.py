@@ -18,13 +18,14 @@ trapezoid weights are tensor products, so the quadrature runs as one 1D
 contraction per axis, ``O(N sum_j n_j)`` for ``N`` cells.
 
 It also owns the run rules every solver shares: ``step_count``,
-``eval_time``, the edge sign rule ``signed_value``, ``require_positive`` and
-``require_finite``.
+``eval_time``, the edge sign rule ``signed_value``, ``require_positive``,
+``require_finite`` and ``require_cadence``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -92,6 +93,13 @@ def require_finite(**values: float) -> None:
     for name, v in values.items():
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
+
+
+def require_cadence(k) -> None:
+    """Raise ``ValueError`` unless the snapshot cadence ``k`` is ``None`` or a
+    positive integer (a ``bool`` is not one)."""
+    if k is not None and (isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1):
+        raise ValueError(f"snapshot_every must be None or a positive integer, got {k!r}")
 
 
 class OperatorCoefficients:

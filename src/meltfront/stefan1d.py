@@ -37,8 +37,8 @@ from typing import Callable
 import numpy as np
 
 from .grid import Grid, TemperatureField, write_csv_rows
-from .heat import SIGN_RULE, HeatTrajectory, TimeFunc, eval_time, require_finite, \
-    require_positive, signed_value, step_count
+from .heat import SIGN_RULE, HeatTrajectory, TimeFunc, eval_time, require_cadence, \
+    require_finite, require_positive, signed_value, step_count
 
 __all__ = [
     "StefanSpec1D",
@@ -172,6 +172,7 @@ class StefanSpec1D:
     def __post_init__(self):
         require_positive(k1=self.k1, b=self.b, duration=self.duration)
         require_finite(t0=self.t0)
+        require_cadence(self.snapshot_every)
         if self.nx < 4:
             raise ValueError(f"need nx >= 4 mapped cells, got {self.nx}")
         if self.dt is not None:

@@ -15,17 +15,14 @@ their difference (a pure rounding check) is recorded.
 Discretization
 --------------
 Fields live on cell centers; solid cells (``z >= rho``) store 0 and act as
-melting-temperature values for horizontal neighbors.  The vertical stencil
-of the top liquid cell in each column conforms to the front: with
-``theta = (rho - z_top) / dz`` the one-sided second difference
-
-    u_zz ~ 2 [theta u_below - (1 + theta) u_top] / (theta (1 + theta) dz^2)
-
-uses the front value 0 at distance ``theta dz``.  Cells with
-``theta < 1/2`` are not stepped; they are slaved to the quadratic through
-the front and the two cells below (value ``2 theta/(1+theta) u_1 -
-theta/(2+theta) u_2``, floored at 0 since the extrapolation undershoots
-on steep profiles).  The bottom face enters through the conforming
+melting-temperature values for horizontal neighbors.  The top liquid cell
+of each column is not stepped: with ``theta = (rho - z_top) / dz`` it holds
+the quadratic through the front value 0 and the new values of the two
+cells below, ``2 theta/(1+theta) u_1 - theta/(2+theta) u_2``, floored at 0
+since the extrapolation undershoots on steep profiles (the ghost value of
+a Dirichlet interface; Gibou, Fedkiw, Cheng and Kang, J. Comput. Phys. 176
+(2002)).  The front then converges at second order in ``dz`` on the flat
+similarity start.  The bottom face enters through the conforming
 half-cell formula ``(8 f + 4 u_1 - 12 u_0) / (3 dz^2)``.
 
 Front gradients per column come from a least-squares quadratic
@@ -35,7 +32,7 @@ neighbor fits evaluated at the column's own front height, so columns of
 different depth compare values at a common level.
 
 The stability limit ``dt <= 1 / (2/dx^2 + 2/dy^2 + 4/dz^2)`` covers the
-worst stepped stencil (``theta = 1/2`` and the bottom row).
+worst stepped stencil, the half-cell bottom row.
 
 Checks
 ------
@@ -71,7 +68,8 @@ from typing import Callable
 import numpy as np
 
 from .grid import Grid, TemperatureField, interior_index, refresh_edge_padding, span_stencil
-from .heat import TimeFunc, require_finite, require_positive, signed_value, step_count
+from .heat import TimeFunc, require_cadence, require_finite, require_positive, signed_value, \
+    step_count
 
 __all__ = [
     "GraphFront",
@@ -344,8 +342,8 @@ def _move_front(heights: np.ndarray, d: np.ndarray, rx: np.ndarray, ry: np.ndarr
 # ---------------------------------------------------------------------------
 
 def stability_limit_3d(grid: Grid) -> float:
-    """Explicit limit covering the conforming stencils: ``theta >= 1/2``
-    front cells and the half-cell bottom row both reach ``4 / dz^2``."""
+    """Explicit limit covering the stepped stencils: the half-cell bottom row
+    reaches ``4 / dz^2``; the front cell is not stepped."""
     dx, dy, dz = grid.spacing
     return 1.0 / (2.0 / dx**2 + 2.0 / dy**2 + 4.0 / dz**2)
 
@@ -371,10 +369,10 @@ class _ActiveBlock:
         u = np.pad(cube[:, :, :depth], 1, mode="edge")
         self.rows = np.stack([u, np.zeros_like(u)])
         self.k, (self.u, self.new) = 0, self.rows
-        span, self.centre, self.terms = span_stencil(self.rows, grid.spacing)
-        # row k's term buffers: uxx full-size (the front stencil reads it), uzz the other row
-        self.uxy, uyy = np.zeros(u.size), np.zeros_like(self.centre[0])
-        self.out = [(self.uxy[span], uyy, self.centre[1 - k]) for k in (0, 1)]
+        _, self.centre, self.terms = span_stencil(self.rows, grid.spacing)
+        # row k's term buffers: uzz is built in the other row
+        uxx, uyy = np.zeros_like(self.centre[0]), np.zeros_like(self.centre[0])
+        self.out = [(uxx, uyy, self.centre[1 - k]) for k in (0, 1)]
         # flat index of each column's bottom cell in the padded rows
         self.base = np.arange(u.size).reshape(u.shape)[1:-1, 1:-1, 1].copy()
 
@@ -383,7 +381,7 @@ class _ActiveBlock:
                       ((0, 0), (0, 0), (0, self.grid.counts[2] + 2 - self.u.shape[2])))
 
     def _heat_step(self, m: np.ndarray, theta: np.ndarray, bottom_value: float,
-                   dt: float) -> int:
+                   dt: float) -> None:
         k, u, new, dz = self.k, self.u, self.new, self.spacing[2]
         # edge padding mirrors the insulated side walls; in z it only touches the
         # top layer, which is solid or the front cell and rewritten below either way
@@ -396,26 +394,17 @@ class _ActiveBlock:
         np.multiply(dt, uzz, out=uzz)
         np.add(self.centre[k], uzz, out=uzz)  # u + dt * (uxx + uyy + uzz)
 
-        # conforming front stencil for the top liquid cell of each column
-        u, new, col = u.reshape(-1), new.reshape(-1), self.base + m
-        u_m = u[col]
-        uzz_sw = 2.0 * (theta * u[col - 1] - (1.0 + theta) * u_m) \
-            / (theta * (1.0 + theta) * dz**2)
-        top_new = u_m + dt * (self.uxy[col] + uzz_sw)
-
-        # thin cells are slaved to the quadratic through the front instead;
-        # floored at 0 because the extrapolation undershoots on steep profiles
-        slaved = np.maximum(2.0 * theta / (1.0 + theta) * new[col - 1]
-                            - theta / (2.0 + theta) * new[col - 2], 0.0)
-        thin = theta < 0.5
-        new[col] = np.where(thin, slaved, top_new)
+        # each column's top liquid cell holds the quadratic through the front and
+        # the two cells below, floored at 0 (it undershoots on steep profiles)
+        new, col = new.reshape(-1), self.base + m
+        new[col] = np.maximum(2.0 * theta / (1.0 + theta) * new[col - 1]
+                              - theta / (2.0 + theta) * new[col - 2], 0.0)
 
         # solid cells (above layer m) to exactly +0.0, then the padding refreshed
         k0 = int(m.min()) + 1
         np.copyto(self.new[1:-1, 1:-1, 1 + k0:-1], 0.0,
                   where=np.arange(k0, self.new.shape[2] - 2) > m[:, :, None])
         refresh_edge_padding(self.new)
-        return int(np.sum(thin))
 
     def step(self, t: float, k1: float, bottom: TimeFunc, dt: float) -> dict:
         """One coupled step from ``t`` to ``t + dt``; returns the info dict and
@@ -425,13 +414,13 @@ class _ActiveBlock:
         f_val = signed_value(bottom, t, 1, "bottom heating")
 
         m, theta = _front_offsets(self.layers, self.heights, self.zc, self.spacing[2])
-        thin_count = self._heat_step(m, theta, f_val, dt)
+        self._heat_step(m, theta, f_val, dt)
         self.u_min = _check_temperatures(self.centre[1 - self.k])
         samples = self.new.reshape(-1)[(self.base + m) - _DEPTHS]
         d, rx, ry = _front_derivative(self.fronts, self.spacing, samples, theta)
         heights, consistency = _move_front(self.heights, d, rx, ry, k1, dt,
                                            self.ceiling, t + dt)
-        info = {"consistency": consistency, "thin_cells": thin_count}
+        info = {"consistency": consistency, "thin_cells": int(np.count_nonzero(theta < 0.5))}
         self.k, self.u, self.new = 1 - self.k, self.new, self.u
         self.heights[...] = heights  # the one write of rho per step
         refresh_edge_padding(self.fronts[2])
@@ -447,12 +436,12 @@ class _ActiveBlock:
 
 
 def coupled_step_3d(domain: PhaseDomain, k1: float, bottom: TimeFunc, dt: float):
-    """One coupled step: conforming heat update, then the front move.
+    """One coupled step: heat update, then the front move.
 
     The front only advances; newly liquid cells start at the melting value 0.
 
     Returns ``(domain, info)`` with ``info`` carrying the consistency gap
-    and the thin-cell count.
+    and the thin-cell count, a diagnostic: the columns with ``theta < 1/2``.
     """
     require_positive(dt=dt, k1=k1)
     block = _ActiveBlock(domain.grid, domain.cube(), domain.front.heights)
@@ -484,6 +473,7 @@ class StefanSpec3D:
             raise ValueError("3D runs need a 3D grid")
         require_positive(k1=self.k1, duration=self.duration)
         require_finite(t0=self.t0)
+        require_cadence(self.snapshot_every)
         if self.dt is not None:
             require_positive(dt=self.dt)
         _initial_front(self)  # a start the step cannot take is refused here
@@ -549,8 +539,9 @@ def solve3d(spec: StefanSpec3D) -> Stefan3DResult:
     and a report.
 
     The report carries the rounding-level consistency gap between the two
-    front-speed forms, thin-cell counts, the front Lipschitz constant, and
-    the enforced stability limit.
+    front-speed forms, the front Lipschitz constant, the enforced stability
+    limit and ``thin_cell_steps``, a diagnostic that selects nothing: the
+    columns with ``theta < 1/2``, counted every step and summed.
     """
     domain = _initial_domain(spec)
     grid, fx = spec.grid, domain.front.grid
@@ -576,7 +567,6 @@ def solve3d(spec: StefanSpec3D) -> Stefan3DResult:
                                  time=t)
             fronts.append(domain.front)
             times.append(t)
-    heights = block.heights
 
     report = {
         "dt": dt,
@@ -585,8 +575,8 @@ def solve3d(spec: StefanSpec3D) -> Stefan3DResult:
         "consistency_max": max(i["consistency"] for i in infos),
         "thin_cell_steps": sum(i["thin_cells"] for i in infos),
         "u_min": u_min,
-        "front_min": float(heights.min()),
-        "front_max": float(heights.max()),
+        "front_min": float(block.heights.min()),
+        "front_max": float(block.heights.max()),
         "lipschitz_max": lipschitz_max,
         "lipschitz_final": lipschitz,
     }

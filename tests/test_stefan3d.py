@@ -1,8 +1,10 @@
 """Graph-front 3D solver.
 
-Column-linear profiles ``u = a (rho - z)`` are exact for every stencil in
-the coupled step (interior, half-cell bottom row, conforming top cell, thin
-slaving, quadratic front fit), so they pin the front law to rounding.
+Column-linear profiles ``u = a (rho - z)`` are exact for every rule in the
+coupled step (interior stencil, half-cell bottom row, the front cell on the
+quadratic through the front, quadratic front fit), so they pin the front
+law to rounding.  The flat similarity ladder guards the front's accuracy:
+it must converge at second order.
 """
 
 import math
@@ -15,9 +17,11 @@ from meltfront import (
     Grid,
     GraphFront,
     PhaseDomain,
+    StefanSpec1D,
     StefanSpec3D,
     coupled_step_3d,
     front_field,
+    similarity_oracle,
     solve3d,
     stability_limit_3d,
 )
@@ -377,6 +381,23 @@ def test_spec3d_rejects_non_finite_numbers(field, value):
         StefanSpec3D(**dict(dict(grid=BOX, k1=1.0, duration=1e-3, dt=1e-5), **{field: value}))
 
 
+CADENCE_SPECS = {
+    "1d": lambda k: StefanSpec1D(k1=1.0, b=0.5, duration=1e-3, nx=20, snapshot_every=k),
+    "3d": lambda k: StefanSpec3D(grid=BOX, k1=1.0, duration=1e-3, snapshot_every=k),
+}
+
+
+@pytest.mark.parametrize("kind", CADENCE_SPECS)
+def test_specs_take_only_a_positive_integer_snapshot_cadence(kind):
+    """``snapshot_every`` is ``None`` or a positive integer, refused by name
+    otherwise rather than run to a wrong cadence or a late error."""
+    for good in (None, 1, np.int64(3)):
+        assert CADENCE_SPECS[kind](good).snapshot_every == good
+    for bad in (0, -2, 2.5, 2.0, True):
+        with pytest.raises(ValueError, match="snapshot_every"):
+            CADENCE_SPECS[kind](bad)
+
+
 @pytest.mark.parametrize("dt_factor, late_bottom, match", [
     (1.01, 1.0, "stability"),
     (0.5, -1.0, "nonnegative"),
@@ -441,6 +462,23 @@ def test_bump_run_regression():
     lip0 = res.fronts[0].lipschitz_constant
     assert res.report["lipschitz_max"] <= lip0 * (1 + 1e-12)
     assert res.report["lipschitz_final"] < lip0
+
+
+def test_flat_front_converges_at_second_order():
+    """From the flat similarity start, the mean front error against
+    ``2 lambda sqrt(t)`` falls at second order in ``dz`` (4x4xnz, t 0.25 to
+    0.5); a front-cell rule with an O(dz) truncation fails both bounds."""
+    sim, t0 = similarity_oracle(1.0), 0.25
+    ladder, errors = (16, 32, 64), []
+    for nz in ladder:
+        g = Grid(origin=(0.0, 0.0, 0.0), extent=(1.0, 1.0, 1.0), counts=(4, 4, nz))
+        res = solve3d(StefanSpec3D(grid=g, k1=1.0, duration=0.25, t0=t0,
+                                   initial_front=float(sim.front(t0)),
+                                   initial=lambda p: sim.temperature(p[:, 2], t0)))
+        errors.append(abs(np.mean(res.final.front.heights) - sim.front(res.times[-1])))
+    order = -np.polyfit(np.log(ladder), np.log(errors), 1)[0]
+    assert order >= 1.9, errors
+    assert errors[-1] <= 5e-5, errors
 
 
 # ---------------------------------------------------------------------------
