@@ -129,10 +129,12 @@ def _require_stable(grid: Grid, dt: float, name: str) -> None:
 class HeatTrajectory:
     """Uniformly spaced levels of one evolution on a shared grid.
 
-    The values live in one read-only ``(levels, cells)`` matrix.  Built from
-    snapshots, the trajectory keeps them and stacks their values once; a
-    marched one (:func:`solve_dirichlet`) builds its snapshots from the
-    matrix rows, as read-only views, on first access.
+    The values live in one read-only ``(levels, cells)`` matrix, the only
+    copy of the levels a trajectory holds.  It keeps its first snapshot and
+    builds the later ones from the matrix rows, as read-only views without
+    ``valid`` masks, on first access.  Built from snapshots, it stacks their
+    values once and keeps none of them past the first; a marched one
+    (:func:`solve_dirichlet`) writes the matrix row by row.
     """
 
     def __init__(self, snapshots: Sequence[TemperatureField], dt: float):
@@ -150,7 +152,7 @@ class HeatTrajectory:
                 raise ValueError(
                     f"snapshot {k} at t={s.time} breaks the uniform step (expected {expected})"
                 )
-        self._hold(snaps, [s.time for s in snaps], np.stack([s.values for s in snaps]), dt)
+        self._hold(snaps[0], [s.time for s in snaps], np.stack([s.values for s in snaps]), dt)
 
     @classmethod
     def _from_levels(cls, initial: TemperatureField, times: Sequence[float],
@@ -158,12 +160,12 @@ class HeatTrajectory:
         """A trajectory over checked ``levels`` whose first row is ``initial``.
         Built without ``__init__``, whose signature subclasses may keep."""
         traj = cls.__new__(cls)
-        traj._hold((initial,), times, levels, dt)
+        traj._hold(initial, times, levels, dt)
         return traj
 
-    def _hold(self, snapshots: tuple[TemperatureField, ...], times: Sequence[float],
+    def _hold(self, initial: TemperatureField, times: Sequence[float],
               levels: np.ndarray, dt: float) -> None:
-        self._snapshots = snapshots  # the first ones; the rest are built on access
+        self._snapshots = (initial,)  # the rest are built on access
         self._times = np.array(times, dtype=float)
         self._levels = levels
         for a in (self._times, self._levels):

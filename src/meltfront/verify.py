@@ -16,20 +16,29 @@ dimension.  The ``barrier`` check of ``meltfront verify`` compares the
 mean interior residual of a stored run with it.
 
 ``heat_residual_field`` forms the raw forward-time, central-space residual
-``Delta v - v_t`` per interior cell, from one pass over the level matrix,
-so that sign claims about barriers are measured rather than assumed.  ``max_principle_audit`` checks attainment
+``Delta v - v_t`` per interior cell, so that sign claims about barriers are
+measured rather than assumed.  ``max_principle_audit`` checks attainment
 of the space-time maximum on the parabolic boundary (initial slice plus
 lateral boundary cells).  ``initial_continuity_metric`` tracks
 ``m(t) = integral |u_t - h|`` against a reference heating rate, and
 ``delta_of_t`` measures how far the positivity set travels from a
 reference region.  ``_CHECK_RUNNERS`` holds the ``meltfront verify`` checks.
 All of them read rows of ``values_matrix()``, not snapshot ``valid`` masks.
+
+The checks keep to a memory budget of about two level matrices, the run's
+and one residual array.  The residual fills its preallocated array in
+blocks of ``_BLOCK_PAIRS`` level pairs; the ``barrier`` check streams the
+rows of ``barrier_field`` into those blocks instead of building a second
+level matrix; the other checks build no whole-run temporary beyond one
+array reused in place.  Every element still takes the operations of one
+pass in their order, so the reports keep their bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -91,9 +100,10 @@ def barrier_residual_constant(dim: int) -> float:
     return -(2.0 * dim + 1.0) / (8.0 * dim)
 
 
-def barrier_field(traj: HeatTrajectory, params: BarrierParams) -> HeatTrajectory:
-    """Subtract the parabolic barrier from every level (pointwise exact); the
-    input's ``valid`` masks are not consulted, and the result carries none."""
+def _barrier_rows(traj: HeatTrajectory,
+                  params: BarrierParams) -> Callable[[int, int], np.ndarray]:
+    """``rows(lo, hi)``: levels ``lo .. hi - 1`` less the parabolic barrier,
+    one broadcast per call, so any split of the levels gives the same bits."""
     grid = traj.grid
     if grid.dim != params.dimension:
         raise ValueError(
@@ -108,32 +118,66 @@ def barrier_field(traj: HeatTrajectory, params: BarrierParams) -> HeatTrajectory
         )
     sq = np.sum((grid.cell_centers() - np.asarray(params.center)) ** 2, axis=1)
     c = params.coefficient
-    levels = traj.values_matrix() - c * (sq + (params.time - times)[:, None])
-    return HeatTrajectory._from_levels(TemperatureField(grid, times[0], levels[0]),
-                                       times, levels, traj.dt)
+    values = traj.values_matrix()
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        return values[lo:hi] - c * (sq + (params.time - times[lo:hi])[:, None])
+
+    return rows
 
 
-def _residuals(traj: HeatTrajectory) -> np.ndarray:
-    """``Delta v - v_t`` on the interior block, one row per level pair."""
+def barrier_field(traj: HeatTrajectory, params: BarrierParams) -> HeatTrajectory:
+    """Subtract the parabolic barrier from every level (pointwise exact); the
+    input's ``valid`` masks are not consulted, and the result carries none."""
+    levels = _barrier_rows(traj, params)(0, len(traj))
+    return HeatTrajectory._from_levels(TemperatureField(traj.grid, traj.times[0], levels[0]),
+                                       traj.times, levels, traj.dt)
+
+
+#: Level pairs per block of :func:`_residuals`: each block's temporaries are
+#: about this many interior rows, whatever the length of the run.
+_BLOCK_PAIRS = 16
+
+
+def _residuals(traj: HeatTrajectory,
+               rows: Callable[[int, int], np.ndarray] | None = None) -> np.ndarray:
+    """``Delta v - v_t`` on the interior block, one row per level pair.
+
+    ``v`` is the level matrix, or ``rows(lo, hi)`` for levels ``lo .. hi - 1``
+    of a transform of it.  Blocks of ``_BLOCK_PAIRS`` pairs fill one
+    preallocated array, each element by the same operations as a single pass.
+    """
     if len(traj) < 2:
         raise ValueError("residuals need at least 2 time levels")
     g = traj.grid
-    v = traj.values_matrix().reshape(len(traj), *g.shape)
-    lap = sum(second_differences(v[:-1], g.spacing, lead=1))
-    return lap - (v[1:] - v[:-1])[interior_index(g.dim, lead=1)] / traj.dt
+    if rows is None:
+        levels = traj.values_matrix()
+        rows = lambda lo, hi: levels[lo:hi]
+    pairs = len(traj) - 1
+    out = np.empty((pairs, *(n - 2 for n in g.shape)))
+    inner = interior_index(g.dim, lead=1)
+    for lo in range(0, pairs, _BLOCK_PAIRS):
+        hi = min(lo + _BLOCK_PAIRS, pairs)
+        v = rows(lo, hi + 1).reshape(-1, *g.shape)
+        lap = sum(second_differences(v[:-1], g.spacing, lead=1))
+        np.subtract(lap, (v[1:] - v[:-1])[inner] / traj.dt, out=out[lo:hi])
+    return out
 
 
 def heat_residual_field(traj: HeatTrajectory) -> list[TemperatureField]:
     """Raw residual ``Delta v - v_t`` per interior cell and time level.
 
     Forward difference in time, central in space; one field per level pair,
-    so a trajectory with M snapshots yields M - 1 residual fields.
+    so a trajectory with M snapshots yields M - 1 residual fields.  The
+    fields share one read-only interior mask as ``valid``.
     """
     rows = _residuals(traj)
     g = traj.grid
     out = np.zeros((len(rows), *g.shape))
     out[interior_index(g.dim, lead=1)] = rows
-    return [TemperatureField(g, t, v, valid=g.interior_mask()) for t, v in zip(traj.times, out)]
+    valid = g.interior_mask()
+    valid.setflags(write=False)
+    return [TemperatureField(g, t, v, valid=valid) for t, v in zip(traj.times, out)]
 
 
 def max_principle_audit(traj: HeatTrajectory) -> dict:
@@ -146,12 +190,14 @@ def max_principle_audit(traj: HeatTrajectory) -> dict:
     """
     grid = traj.grid
     values = traj.values_matrix()
-    level, cell = divmod(int(np.argmax(values)), grid.total_cells)
+    # the flat argmax's first (level, cell), without its copy of a read-only matrix
+    level = int(np.argmax(values.max(axis=1)))
+    cell = int(np.argmax(values[level]))
     overall_max = float(values[level, cell])
     lateral_max = values[:, grid.boundary_mask()].max()
     parabolic_max = float(np.maximum(values[0].max(), lateral_max))
 
-    scale = max(1.0, float(np.max(np.abs(values))))
+    scale = _scale(values)
     violation = max(0.0, overall_max - parabolic_max)
     return {
         "max_value": overall_max,
@@ -179,8 +225,10 @@ def initial_continuity_metric(traj: HeatTrajectory,
 
     weights = trapezoid_weights(grid) * grid.interior_mask()
     values = traj.values_matrix()
-    ut = (values[1:] - values[:-1]) / traj.dt
-    metric = np.abs(ut - heating.values[None, :]) @ weights
+    gap = np.subtract(values[1:], values[:-1])  # |u_t - h|, built in place
+    np.divide(gap, traj.dt, out=gap)
+    np.subtract(gap, heating.values[None, :], out=gap)
+    metric = np.abs(gap, out=gap) @ weights
     return traj.times[:-1].copy(), metric
 
 
@@ -208,14 +256,19 @@ def delta_of_t(traj: HeatTrajectory, reference: np.ndarray) -> np.ndarray:
     return np.array([radius(row > 0.0) for row in traj.values_matrix()])
 
 
+def _scale(values: np.ndarray) -> float:
+    """``max(1, max |values|)``, read off the extremes without an ``abs`` copy."""
+    return max(1.0, float(max(values.max(), -values.min())))
+
+
 def _caloric_tolerance(traj: HeatTrajectory) -> float:
     h2 = max(traj.grid.spacing) ** 2
-    scale = max(1.0, float(np.max(np.abs(traj.values_matrix()))))
-    return 10.0 * (h2 + traj.dt) * scale
+    return 10.0 * (h2 + traj.dt) * _scale(traj.values_matrix())
 
 
 def _check_caloric(traj: HeatTrajectory) -> dict:
-    measured = float(np.max(np.abs(_residuals(traj))))
+    residuals = _residuals(traj)
+    measured = float(np.max(np.abs(residuals, out=residuals)))
     return _rule("at_most", measured, _caloric_tolerance(traj),
                  "sup interior |Lu - u_t| over all recorded steps")
 
@@ -223,8 +276,7 @@ def _check_caloric(traj: HeatTrajectory) -> dict:
 def _check_max_principle(traj: HeatTrajectory) -> dict:
     audit = max_principle_audit(traj)
     measured = float(audit["max_value"] - audit["parabolic_max"])
-    scale = max(1.0, float(np.max(np.abs(traj.values_matrix()))))
-    return _rule("at_most", measured, 1e-12 * scale,
+    return _rule("at_most", measured, 1e-12 * _scale(traj.values_matrix()),
                  f"interior max excess; attained on the parabolic boundary: "
                  f"{bool(audit['attained_on_boundary'])}")
 
@@ -255,7 +307,7 @@ def _check_barrier(traj: HeatTrajectory) -> dict:
     center = tuple(o + 0.5 * e for o, e in zip(grid.origin, grid.extent))
     params = BarrierParams(center=center, time=float(traj.times[-1]),
                            dimension=grid.dim)
-    measured = float(np.mean(_residuals(barrier_field(traj, params)).ravel()))
+    measured = float(np.mean(_residuals(traj, _barrier_rows(traj, params)).ravel()))
     const = barrier_residual_constant(grid.dim)
     return _rule("abs_at_most", measured - const, _caloric_tolerance(traj) + 1e-12,
                  f"mean interior barrier residual against {const!r}")

@@ -6,6 +6,9 @@ Laplacian (exact on quadratics) and the forward time difference (exact on
 linear-in-t), so barrier residuals over it land on the exact constant.
 """
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -253,6 +256,69 @@ def test_level_matrix_instruments_match_per_level_loops(dim, n):
     spread = [neighborhood_radius(grid, s.values > 0.0, reference)
               for s in traj.snapshots]
     np.testing.assert_array_equal(bits(delta_of_t(traj, reference)), bits(spread))
+
+
+@pytest.mark.parametrize("block", [3, 100])
+def test_residual_blocks_give_the_bits_of_one_pass(monkeypatch, block):
+    """The residual built in blocks of level pairs, or in one block, equals
+    the per-level loop bit for bit; the barrier check's streamed rows give
+    the residual of ``barrier_field``'s trajectory."""
+    rng = np.random.default_rng(11)
+    grid = Grid(origin=(-0.5, 0.0), extent=(1.0, 1.5), counts=(13, 11))
+    dt = 0.9 * stability_limit(LAPLACE, grid)
+    u0 = TemperatureField(grid, 0.1, rng.standard_normal(grid.total_cells))
+    traj = solve_dirichlet(LAPLACE, u0, 0.0, 21 * dt, dt)
+    monkeypatch.setattr(verify, "_BLOCK_PAIRS", block)
+
+    np.testing.assert_array_equal(bits([f.values for f in heat_residual_field(traj)]),
+                                  bits(per_level_residuals(traj)))
+    params = BarrierParams(center=(0.1, 0.4), time=float(traj.times[-1]), dimension=2)
+    np.testing.assert_array_equal(
+        bits(verify._residuals(traj, verify._barrier_rows(traj, params))),
+        bits(verify._residuals(barrier_field(traj, params))))
+
+
+def audit_size_run():
+    """A marched 64 x 64 run of 100 steps, the size of a stored benchmark audit."""
+    grid = Grid(origin=(-4.0, -4.0), extent=(8.0, 8.0), counts=(64, 64))
+    u0 = TemperatureField(grid, 0.0, np.random.default_rng(5).random(grid.total_cells) - 0.3)
+    dt = 0.4 * stability_limit(LAPLACE, grid)
+    return solve_dirichlet(LAPLACE, u0, 0.0, 99.5 * dt, dt)
+
+
+@pytest.mark.parametrize("check", list(verify._CHECK_RUNNERS))
+def test_verify_checks_peak_under_two_level_matrices(check):
+    """Every check works in blocks of level pairs or in place: the memory it
+    allocates peaks below 1.75 level matrices, where whole-run temporaries
+    took 2.8 to 3.8."""
+    traj = audit_size_run()
+    run = verify._CHECK_RUNNERS[check]
+    run(traj)  # what a first call imports is not the check's working set
+    tracemalloc.start()
+    try:
+        run(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * traj.values_matrix().nbytes, \
+        f"{check} peaked at {peak / traj.values_matrix().nbytes:.2f} level matrices"
+
+
+def test_trajectory_built_from_snapshots_keeps_only_the_first():
+    """A trajectory built from snapshots holds one copy of the levels: it
+    keeps its first snapshot and rebuilds the later ones as read-only rows."""
+    grid, marched = sine_run(n_steps=10)
+    snaps = [TemperatureField(grid, t, row.copy())
+             for t, row in zip(marched.times, marched.values_matrix())]
+    refs = [weakref.ref(s) for s in snaps]
+    traj = HeatTrajectory(snaps, marched.dt)
+    del snaps
+    assert refs[0]() is traj.snapshots[0]
+    assert [r() for r in refs[1:]] == [None] * 10
+    for k, snap in enumerate(traj.snapshots[1:], start=1):
+        assert np.shares_memory(snap.values, traj.values_matrix()[k])
+        assert not snap.values.flags.writeable
+        assert snap.time == marched.times[k]
 
 
 # ---------------------------------------------------------------------------
