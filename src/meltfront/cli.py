@@ -15,8 +15,8 @@ Subcommands
     Re-examine a run directory: caloric residual, maximum principle,
     small-time continuity, positivity spread, and the barrier residual.
 ``benchmark``
-    Fit convergence orders on a resolution ladder (front error in space,
-    explicit stepping in time, conservation-residual decay).
+    Fit convergence orders on a resolution ladder whose rungs double (front
+    error in space, explicit stepping in time, conservation-residual decay).
 ``compare``
     Diff two run directories value by value after a manifest compatibility
     check.
@@ -597,6 +597,10 @@ def _residual_ratios(ladder):
 def _run_benchmark(config: ExperimentConfig, outdir: Path) -> tuple[dict, list[str], dict]:
     payload = config.payload
     ladder = list(payload.get("ladder", [32, 64, 128]))
+    # residual_ratio_min expects a shrink of 4 per grid halving
+    if any(fine != 2 * coarse for coarse, fine in zip(ladder, ladder[1:])):
+        raise UsageError(f"config error at $.ladder: each rung must double the one "
+                         f"before it, got {ladder}")
     stefan = float(payload.get("stefan", 1.0))
     t0 = float(payload.get("t0", 0.25))
     duration = float(payload.get("duration", 0.25))

@@ -206,8 +206,10 @@ class HeatTrajectory:
         return k
 
 
-#: Levels per finiteness reduction in :func:`solve_dirichlet`, as many as
-#: ``stefan1d`` steps between its monitor reductions.
+#: Levels per block of the two whole-run reductions: the finiteness check of
+#: :func:`solve_dirichlet`, as many levels as ``stefan1d`` steps between its
+#: monitor reductions, and the Laplacian integral of
+#: :func:`conservation_residual`.
 _BLOCK_LEVELS = 64
 
 
@@ -360,6 +362,11 @@ def conservation_residual(traj: HeatTrajectory) -> float:
     (interior cells) and time.  For a trajectory produced by the explicit
     scheme the residual is the pure time-quadrature defect, O(dt).
 
+    The per-level Laplacian integrals are reduced ``_BLOCK_LEVELS`` levels
+    at a time.  A level's sum never crosses levels, so the blocks give the
+    bits of one whole-run pass, while the temporaries span one block, not
+    the ``(levels, cells)`` matrix.
+
     Raises
     ------
     ValueError
@@ -372,10 +379,14 @@ def conservation_residual(traj: HeatTrajectory) -> float:
     w_space = interior_trapezoid_weights(g).reshape(g.counts)
 
     interior = interior_index(g.dim)
+    w_interior = w_space[interior]
     # per-level integral of the discrete Laplacian over the interior box
     lap_int = np.zeros(len(traj))
-    for term in second_differences(vals, g.spacing, lead=1):
-        lap_int += (term * w_space[interior]).reshape(len(traj), -1).sum(axis=1)
+    for lo in range(0, len(traj), _BLOCK_LEVELS):
+        rows = slice(lo, lo + _BLOCK_LEVELS)
+        block = vals[rows]
+        for term in second_differences(block, g.spacing, lead=1):
+            lap_int[rows] += (term * w_interior).reshape(len(block), -1).sum(axis=1)
 
     du = ((vals[-1] - vals[0]) * w_space)[interior].sum()
     return float(du - np.sum(_trapezoid_1d(len(traj), traj.dt) * lap_int))

@@ -388,6 +388,26 @@ def test_benchmark_run(tmp_path):
     assert sorted(report["files"]) == ["config.json", "report.json"]
 
 
+@pytest.mark.parametrize("ladder", [[32, 32], [24, 32], [16, 32, 128], [32, 16]],
+                         ids=["repeated", "ratio_4_3", "skips_a_rung", "descending"])
+def test_benchmark_refuses_a_ladder_that_does_not_double(tmp_path, capsys, monkeypatch,
+                                                         ladder):
+    """residual_ratio_min reads a shrink of 4 per grid halving, and two equal
+    rungs leave no slope to fit, so a ladder whose rungs do not each double
+    the one before is a config error, refused before any solve."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a ladder that does not double")
+
+    monkeypatch.setattr(meltfront.cli, "solve_stefan", no_solve)
+    monkeypatch.setattr(meltfront.cli, "solve_dirichlet", no_solve)
+    out = tmp_path / "bench"
+    assert main(["benchmark", "--config", write_config(tmp_path, dict(BENCH, ladder=ladder)),
+                 "--out", str(out)]) == 2
+    assert "config error at $.ladder: each rung must double" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+    assert not (out / "FAILED.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # mollify command
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from meltfront import (
     trapezoid_weights,
     write_trajectory,
 )
+from meltfront.cli import _sine_start
 from meltfront.grid import interior_index, second_differences
 
 
@@ -346,6 +348,76 @@ def test_conservation_residual_first_order_in_dt():
     assert r[0] / r[1] == pytest.approx(2.0, rel=0.05)
     with pytest.raises(ValueError):
         conservation_residual(HeatTrajectory([f], 1e-4))
+
+
+def one_pass_residual(traj):
+    """``conservation_residual`` with every level's Laplacian integral
+    reduced in one whole-run pass."""
+    g = traj.grid
+    vals = traj.values_matrix().reshape((len(traj),) + g.counts)
+    w_space = interior_trapezoid_weights(g).reshape(g.counts)
+    interior = interior_index(g.dim)
+    lap_int = np.zeros(len(traj))
+    for term in second_differences(vals, g.spacing, lead=1):
+        lap_int += (term * w_space[interior]).reshape(len(traj), -1).sum(axis=1)
+    du = ((vals[-1] - vals[0]) * w_space)[interior].sum()
+    w_time = np.full(len(traj), traj.dt)
+    w_time[[0, -1]] *= 0.5
+    return float(du - np.sum(w_time * lap_int))
+
+
+def _sine_march():
+    start = _sine_start(41)
+    dt = 0.4 * stability_limit(OperatorCoefficients.laplacian(), start.grid)
+    return start, 0.0, dt
+
+
+def _wall_march():
+    grid = Grid(origin=(-1.0, -1.2), extent=(2.0, 2.4), counts=(16, 16))
+    u0 = np.exp(-4.0 * (grid.cell_centers() ** 2).sum(axis=1))
+    dt = 0.45 * stability_limit(OperatorCoefficients.laplacian(), grid)
+    return (TemperatureField(grid, 0.0, u0),
+            lambda p, t: 0.1 * np.sin(3.0 * p[:, 0] + p[:, 1] + 7.0 * t), dt)
+
+
+def _cube_march():
+    grid = Grid(origin=(0.0, 0.0, 0.0), extent=(1.0, 1.0, 1.0), counts=(8, 8, 8))
+    x, y, z = grid.cell_centers().T
+    u0 = np.sin(2.0 * np.pi * x) * np.sin(np.pi * y) * np.sin(np.pi * z) + 0.1
+    dt = 0.45 * stability_limit(OperatorCoefficients.laplacian(), grid)
+    return TemperatureField(grid, 0.0, u0), 0.0, dt
+
+
+@pytest.mark.parametrize("march", [_sine_march, _wall_march, _cube_march],
+                         ids=["sine_1d", "wall_2d", "cube_3d"])
+@pytest.mark.parametrize("levels", [2, 64, 65, 129])
+def test_conservation_residual_blocks_give_the_bits_of_one_pass(march, levels):
+    """The residual reduced in blocks of levels equals the one-pass form bit
+    for bit, for runs shorter than, equal to and past whole blocks."""
+    start, boundary, dt = march()
+    traj = solve_dirichlet(OperatorCoefficients.laplacian(), start, boundary,
+                           (levels - 1) * dt, dt)
+    assert len(traj) == levels
+    assert conservation_residual(traj).hex() == one_pass_residual(traj).hex()
+
+
+def test_conservation_residual_peaks_under_a_quarter_level_matrix():
+    """On the benchmark's finest residual run (nx 128, 2049 levels) the call
+    allocates at most a quarter of the level matrix; the one-pass form took
+    two."""
+    start = _sine_start(128)
+    dt = start.grid.spacing[0] ** 2 / 5.0
+    traj = solve_dirichlet(OperatorCoefficients.laplacian(), start, 0.0, 0.025, dt)
+    assert len(traj) == 2049
+    conservation_residual(traj)  # what a first call imports is not its working set
+    tracemalloc.start()
+    try:
+        conservation_residual(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * traj.values_matrix().nbytes, \
+        f"peaked at {peak / traj.values_matrix().nbytes:.2f} level matrices"
 
 
 # ---------------------------------------------------------------------------
