@@ -43,8 +43,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .grid import Grid, TemperatureField, field_name, read_field_csv, write_field_csv, \
-    write_fields
+from .grid import Grid, TemperatureField, field_name, read_field_csv, read_field_csvs, \
+    write_field_csv, write_fields
 from .heat import HeatTrajectory, OperatorCoefficients, conservation_residual, \
     eval_time, signed_value, solve_dirichlet, write_trajectory
 from .mollifier import admissible_mask, bump_profile, build_kernel, mollify, smoothness_report
@@ -705,9 +705,16 @@ def run_mollify(input_path: str | Path, epsilon: float, order: int,
 # verify
 # ---------------------------------------------------------------------------
 
-# run_verify looks _load_rundir, read_field_csv, HeatTrajectory and the shared
-# _CHECK_RUNNERS entries up here, where benchmarks/tracing.py wraps them
+# run_verify looks _load_rundir, HeatTrajectory and the shared _CHECK_RUNNERS
+# entries up here, where benchmarks/tracing.py wraps them
 def _load_rundir(rundir: Path) -> tuple[HeatTrajectory, dict]:
+    """The stored trajectory and the manifest of a heat-trajectory directory.
+
+    The levels are read by ``read_field_csvs``, on every usable CPU when they
+    are large enough (``grid._shared_map``); the loaded bits do not depend on
+    that.  A level that cannot be read as a field exits 2 naming its file, a
+    missing one exits 4.
+    """
     manifest = _read_manifest(rundir)
     mode = manifest.get("diagnostics", {}).get("mode")
     if mode == "solve3d":
@@ -718,7 +725,7 @@ def _load_rundir(rundir: Path) -> tuple[HeatTrajectory, dict]:
     if not names:
         raise UsageError(f"{rundir}: manifest lists no snapshots")
     try:
-        snaps = [read_field_csv(rundir / name) for name in names]
+        snaps = read_field_csvs([rundir / name for name in names])
         return HeatTrajectory(snaps, float(manifest["dt"])), manifest
     except ValueError as exc:
         raise UsageError(f"{rundir}: {exc}") from exc

@@ -518,7 +518,8 @@ def write_trajectory(
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     # grid.write_fields looks grid.write_field_csv up per call, so a wrapper
-    # installed there (benchmarks/tracing.py) sees every snapshot
+    # installed there (benchmarks/tracing.py) sees every snapshot this process
+    # writes: all of them, or its share when write_fields forks
     names = write_fields(traj.snapshots, outdir, prefix)
     return write_manifest(outdir, traj.dt, traj.times, names, stability_limit_used,
                           diagnostics or {})

@@ -671,6 +671,105 @@ def test_unusable_manifest_dt_is_usage_error(tmp_path, dt):
     assert main(["verify", "--run", str(rundir)]) == 2
 
 
+def test_mollify_names_a_non_finite_input(tmp_path, capsys):
+    path = Path(smooth_field_csv(tmp_path))
+    lines = path.read_text().splitlines(keepends=True)
+    lines[5] = "nan\n"
+    path.write_text("".join(lines))
+    rc = main(["mollify", "--input", str(path), "--epsilon", "0.125",
+               "--out", str(tmp_path / "m.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: field contains non-finite values on valid cells\n")
+
+
+# ---------------------------------------------------------------------------
+# level files shared between forked processes
+# ---------------------------------------------------------------------------
+
+def audit_rundir(tmp_path, name="audit"):
+    """12-level 64x64 march: its 4096-value levels are above the sharing size
+    rule, so verify's load and write_trajectory share them when they can."""
+    grid = Grid(origin=(-4.0, -4.0), extent=(8.0, 8.0), counts=(64, 64))
+    u0 = np.exp(-(grid.cell_centers() ** 2).sum(axis=1))
+    dt = 0.4 * grid.spacing[0] ** 2 / 4.0
+    traj = solve_dirichlet(OperatorCoefficients.laplacian(),
+                           TemperatureField(grid, 0.0, u0), 0.0, 10.5 * dt, dt)
+    outdir = tmp_path / name
+    write_trajectory(traj, outdir, stability_limit_used=dt / 0.4, diagnostics={"seed": 3})
+    return outdir
+
+
+def fork_counter(monkeypatch, cpus):
+    """Shows this process ``cpus`` usable CPUs; returns its fork count so far."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    made = [0]
+    fork = os.fork
+
+    def counted():
+        made[0] += 1
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return made
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_shared_run_directory_and_load_are_identical(tmp_path, monkeypatch):
+    from meltfront.cli import _load_rundir
+
+    forks = fork_counter(monkeypatch, 1)
+    single = audit_rundir(tmp_path, "single")
+    traj_single, _ = _load_rundir(single)
+    assert forks[0] == 0
+
+    forks = fork_counter(monkeypatch, 2)
+    shared = audit_rundir(tmp_path, "shared")
+    traj_shared, _ = _load_rundir(shared)
+    assert forks[0] == 2
+    assert_no_children()
+    assert sorted(p.name for p in shared.iterdir()) == sorted(p.name for p in single.iterdir())
+    for path in single.iterdir():
+        assert (shared / path.name).read_bytes() == path.read_bytes(), path.name
+    levels = traj_shared.values_matrix()
+    assert levels.tobytes() == traj_single.values_matrix().tobytes()
+    assert traj_shared.times.tobytes() == traj_single.times.tobytes()
+    assert not levels.flags.writeable
+    assert not traj_shared.snapshots[-1].values.flags.writeable
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in_process", "shared"])
+def test_verify_names_a_truncated_level(tmp_path, monkeypatch, capsys, cpus):
+    """Level 7 sits on the child's share when two processes load the run."""
+    rundir = audit_rundir(tmp_path, "run")
+    level = rundir / "u_000007.csv"
+    level.write_text("".join(level.read_text().splitlines(keepends=True)[:-3]))
+    forks = fork_counter(monkeypatch, cpus)
+    capsys.readouterr()
+    assert main(["verify", "--run", str(rundir), "--checks", "all"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {rundir}: {level}: field has 4093 values for a grid of 4096 cells\n")
+    assert forks[0] == cpus - 1
+    assert_no_children()
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in_process", "shared"])
+def test_verify_missing_level_is_io_error(tmp_path, monkeypatch, capsys, cpus):
+    rundir = audit_rundir(tmp_path, "run")
+    (rundir / "u_000007.csv").unlink()
+    forks = fork_counter(monkeypatch, cpus)
+    capsys.readouterr()
+    assert main(["verify", "--run", str(rundir), "--checks", "all"]) == 4
+    assert capsys.readouterr().err == (
+        f"io error: [Errno 2] No such file or directory: '{rundir}/u_000007.csv'\n")
+    assert forks[0] == cpus - 1
+    assert_no_children()
+
+
 # ---------------------------------------------------------------------------
 # compare command
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Grid containers, stencils, set helpers, and the CSV round trip."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,8 +16,9 @@ from meltfront import (
     read_field_csv,
     write_field_csv,
 )
-from meltfront.grid import interior_index, refresh_edge_padding, second_differences, \
-    span_stencil
+from meltfront import grid as grid_module
+from meltfront.grid import interior_index, read_field_csvs, refresh_edge_padding, \
+    second_differences, span_stencil, write_fields
 
 
 def test_grid_basic_geometry():
@@ -269,3 +273,154 @@ def test_csv_rejects_malformed_input(tmp_path, text):
 def test_format_float_round_trips():
     for x in (1.0 / 3.0, np.pi, 1e-300, -0.1):
         assert float(format_float(x)) == x
+
+
+# ---------------------------------------------------------------------------
+# CSV jobs shared between forked processes
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The number of forks this process makes, as a one-item list."""
+    made = [0]
+    fork = os.fork
+
+    def counted():
+        made[0] += 1
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return made
+
+
+def usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def level_fields(levels, counts=(64, 64)):
+    """Random fields above the sharing size rule (4096 values each)."""
+    g = Grid(origin=(0.0,) * len(counts), extent=(1.0,) * len(counts), counts=counts)
+    rng = np.random.default_rng(7)
+    return [TemperatureField(g, 0.25 * k, rng.standard_normal(g.total_cells))
+            for k in range(levels)]
+
+
+def test_shared_map_returns_results_in_item_order(monkeypatch, forks):
+    usable_cpus(monkeypatch, 3)
+    results = grid_module._shared_map(lambda k: (k, os.getpid()), list(range(11)),
+                                      grid_module._SHARE_MIN_VALUES)
+    assert [k for k, _ in results] == list(range(11))
+    assert len({pid for _, pid in results}) == 3 and forks[0] == 2
+    assert {pid for k, pid in results if k % 3 == 0} == {os.getpid()}
+    assert_no_children()
+
+
+def test_shared_map_raises_the_first_failing_item(monkeypatch, forks):
+    """Items 3 (the child's) and 6 (this process's) both fail: item 3's error
+    is raised, with its type and message, as the in-process loop would."""
+    usable_cpus(monkeypatch, 2)
+
+    def job(k):
+        if k in (3, 6):
+            raise ValueError(f"item {k} is bad")
+        return k
+
+    with pytest.raises(ValueError, match="^item 3 is bad$"):
+        grid_module._shared_map(job, list(range(9)), grid_module._SHARE_MIN_VALUES)
+    assert forks[0] == 1
+    assert_no_children()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_shared_and_in_process_field_jobs_agree_bit_for_bit(tmp_path, monkeypatch, forks,
+                                                             cpus):
+    fields = level_fields(12)
+    usable_cpus(monkeypatch, 1)
+    reference = tmp_path / "reference"
+    reference.mkdir()
+    names = write_fields(fields, reference, "u")
+    assert forks[0] == 0
+
+    usable_cpus(monkeypatch, cpus)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert write_fields(fields, out, "u") == names
+    back = read_field_csvs([out / n for n in names])
+    assert forks[0] == 2 * (cpus - 1)
+    assert_no_children()
+    for name in names:
+        assert (out / name).read_bytes() == (reference / name).read_bytes()
+    assert [f.time for f in back] == [f.time for f in fields]
+    for got, want in zip(back, fields):
+        assert got.values.tobytes() == want.values.tobytes()
+        assert not got.values.flags.writeable
+
+
+def _truncate(path):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-3]))
+
+
+def _poison(path):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[100] = "nan\n"
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("damage, reason", [
+    (_truncate, "field has 4093 values for a grid of 4096 cells"),
+    (_poison, "field contains non-finite values on valid cells"),
+], ids=["truncated", "nan"])
+def test_bad_field_csv_error_names_its_file(tmp_path, monkeypatch, forks, damage, reason):
+    """The ValueError names the file in process and from a child's share (file
+    1 of 12 on two CPUs), with one message."""
+    usable_cpus(monkeypatch, 1)
+    names = write_fields(level_fields(12), tmp_path, "u")
+    damage(tmp_path / names[1])
+    message = f"{tmp_path / names[1]}: {reason}"
+    with pytest.raises(ValueError) as single:
+        read_field_csv(tmp_path / names[1])
+    assert str(single.value) == message
+    usable_cpus(monkeypatch, 2)
+    with pytest.raises(ValueError) as shared:
+        read_field_csvs([tmp_path / n for n in names])
+    assert str(shared.value) == message
+    assert forks[0] == 1
+    assert_no_children()
+
+
+def _small_files(monkeypatch):
+    usable_cpus(monkeypatch, 2)
+    return level_fields(12, counts=(32, 32))
+
+
+def _one_cpu(monkeypatch):
+    usable_cpus(monkeypatch, 1)
+    return level_fields(12)
+
+
+@pytest.mark.parametrize("setup", [_small_files, _one_cpu], ids=["small_files", "one_cpu"])
+def test_field_jobs_that_cannot_pay_never_fork(tmp_path, monkeypatch, setup):
+    fields = setup(monkeypatch)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    names = write_fields(fields, tmp_path, "u")
+    assert len(read_field_csvs([tmp_path / n for n in names])) == len(fields)
+
+
+def test_field_jobs_stay_in_process_beside_a_live_thread(tmp_path, monkeypatch):
+    usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        names = write_fields(level_fields(12), tmp_path, "u")
+        assert len(read_field_csvs([tmp_path / n for n in names])) == 12
+    finally:
+        release.set()
+        thread.join()
