@@ -2,7 +2,7 @@
 
 The interface starts as a Gaussian bump on a flat graph z = rho(x, y) and
 flattens as it advances; the Lipschitz constant of the height field decays
-monotonically while the speed-consistency gap stays at rounding level.
+monotonically while the liquid temperature stays nonnegative.
 """
 
 import numpy as np
@@ -40,7 +40,8 @@ for t, front in zip(result.times, result.fronts):
     print(f"{t:8.4f} {h.min():10.6f} {h.max():10.6f} {lip:10.6f}")
 
 rep = result.report
-print("consistency gap, worst step:", rep["consistency_max"])
+print("minimum liquid temperature:", rep["u_min"])
+print("largest Lipschitz constant:", rep["lipschitz_max"])
 
 write_field_csv(front_field(result.final.front, result.final.time), "front_3d_final.csv")
 print("final heights written to front_3d_final.csv")

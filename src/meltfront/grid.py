@@ -391,8 +391,12 @@ def write_csv_rows(path: str | Path, header: str, rows: np.ndarray) -> None:
 
 
 def read_csv_rows(path: str | Path) -> tuple[str, np.ndarray]:
-    """The first line of a CSV and its body's values, flat in file order."""
-    header, _, body = Path(path).read_text().partition("\n")
+    """The first line of a CSV and its body's values, flat in file order;
+    every ``ValueError`` names ``path``."""
+    try:
+        header, _, body = Path(path).read_text().partition("\n")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         return header, np.array(body.replace(",", " ").split(), dtype=float)
     except ValueError as exc:

@@ -510,16 +510,16 @@ def radial_average(
 def write_trajectory(
     traj: HeatTrajectory,
     outdir: str | Path,
-    prefix: str = "u",
     stability_limit_used: float | None = None,
     diagnostics: dict | None = None,
 ) -> Path:
-    """Write one CSV per snapshot plus a manifest JSON; returns the manifest path."""
+    """Write one CSV per snapshot, ``u_<k:06d>.csv``, plus a manifest JSON;
+    returns the manifest path."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     # grid.write_fields looks grid.write_field_csv up per call, so a wrapper
     # installed there (benchmarks/tracing.py) sees every snapshot this process
     # writes: all of them, or its share when write_fields forks
-    names = write_fields(traj.snapshots, outdir, prefix)
+    names = write_fields(traj.snapshots, outdir, "u")
     return write_manifest(outdir, traj.dt, traj.times, names, stability_limit_used,
                           diagnostics or {})

@@ -199,17 +199,26 @@ def _report_only(rundir: Path) -> bool:
     return not (rundir / "manifest.json").exists() and (rundir / "report.json").exists()
 
 
+def _finite_number(x) -> bool:
+    """Whether a JSON value is a number, not a bool, that a float holds finitely."""
+    try:
+        return type(x) in (int, float) and math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _read_manifest(rundir: Path) -> dict:
     """``manifest.json`` as an object with a finite positive ``dt``, an object
-    ``diagnostics`` and a list of string ``snapshots`` (each when present),
-    else a usage error, which names the mode of a report-only directory."""
+    ``diagnostics``, a list of string ``snapshots`` and a list of finite
+    numbers ``times`` (each when present), else a usage error, which names
+    the mode of a report-only directory."""
     if _report_only(rundir):
         raise UsageError(f"{rundir}: a {_read_report(rundir).get('mode')} run directory "
                          "holds no manifest.json, only its config and report")
     try:
         manifest = json.loads((rundir / "manifest.json").read_text())
         dt = float(manifest["dt"])
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise UsageError(f"{rundir}: unreadable manifest.json: {exc!r}") from exc
     if not (math.isfinite(dt) and dt > 0):
         raise UsageError(f"{rundir}: manifest.json dt must be finite and positive, got {dt!r}")
@@ -218,6 +227,9 @@ def _read_manifest(rundir: Path) -> dict:
     names = manifest.get("snapshots", [])
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise UsageError(f"{rundir}: manifest.json snapshots must be a list of file names")
+    times = manifest.get("times", [])
+    if not isinstance(times, list) or not all(map(_finite_number, times)):
+        raise UsageError(f"{rundir}: manifest.json times must be a list of finite numbers")
     return manifest
 
 

@@ -9,8 +9,7 @@ moves by the vertical form of the gradient law
 
 equivalent to normal speed ``V_n = -k1 du/dn`` with unit normal
 ``n = (-rho_x, -rho_y, 1) / J``, ``J = sqrt(1 + rho_x^2 + rho_y^2)``.
-Both forms are evaluated from the same gradient samples each step, and
-their difference (a pure rounding check) is recorded.
+Only the vertical form is stepped: ``-k1 D`` with ``D = J du/dn``.
 
 Discretization
 --------------
@@ -317,24 +316,18 @@ def _front_derivative(fronts: np.ndarray, spacing, samples, theta: np.ndarray):
     return np.minimum(a - rx * gx - ry * gy, 0.0), rx, ry
 
 
-def _move_front(heights: np.ndarray, d: np.ndarray, rx: np.ndarray, ry: np.ndarray,
-                k1: float, dt: float, ceiling: float, t: float):
-    """Forward Euler on the graph law with vertical rate ``w``; returns
-    ``(heights, consistency)`` with ``consistency`` the gap to the
-    normal-speed form.  A front at or above ``ceiling`` (one cell under the
-    top of the box) is an error naming the time ``t``.
+def _move_front(heights: np.ndarray, d: np.ndarray, k1: float, dt: float,
+                ceiling: float, t: float) -> np.ndarray:
+    """Forward Euler on the graph law with vertical rate ``w = -k1 d``;
+    returns the moved heights.  A front at or above ``ceiling`` (one cell
+    under the top of the box) is an error naming the time ``t``.
 
     With ``w`` zero or positive, ``heights + dt w`` never rounds below
     ``heights``, so every column keeps the liquid layers it had."""
-    w = -k1 * d
-    j = np.sqrt(1.0 + rx * rx + ry * ry)
-    vn = w / j
-    consistency = float(np.max(np.abs(dt * w - dt * vn * j)))
-
-    new_heights = heights + dt * w
+    new_heights = heights + dt * (-k1 * d)
     if np.any(new_heights >= ceiling):
         raise RuntimeError(f"front reached the top of the box at t={t:g}")
-    return new_heights, consistency
+    return new_heights
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +399,10 @@ class _ActiveBlock:
                   where=np.arange(k0, self.new.shape[2] - 2) > m[:, :, None])
         refresh_edge_padding(self.new)
 
-    def step(self, t: float, k1: float, bottom: TimeFunc, dt: float) -> dict:
-        """One coupled step from ``t`` to ``t + dt``; returns the info dict and
-        leaves the minimum temperature of the new state in ``u_min``."""
+    def step(self, t: float, k1: float, bottom: TimeFunc, dt: float) -> int:
+        """One coupled step from ``t`` to ``t + dt``; returns the thin-cell
+        count, the columns with ``theta < 1/2`` before the move, and leaves
+        the minimum temperature of the new state in ``u_min``."""
         if dt > self.limit * (1.0 + 1e-12):
             raise ValueError(f"dt={dt:g} violates the 3D stability limit {self.limit:g}")
         f_val = signed_value(bottom, t, 1, "bottom heating")
@@ -417,10 +411,8 @@ class _ActiveBlock:
         self._heat_step(m, theta, f_val, dt)
         self.u_min = _check_temperatures(self.centre[1 - self.k])
         samples = self.new.reshape(-1)[(self.base + m) - _DEPTHS]
-        d, rx, ry = _front_derivative(self.fronts, self.spacing, samples, theta)
-        heights, consistency = _move_front(self.heights, d, rx, ry, k1, dt,
-                                           self.ceiling, t + dt)
-        info = {"consistency": consistency, "thin_cells": int(np.count_nonzero(theta < 0.5))}
+        d, _, _ = _front_derivative(self.fronts, self.spacing, samples, theta)
+        heights = _move_front(self.heights, d, k1, dt, self.ceiling, t + dt)
         self.k, self.u, self.new = 1 - self.k, self.new, self.u
         self.heights[...] = heights  # the one write of rho per step
         refresh_edge_padding(self.fronts[2])
@@ -428,7 +420,7 @@ class _ActiveBlock:
         depth = min(int(self.layers.max()) + 1, self.grid.counts[2])
         if depth > self.u.shape[2] - 2:
             self.__init__(self.grid, self.cube(), heights)  # the block must grow
-        return info
+        return int(np.count_nonzero(theta < 0.5))
 
     def lipschitz(self) -> float:
         """``GraphFront(..., heights).lipschitz_constant``, bit for bit."""
@@ -440,14 +432,13 @@ def coupled_step_3d(domain: PhaseDomain, k1: float, bottom: TimeFunc, dt: float)
 
     The front only advances; newly liquid cells start at the melting value 0.
 
-    Returns ``(domain, info)`` with ``info`` carrying the consistency gap
-    and the thin-cell count, a diagnostic: the columns with ``theta < 1/2``.
+    Returns the new domain.
     """
     require_positive(dt=dt, k1=k1)
     block = _ActiveBlock(domain.grid, domain.cube(), domain.front.heights)
-    info = block.step(domain.time, k1, bottom, dt)
+    block.step(domain.time, k1, bottom, dt)
     return PhaseDomain(domain.grid, GraphFront(domain.front.grid, block.heights),
-                       block.cube(), time=domain.time + dt), info
+                       block.cube(), time=domain.time + dt)
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +529,7 @@ def solve3d(spec: StefanSpec3D) -> Stefan3DResult:
     """Integrate a 3D melting run; returns decimated fronts, the final domain
     and a report.
 
-    The report carries the rounding-level consistency gap between the two
-    front-speed forms, the front Lipschitz constant, the enforced stability
+    The report carries the front Lipschitz constant, the enforced stability
     limit and ``thin_cell_steps``, a diagnostic that selects nothing: the
     columns with ``theta < 1/2``, counted every step and summed.
     """
@@ -552,11 +542,11 @@ def solve3d(spec: StefanSpec3D) -> Stefan3DResult:
     t = domain.time
     fronts = [domain.front]
     times = [t]
-    infos = []
+    thin_cell_steps = 0
     lipschitz = lipschitz_max = block.lipschitz()
     u_min = float(domain.values.min())
     for k in range(n_steps):
-        infos.append(block.step(t, spec.k1, spec.bottom, dt))
+        thin_cell_steps += block.step(t, spec.k1, spec.bottom, dt)
         t = t + dt
         lipschitz = block.lipschitz()
         lipschitz_max = max(lipschitz_max, lipschitz)
@@ -572,8 +562,7 @@ def solve3d(spec: StefanSpec3D) -> Stefan3DResult:
         "dt": dt,
         "stability_limit": limit,
         "steps": n_steps,
-        "consistency_max": max(i["consistency"] for i in infos),
-        "thin_cell_steps": sum(i["thin_cells"] for i in infos),
+        "thin_cell_steps": thin_cell_steps,
         "u_min": u_min,
         "front_min": float(block.heights.min()),
         "front_max": float(block.heights.max()),

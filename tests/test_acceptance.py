@@ -264,7 +264,6 @@ def test_flat_3d_run_matches_1d_front(flat3d_run):
     out, _ = flat3d_run
     report = json.loads((out / "report.json").read_text())
     assert report["status"] == "pass"
-    assert report["diagnostics"]["speed_consistency"]["measured"] <= 1e-10
 
     manifest = json.loads((out / "manifest.json").read_text())
     times = manifest["times"]

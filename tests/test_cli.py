@@ -352,9 +352,24 @@ def test_solve3d_run_and_seed(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["diagnostics"]["seed"] == 7
     assert (out / "u_final.csv").exists()
-    diag = report["diagnostics"]
-    assert diag["speed_consistency"]["measured"] <= 1e-10
-    assert set(diag) == {"speed_consistency", "liquid_sign", "stability"}
+    assert set(report["diagnostics"]) == {"liquid_sign", "stability"}
+
+
+def test_solve3d_passes_on_a_rescaled_box(tmp_path):
+    """A similarity bump with lengths x1e10 and times x1e20 is the unit-box
+    run rescaled; no diagnostic may fail it on rounding that grows with the
+    units (a front step's rounding is about 5e-10 here, above an absolute
+    1e-10)."""
+    cfg = {"mode": "solve3d", "k1": 1, "t0": 2.5e19, "duration": 3.7e17, "bottom": 1,
+           "grid": {"origin": [0, 0, 0], "extent": [1e10, 1e10, 1e10],
+                    "counts": [8, 8, 32]},
+           "front": {"kind": "bump", "height": 6e9, "amplitude": 8e8, "width": 3e9},
+           "initial": {"kind": "similarity"}}
+    out = tmp_path / "run"
+    assert main(["solve3d", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["data"]["steps"] == 21
+    assert set(report["diagnostics"]) == {"liquid_sign", "stability"}
 
 
 @pytest.mark.parametrize("front, reason", [
@@ -659,8 +674,28 @@ def test_malformed_manifest_field_is_usage_error(tmp_path, capsys, field, value)
     assert f"{field} must be" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("dt", [-1.0, 2e-3, float("nan")],
-                         ids=["negative", "twice_the_spacing", "nan"])
+@pytest.mark.parametrize("times", [
+    [None, 0.1], ["x", 0.1], [True, 0.1], [float("nan"), 0.1], [10**400, 0.1],
+    {"0": 0.0}, 0.5,
+], ids=["null", "string", "bool", "nan", "huge_int", "object", "number"])
+def test_malformed_manifest_times_is_usage_error(tmp_path, capsys, times):
+    """compare refuses a manifest whose times is not a list of finite
+    numbers with exit 2 naming its directory, rather than crashing or
+    comparing a bool as 1."""
+    rundir = heat_rundir(tmp_path)
+    other = heat_rundir(tmp_path, "other")
+    manifest = json.loads((rundir / "manifest.json").read_text())
+    if isinstance(times, list):
+        times = times + manifest["times"][len(times):]
+    manifest["times"] = times
+    (rundir / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["compare", str(other), str(rundir)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {rundir}: manifest.json times must be a list of finite numbers\n")
+
+
+@pytest.mark.parametrize("dt", [-1.0, 2e-3, float("nan"), 10**400],
+                         ids=["negative", "twice_the_spacing", "nan", "huge_int"])
 def test_unusable_manifest_dt_is_usage_error(tmp_path, dt):
     """A manifest dt that is not a finite positive step, or that disagrees
     with the snapshot times, exits 2 rather than as a numerical failure."""
@@ -753,6 +788,23 @@ def test_verify_names_a_truncated_level(tmp_path, monkeypatch, capsys, cpus):
     assert main(["verify", "--run", str(rundir), "--checks", "all"]) == 2
     assert capsys.readouterr().err == (
         f"error: {rundir}: {level}: field has 4093 values for a grid of 4096 cells\n")
+    assert forks[0] == cpus - 1
+    assert_no_children()
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in_process", "shared"])
+def test_verify_names_a_garbled_level(tmp_path, monkeypatch, capsys, cpus):
+    """A level that is not UTF-8 text exits 2 naming its file, as a truncated
+    one does; level 7 sits on the child's share on two CPUs."""
+    rundir = audit_rundir(tmp_path, "run")
+    level = rundir / "u_000007.csv"
+    level.write_bytes(b"\xff" + level.read_bytes()[1:])
+    forks = fork_counter(monkeypatch, cpus)
+    capsys.readouterr()
+    assert main(["verify", "--run", str(rundir), "--checks", "all"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {rundir}: {level}: not UTF-8 text: 'utf-8' codec can't decode "
+        "byte 0xff in position 0: invalid start byte\n")
     assert forks[0] == cpus - 1
     assert_no_children()
 

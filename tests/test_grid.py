@@ -372,10 +372,16 @@ def _poison(path):
     path.write_text("".join(lines))
 
 
+def _garble(path):
+    path.write_bytes(b"\xff" + path.read_bytes()[1:])
+
+
 @pytest.mark.parametrize("damage, reason", [
     (_truncate, "field has 4093 values for a grid of 4096 cells"),
     (_poison, "field contains non-finite values on valid cells"),
-], ids=["truncated", "nan"])
+    (_garble, "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: "
+              "invalid start byte"),
+], ids=["truncated", "nan", "garbled"])
 def test_bad_field_csv_error_names_its_file(tmp_path, monkeypatch, forks, damage, reason):
     """The ValueError names the file in process and from a child's share (file
     1 of 12 on two CPUs), with one message."""

@@ -574,7 +574,7 @@ def test_radial_average_on_caloric_data():
 
 def test_write_trajectory_round_trip(tmp_path):
     _, traj = _caloric_run(duration=5e-3)
-    manifest_path = write_trajectory(traj, tmp_path, prefix="u",
+    manifest_path = write_trajectory(traj, tmp_path,
                                      stability_limit_used=1e-3,
                                      diagnostics={"seed": 7})
     manifest = json.loads(manifest_path.read_text())
