@@ -16,7 +16,9 @@ Subcommands
     small-time continuity, positivity spread, and the barrier residual.
 ``benchmark``
     Fit convergence orders on a resolution ladder whose rungs double (front
-    error in space, explicit stepping in time, conservation-residual decay).
+    error in space, explicit stepping in time, conservation-residual decay);
+    the space rungs and time-study marches run on every usable CPU when
+    their step counts pay for a fork.
 ``compare``
     Diff two run directories value by value after a manifest compatibility
     check.
@@ -38,20 +40,21 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .grid import Grid, TemperatureField, field_name, read_field_csv, read_field_csvs, \
-    write_field_csv, write_fields
+from .grid import Grid, TemperatureField, _shared_map, field_name, read_field_csv, \
+    read_field_csvs, write_field_csv, write_fields
 from .heat import HeatTrajectory, OperatorCoefficients, conservation_residual, \
-    eval_time, signed_value, solve_dirichlet, write_trajectory
+    eval_time, signed_value, solve_dirichlet, step_count, write_trajectory
 from .mollifier import admissible_mask, bump_profile, build_kernel, mollify, smoothness_report
 from .rundir import REPORT_SCHEMA, RunReport, UsageError, _check, _provenance, _read_manifest, \
     _rule, compare_runs, write_failure, write_json, write_manifest
-from .stefan1d import StefanSpec1D, similarity_oracle, solve_stefan, time_steps, \
-    write_front_csv
+from .stefan1d import StefanRangeError, StefanSpec1D, similarity_oracle, solve_stefan, \
+    time_steps, write_front_csv
 from .stefan3d import StefanSpec3D, front_field, solve3d, time_steps as time_steps_3d
 from .verify import VERIFY_CHECKS, _CHECK_RUNNERS
 
@@ -303,7 +306,25 @@ def _similarity_start(payload: Mapping, key: str):
     f0 = _constant_value(payload.get(key, 1.0), f"$.{key}")
     if f0 <= 0:
         raise UsageError(f"config error at $.{key}: similarity start needs f > 0")
-    return f0, similarity_oracle(float(payload["k1"]) * f0)
+    return f0, _similarity(float(payload["k1"]) * f0, "$.k1")
+
+
+def _similarity(stefan: float, where: str):
+    """The closed form at Stefan number ``stefan``; one whose root the
+    bisection bracket does not hold is refused at ``where``."""
+    try:
+        return similarity_oracle(stefan)
+    except StefanRangeError as exc:
+        raise UsageError(f"config error at {where}: {exc}") from exc
+
+
+def _solve_1d(spec: StefanSpec1D):
+    """``solve_stefan(spec)``; a run too long to allocate is refused at
+    ``$.duration``, naming its step count."""
+    try:
+        return solve_stefan(spec)
+    except MemoryError as exc:
+        raise UsageError(f"config error at $.duration: {exc}") from None
 
 
 def _hold_signs(edges: list[tuple], t: float) -> None:
@@ -388,7 +409,7 @@ def _build_spec1d(payload: Mapping):
 
 def _run_solve1d(config: ExperimentConfig, outdir: Path) -> tuple[dict, list[str], dict]:
     spec, sim = _build_spec1d(config.payload)
-    result = solve_stefan(spec)
+    result = _solve_1d(spec)
     rep = result.report
 
     files = ["config.json", "report.json", "front.csv"]
@@ -523,22 +544,19 @@ def _fit_order(h: np.ndarray, err: np.ndarray) -> float:
     """Least-squares slope of log(err) against log(h)."""
     return float(np.polyfit(np.log(h), np.log(err), 1)[0])
 
-def _space_errors(ladder, stefan, t0, duration) -> list[float]:
-    """Front error against the closed form with dt tied to h^2."""
-    sim = similarity_oracle(stefan)
+def _space_study(ladder, sim, t0, duration) -> list[StefanSpec1D]:
+    """One spec per rung, started on the closed form at ``t0``, dt tied to h^2."""
     b = float(sim.front(t0))
-    errs = []
-    for nx in ladder:
-        h = 1.0 / nx
-        spec = StefanSpec1D(
-            k1=stefan, b=b, duration=duration, boundary=1.0,
-            initial=lambda x: sim.temperature(x, t0),
-            nx=nx, dt=0.3 * (b * h) ** 2, t0=t0, snapshot_every=10**9,
-        )
-        result = solve_stefan(spec)
-        t_end = float(result.front.times[-1])
-        errs.append(abs(float(result.front.positions[-1]) - float(sim.front(t_end))))
-    return errs
+    return [StefanSpec1D(k1=sim.stefan_number, b=b, duration=duration, boundary=1.0,
+                         initial=lambda x: sim.temperature(x, t0), nx=nx,
+                         dt=0.3 * (b * (1.0 / nx)) ** 2, t0=t0, snapshot_every=10**9)
+            for nx in ladder]
+
+def _front_error(spec: StefanSpec1D, sim) -> float:
+    """A rung's front error against the closed form at its last step."""
+    result = _solve_1d(spec)
+    t_end = float(result.front.times[-1])
+    return abs(float(result.front.positions[-1]) - float(sim.front(t_end)))
 
 def _sine_start(nx: int) -> TemperatureField:
     """``sin(pi x)`` at the centers of ``nx`` cells on ``[0, 1]``, zeroed on
@@ -548,35 +566,34 @@ def _sine_start(nx: int) -> TemperatureField:
     u0[0] = u0[-1] = 0.0
     return TemperatureField(grid, 0.0, u0)
 
-def _time_order(nx: int, refinements: int):
-    """Error of explicit stepping against the exact semi-discrete decay.
+def _time_study(nx: int, refinements: int):
+    """Step sizes, step counts and error jobs of the time study: explicit
+    stepping against the exact semi-discrete decay at ``dt0 / 2^k``.
 
     The sine start vanishes on the boundary cells, so the march is forward
     Euler on the interior system exactly and the measured error is purely
     temporal.
     """
-    from scipy.linalg import expm  # imported on use: keeps scipy out of start-up
-
     initial = _sine_start(nx)
     h = initial.grid.spacing[0]
-    u0 = initial.values
-
     n_int = nx - 2
     a_mat = (np.diag(np.full(n_int - 1, 1.0), -1)
              + np.diag(np.full(n_int, -2.0))
              + np.diag(np.full(n_int - 1, 1.0), 1)) / h**2
     dt0 = 0.2 * h**2
     duration = 200 * dt0
+    dts = [dt0 / 2**k for k in range(refinements)]
+    return (dts, [step_count(duration, dt) for dt in dts],
+            [partial(_decay_error, initial, a_mat, duration, dt) for dt in dts])
 
-    coeffs = OperatorCoefficients.laplacian()
-    dts, errs = [], []
-    for k in range(refinements):
-        dt = dt0 / 2**k
-        traj = solve_dirichlet(coeffs, initial, 0.0, duration, dt)
-        ref = expm(a_mat * traj.times[-1]) @ u0[1:-1]
-        errs.append(float(np.max(np.abs(traj.values_matrix()[-1, 1:-1] - ref))))
-        dts.append(dt)
-    return _fit_order(np.array(dts), np.array(errs)), dts, errs
+def _decay_error(initial: TemperatureField, a_mat: np.ndarray, duration: float,
+                 dt: float) -> float:
+    """Largest interior error of the march at ``dt`` against ``expm``."""
+    from scipy.linalg import expm  # imported on use: keeps scipy out of start-up
+
+    traj = solve_dirichlet(OperatorCoefficients.laplacian(), initial, 0.0, duration, dt)
+    ref = expm(a_mat * traj.times[-1]) @ initial.values[1:-1]
+    return float(np.max(np.abs(traj.values_matrix()[-1, 1:-1] - ref)))
 
 def _residual_ratios(ladder):
     """Conservation residual decay on a sine run with dt tied to h^2."""
@@ -590,24 +607,44 @@ def _residual_ratios(ladder):
     ratios = [values[k] / values[k + 1] for k in range(len(values) - 1)]
     return values, ratios
 
+def _call(job: Callable):
+    return job()
+
+
+# The space and time studies share processes (grid._shared_map) when each
+# process gets at least _SHARE_MIN_STEPS of their solves' steps.  Two-process
+# speed-ups of the shared solves alone, by total steps (a 2-vCPU VM, Python
+# 3.11, numpy 2.4, one BLAS thread): 629: 0.68-0.74; 1155: 1.06-1.09;
+# 1710: 1.09-1.20; 2510: 1.24-1.29; 4175: 0.93-1.38 (noisy); 20267: 1.17-1.38.
+# Only two processes were measured.
+_SHARE_MIN_STEPS = 2**10
+
 
 def _run_benchmark(config: ExperimentConfig, outdir: Path) -> tuple[dict, list[str], dict]:
+    """Fit the three orders.  The space rungs and the time study's marches are
+    independent jobs, weighted by their step counts and shared between
+    processes as ``grid._shared_map`` decides; the residual study runs in this
+    process.  The report does not depend on the sharing."""
     payload = config.payload
     ladder = list(payload.get("ladder", [32, 64, 128]))
     # residual_ratio_min expects a shrink of 4 per grid halving
     if any(fine != 2 * coarse for coarse, fine in zip(ladder, ladder[1:])):
         raise UsageError(f"config error at $.ladder: each rung must double the one "
                          f"before it, got {ladder}")
-    stefan = float(payload.get("stefan", 1.0))
+    sim = _similarity(float(payload.get("stefan", 1.0)), "$.stefan")
     t0 = float(payload.get("t0", 0.25))
     duration = float(payload.get("duration", 0.25))
     time_nx = int(payload.get("time_nx", 48))
     refinements = int(payload.get("time_refinements", 3))
 
-    space_errs = _space_errors(ladder, stefan, t0, duration)
-    hs = np.array([1.0 / nx for nx in ladder])
-    space_order = _fit_order(hs, np.array(space_errs))
-    time_order, dts, time_errs = _time_order(time_nx, refinements)
+    specs = _space_study(ladder, sim, t0, duration)
+    dts, time_weights, time_jobs = _time_study(time_nx, refinements)
+    errors = _shared_map(_call, [partial(_front_error, spec, sim) for spec in specs] + time_jobs,
+                         [time_steps(spec)[2] for spec in specs] + time_weights,
+                         _SHARE_MIN_STEPS)
+    space_errs, time_errs = errors[:len(specs)], errors[len(specs):]
+    space_order = _fit_order(np.array([1.0 / nx for nx in ladder]), np.array(space_errs))
+    time_order = _fit_order(np.array(dts), np.array(time_errs))
     res_values, res_ratios = _residual_ratios(ladder)
 
     diagnostics = {

@@ -32,9 +32,14 @@ carries ``t,s,sdot`` and three values per row.  Both directions cost about
 0.5 us per value in one thread, so the many-file jobs, ``write_fields``
 (every trajectory, snapshot and front write) and ``read_field_csvs`` (the
 level load of ``verify``), run on every usable CPU when their files are large
-enough to pay for a fork: ``_shared_map`` deals the files round-robin between
-this process and forked children.  Each file's bytes, and each loaded field's
-bits, are the same on any number of CPUs.
+enough to pay for a fork.
+
+Independent jobs share processes through ``_shared_map``: it deals weighted
+items between this process and forked children, the heaviest first, each to
+the least-loaded process, and equal weights round-robin.  Besides the CSV
+jobs, whose weight is a file's value count, the benchmark mode of ``cli``
+deals its solves by step count.  Each file's bytes, each loaded field's bits
+and each solve's result are the same on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -424,16 +429,33 @@ _SHARE_MIN_FILE_VALUES = 2**11
 _SHARE_MIN_VALUES = 2**14
 
 
-def _share_count(items: int, values_per_item: int) -> int:
-    """Processes a job of ``items`` files of ``values_per_item`` values runs on:
-    1 (this one) unless the platform can fork, no other thread is alive, more
-    than one CPU is usable and the files are large enough to pay."""
-    if (values_per_item < _SHARE_MIN_FILE_VALUES
-            or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity"))
+def _file_weight(values_per_file: int) -> int:
+    """A field file's weight in :func:`_shared_map`: its value count, or 0 (a
+    job that never pays for a fork) under ``_SHARE_MIN_FILE_VALUES`` values."""
+    return values_per_file if values_per_file >= _SHARE_MIN_FILE_VALUES else 0
+
+
+def _share_count(items: int, weight: int, min_share: int) -> int:
+    """Processes a job of ``items`` items of total ``weight`` runs on: 1 (this
+    one) unless the platform can fork, no other thread is alive, more than one
+    CPU is usable and each process gets at least ``min_share`` of the weight."""
+    if (not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity"))
             or threading.active_count() > 1):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), items,
-                      items * values_per_item // _SHARE_MIN_VALUES))
+    return max(1, min(len(os.sched_getaffinity(0)), items, weight // min_share))
+
+
+def _deal(weights: Sequence[int], workers: int) -> list[list[int]]:
+    """Item indices of each process's share, each in item order.  The heaviest
+    item goes first, each to the least-loaded process, the lowest-numbered
+    among equals (this process is 0), so equal weights deal round-robin."""
+    loads = [0] * workers
+    shares: list[list[int]] = [[] for _ in range(workers)]
+    for k in sorted(range(len(weights)), key=lambda k: -weights[k]):
+        w = loads.index(min(loads))
+        shares[w].append(k)
+        loads[w] += weights[k]
+    return [sorted(share) for share in shares]
 
 
 def _run_share(job: Callable, share: Sequence) -> tuple[list, Exception | None]:
@@ -476,25 +498,31 @@ def _receive_share(pipe) -> tuple[list, Exception | None] | None:
             return None
 
 
-def _shared_map(job: Callable, items: Sequence, values_per_item: int) -> list:
-    """``[job(item) for item in items]``, dealt round-robin between this
-    process and one forked child per further usable CPU.
+def _shared_map(job: Callable, items: Sequence, weights: int | Sequence[int],
+                min_share: int = _SHARE_MIN_VALUES) -> list:
+    """``[job(item) for item in items]``, dealt between this process and one
+    forked child per further usable CPU.
 
-    The in-process path is taken from facts of the run, never from an option:
-    one usable CPU, no ``os.fork`` or ``os.sched_getaffinity``, another Python
-    thread alive, or a job too small to pay (``_SHARE_MIN_FILE_VALUES``,
-    ``_SHARE_MIN_VALUES``).  Results come back in item order, and whatever
-    ``job`` writes cannot depend on the path.  A failure raises the exception
-    of the first failing item, as the in-process loop would; a child's comes
-    back pickled, with its type and message.  Every child is reaped before
-    this returns or raises.
+    ``weights`` gives each item's cost, or one number for every item; the
+    deal (:func:`_deal`) keeps the heaviest item in this process and deals
+    equal weights round-robin.  The in-process path is taken from facts of
+    the run, never from an option: one usable CPU, no ``os.fork`` or
+    ``os.sched_getaffinity``, another Python thread alive, or a job whose
+    total weight gives no process ``min_share``.  Results come back in item
+    order, and whatever ``job`` writes or returns cannot depend on the path.
+    A failure raises the exception of the first failing item, as the
+    in-process loop would; a child's comes back pickled, with its type and
+    message.  Every child is reaped before this returns or raises.
     """
-    workers = _share_count(len(items), values_per_item)
+    if not isinstance(weights, Sequence):
+        weights = [weights] * len(items)
+    workers = _share_count(len(items), sum(weights), min_share)
     if workers == 1:
         return [job(item) for item in items]
+    shares = _deal(weights, workers)
     pids, pipes = [], []
     try:
-        for w in range(1, workers):
+        for share in shares[1:]:
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -503,24 +531,28 @@ def _shared_map(job: Callable, items: Sequence, values_per_item: int) -> list:
                 os.close(write_fd)
                 raise
             if pid == 0:
-                _serve_share(job, items[w::workers], read_fd, write_fd)
+                _serve_share(job, [items[k] for k in share], read_fd, write_fd)
             os.close(write_fd)
             pids.append(pid)
             pipes.append(os.fdopen(read_fd, "rb"))
-        shares = [_run_share(job, items[0::workers])]
-        shares += [_receive_share(pipe) for pipe in pipes]
+        runs = [_run_share(job, [items[k] for k in shares[0]])]
+        runs += [_receive_share(pipe) for pipe in pipes]
     finally:
         for pipe in pipes:  # a child still writing gets EPIPE and exits
             pipe.close()
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    if any(statuses) or None in shares:
-        raise ChildProcessError(f"a CSV worker process ended with wait status "
-                                f"{max(statuses)} before it returned its files")
-    failed = [(w + len(results) * workers, error)
-              for w, (results, error) in enumerate(shares) if error is not None]
+    if any(statuses) or None in runs:
+        raise ChildProcessError(f"a worker process ended with wait status "
+                                f"{max(statuses)} before it returned its results")
+    failed = [(share[len(results)], error)
+              for share, (results, error) in zip(shares, runs) if error is not None]
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
-    return [shares[k % workers][0][k // workers] for k in range(len(items))]
+    out = [None] * len(items)
+    for share, (results, _) in zip(shares, runs):
+        for k, result in zip(share, results):
+            out[k] = result
+    return out
 
 
 def _write_field_job(item: tuple[TemperatureField, Path]) -> None:
@@ -539,7 +571,7 @@ def write_fields(fields: Iterable[TemperatureField], outdir: str | Path,
     fields = list(fields)
     names = [field_name(prefix, k) for k in range(len(fields))]
     _shared_map(_write_field_job, [(f, Path(outdir) / n) for f, n in zip(fields, names)],
-                min((f.values.size for f in fields), default=0))
+                _file_weight(min((f.values.size for f in fields), default=0)))
     return names
 
 
@@ -600,5 +632,6 @@ def read_field_csvs(paths: Sequence[str | Path]) -> list[TemperatureField]:
     file's header and values; this process builds and validates every field.
     """
     paths = list(paths)
-    rows = _shared_map(read_csv_rows, paths, _declared_cells(paths[0]) if paths else 0)
+    rows = _shared_map(read_csv_rows, paths,
+                       _file_weight(_declared_cells(paths[0]) if paths else 0))
     return [_field_from_rows(p, header, values) for p, (header, values) in zip(paths, rows)]

@@ -93,17 +93,34 @@ class SimilaritySolution:
         return -math.exp(-self.lam**2) / (math.sqrt(math.pi * t) * math.erf(self.lam))
 
 
+_LAMBDA_BRACKET = (1e-8, 10.0)
+#: Stefan numbers whose similarity constant lies in the bisection bracket:
+#: ``sqrt(pi) lam e^(lam^2) erf(lam)`` at its two ends
+_STEFAN_RANGE = tuple(math.sqrt(math.pi) * lam * math.exp(lam * lam) * math.erf(lam)
+                      for lam in _LAMBDA_BRACKET)
+
+
+class StefanRangeError(ValueError):
+    """A Stefan number whose similarity constant lies outside the bisection
+    bracket ``[1e-8, 10]``."""
+
+
 def similarity_oracle(stefan_number: float) -> SimilaritySolution:
     """Solve the transcendental front equation by bisection on ``[1e-8, 10]``.
 
-    The returned root has residual at most 1e-12.
+    The returned root has residual at most 1e-12.  A Stefan number whose root
+    the bracket does not contain, outside about ``[2e-16, 4.76e44]``, raises
+    :class:`StefanRangeError`.
     """
     if stefan_number <= 0:
         raise ValueError(f"Stefan number must be positive, got {stefan_number}")
-    lo, hi = 1e-8, 10.0
+    lo, hi = _LAMBDA_BRACKET
     if transcendental_residual(lo, stefan_number) > 0 \
             or transcendental_residual(hi, stefan_number) < 0:
-        raise ValueError("bisection bracket [1e-8, 10] does not contain the root")
+        raise StefanRangeError(
+            f"Stefan number {stefan_number:g} is outside [{_STEFAN_RANGE[0]:.6g}, "
+            f"{_STEFAN_RANGE[1]:.6g}], the range whose similarity constant lies in the "
+            f"bisection bracket [1e-8, 10]")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if transcendental_residual(mid, stefan_number) <= 0:
@@ -408,7 +425,8 @@ def solve_stefan(spec: StefanSpec1D) -> StefanResult:
     rule of a time-dependent edge.  The per-step extremes the monitors
     reduce must be finite (NaN and +-inf carry through them): a
     ``ValueError`` names the first step whose extremes are not, before
-    that block's snapshots are recorded.
+    that block's snapshots are recorded.  A run too long for numpy to
+    allocate its monitors raises ``MemoryError`` naming its step count.
     """
     phases = _phases(spec)
     n = spec.nx
@@ -430,7 +448,10 @@ def solve_stefan(spec: StefanSpec1D) -> StefanResult:
     _record(snapshots, phases, fields, grid, t)
 
     fronts, vels = [s], []
-    monitors = np.empty((3, n_steps))  # per step: max u (liquid), min u, min u_t (liquid)
+    try:  # per step: max u (liquid), min u, min u_t (liquid)
+        monitors = np.empty((3, n_steps))
+    except (MemoryError, ValueError) as exc:  # past the memory or numpy's dimension limit
+        raise MemoryError(f"a run of {n_steps:.6g} steps does not fit in memory: {exc}") from None
     ut_max = -math.inf
     # the maximum principle bounds u by its parabolic-boundary data: the
     # initial nodes and both edges; g_min is the solid's far edge over the steps

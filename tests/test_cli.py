@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -338,6 +339,60 @@ def test_non_finite_config_number_is_config_error(tmp_path, capsys, cfg, key, li
     assert main([cfg["mode"], "--config", str(config), "--out", str(out)]) == 2
     assert f"config error at {path}: must be a finite number" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg, path, stefan", [
+    (dict(BENCH, stefan=1e300), "$.stefan", "1e+300"),
+    (dict(BENCH, stefan=1e-300), "$.stefan", "1e-300"),
+    (dict(SIM_1D, k1=1e300), "$.k1", "1e+300"),
+    (dict(FLAT_3D, t0=0.25, initial={"kind": "similarity"}, k1=1e-300), "$.k1", "1e-300"),
+], ids=["benchmark_1e300", "benchmark_1e-300", "solve1d_1e300", "solve3d_1e-300"])
+def test_stefan_number_outside_the_bracket_is_config_error(tmp_path, capsys, cfg, path,
+                                                            stefan):
+    """The closed form's bisection bracket [1e-8, 10] holds the root only for
+    Stefan numbers in [2e-16, 4.76e44]; a similarity start's is k1 f0."""
+    out = tmp_path / "run"
+    assert main([cfg["mode"], "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config error at {path}: Stefan number {stefan} is outside "
+        "[2e-16, 4.76456e+44], the range whose similarity constant lies in the "
+        "bisection bracket [1e-8, 10]\n")
+    assert not (out / "FAILED.json").exists()
+
+
+@pytest.mark.parametrize("duration, steps", [(1e12, "8.87785e+15"), (1e300, "8.87785e+303")],
+                         ids=["1e12", "1e300"])
+def test_benchmark_run_too_long_to_allocate_is_config_error(tmp_path, monkeypatch, capsys,
+                                                            duration, steps):
+    """numpy refuses these monitor sizes (189 PiB and past its dimension
+    limit) before touching memory.  The first rung's message is raised, the
+    same whether it ran in this process or, on two CPUs, in the child."""
+    cfg = write_config(tmp_path, {"mode": "benchmark", "ladder": [32, 64],
+                                  "duration": duration})
+    errors = []
+    for cpus in (1, 2):
+        forks = fork_counter(monkeypatch, cpus)
+        out = tmp_path / f"run{cpus}"
+        assert main(["benchmark", "--config", cfg, "--out", str(out)]) == 2
+        errors.append(capsys.readouterr().err)
+        assert not (out / "FAILED.json").exists()
+        assert forks[0] == cpus - 1
+        assert_no_children()
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"error: config error at $.duration: a run of {steps} "
+                                "steps does not fit in memory: ")
+
+
+@pytest.mark.parametrize("duration, steps", [(1e12, "2.60593e+17"), (1e300, "2.60593e+305")],
+                         ids=["1e12", "1e300"])
+def test_solve1d_run_too_long_to_allocate_is_config_error(tmp_path, capsys, duration, steps):
+    out = tmp_path / "run"
+    cfg = dict(SIM_1D, duration=duration, nx=200)
+    assert main(["solve1d", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: config error at $.duration: a run of {steps} steps does not fit in memory: ")
+    assert not (out / "FAILED.json").exists()
 
 
 def test_solve3d_run_and_seed(tmp_path):
@@ -823,6 +878,136 @@ def test_verify_missing_level_is_io_error(tmp_path, monkeypatch, capsys, cpus):
 
 
 # ---------------------------------------------------------------------------
+# benchmark solves shared between forked processes
+# ---------------------------------------------------------------------------
+
+# 222 + 888 space steps and 200 + 400 time steps: below cli._SHARE_MIN_STEPS
+# per process on two CPUs; the nx-64 rung's 3550 steps lift the ladder above it
+LIGHT_LADDER = {"mode": "benchmark", "ladder": [16, 32], "time_refinements": 2,
+                "duration": 0.1, "time_nx": 32}
+SHARED_LADDER = dict(LIGHT_LADDER, ladder=[16, 32, 64])
+
+
+def report_without_timestamp(rundir):
+    report = json.loads((rundir / "report.json").read_text())
+    report["provenance"].pop("created_utc")
+    return report
+
+
+def rungs_solved_here(monkeypatch):
+    """The ``nx`` of every rung whose solve runs in this process."""
+    solved = []
+    solve = meltfront.cli.solve_stefan
+
+    def recorded(spec):
+        solved.append(spec.nx)
+        return solve(spec)
+
+    monkeypatch.setattr(meltfront.cli, "solve_stefan", recorded)
+    return solved
+
+
+def test_shared_benchmark_report_is_identical(tmp_path, monkeypatch):
+    """On two CPUs this process keeps the heaviest job, the nx-64 rung; the
+    child runs the coarser rungs and the time study."""
+    cfg = write_config(tmp_path, SHARED_LADDER)
+    reports = []
+    for cpus, here in ((1, [16, 32, 64]), (2, [64])):
+        forks = fork_counter(monkeypatch, cpus)
+        solved = rungs_solved_here(monkeypatch)
+        out = tmp_path / f"run{cpus}"
+        assert main(["benchmark", "--config", cfg, "--out", str(out)]) == 0
+        assert forks[0] == cpus - 1 and solved == here
+        assert_no_children()
+        reports.append(report_without_timestamp(out))
+    assert reports[0] == reports[1]
+
+
+def test_shared_benchmark_failure_matches_in_process(tmp_path, monkeypatch, capsys):
+    """The nx-16 rung fails; on two CPUs it runs in the child, and its error
+    comes back with the in-process exit code, message and FAILED.json."""
+    solve = meltfront.cli.solve_stefan
+
+    def failing(spec):
+        if spec.nx == 16:
+            raise ValueError("rung 16 diverged")
+        return solve(spec)
+
+    monkeypatch.setattr(meltfront.cli, "solve_stefan", failing)
+    cfg = write_config(tmp_path, SHARED_LADDER)
+    for cpus in (1, 2):
+        forks = fork_counter(monkeypatch, cpus)
+        out = tmp_path / f"run{cpus}"
+        capsys.readouterr()
+        assert main(["benchmark", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "numerical failure: rung 16 diverged\n"
+        assert json.loads((out / "FAILED.json").read_text())["error"] == "rung 16 diverged"
+        assert not (out / "report.json").exists()
+        assert forks[0] == cpus - 1
+        assert_no_children()
+
+
+def _one_cpu(monkeypatch):
+    fork_counter(monkeypatch, 1)
+    return SHARED_LADDER
+
+
+def _light_ladder(monkeypatch):
+    fork_counter(monkeypatch, 2)
+    return LIGHT_LADDER
+
+
+@pytest.mark.parametrize("setup", [_one_cpu, _light_ladder], ids=["one_cpu", "light_ladder"])
+def test_benchmark_that_cannot_share_never_forks(tmp_path, monkeypatch, setup):
+    cfg = setup(monkeypatch)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    assert main(["benchmark", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "run")]) == 0
+
+
+def test_benchmark_stays_in_process_beside_a_live_thread(tmp_path, monkeypatch):
+    fork_counter(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert main(["benchmark", "--config", write_config(tmp_path, SHARED_LADDER),
+                     "--out", str(tmp_path / "run")]) == 0
+    finally:
+        release.set()
+        thread.join()
+
+
+# a fresh interpreter with the BLAS thread settings its platform defaults to,
+# shown two CPUs: the time study's expm and @ run in the forked child
+SHARED_BLAS_RUN = """
+import os, sys
+from meltfront.cli import main
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+os.sched_getaffinity = lambda pid: {0, 1}
+rc = main(["benchmark", "--config", sys.argv[1], "--out", sys.argv[2]])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print(rc, len(forks), "a child is left")
+except ChildProcessError:
+    print(rc, len(forks), "reaped")
+"""
+
+
+def test_shared_benchmark_with_default_blas_threads(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, SHARED_LADDER)
+    fork_counter(monkeypatch, 1)
+    assert main(["benchmark", "--config", cfg, "--out", str(tmp_path / "single")]) == 0
+    done = run_python(["-c", SHARED_BLAS_RUN, cfg, str(tmp_path / "shared")],
+                      unset=("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"))
+    assert done.stdout.split()[-3:] == ["0", "1", "reaped"]
+    assert (report_without_timestamp(tmp_path / "shared")
+            == report_without_timestamp(tmp_path / "single"))
+
+
+# ---------------------------------------------------------------------------
 # compare command
 # ---------------------------------------------------------------------------
 
@@ -997,12 +1182,14 @@ def test_verify_refuses_benchmark_rundir(bench_runs, capsys):
 # fresh interpreters: start-up imports and SIMD levels
 # ---------------------------------------------------------------------------
 
-def run_python(args, **env):
-    """Run this interpreter on ``args`` with the package's source on the path."""
+def run_python(args, unset=(), **env):
+    """Run this interpreter on ``args`` with the package's source on the path,
+    the variables ``env`` set and those named in ``unset`` removed."""
     src = str(Path(meltfront.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    kept = {k: v for k, v in os.environ.items() if k not in unset}
     done = subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path, **env})
+                          env={**kept, "PYTHONPATH": path, **env})
     assert done.returncode == 0, done.stderr
     return done
 

@@ -336,6 +336,62 @@ def test_shared_map_raises_the_first_failing_item(monkeypatch, forks):
     assert_no_children()
 
 
+def shares_of(results):
+    """The items each process ran, from ``(item, pid)`` results."""
+    return sorted([k for k, p in results if p == pid] for pid in {p for _, p in results})
+
+
+def test_equal_weights_deal_round_robin(monkeypatch, forks):
+    """Per-item equal weights deal as one weight for every item does: item k
+    to process k mod 3, this process first."""
+    assert grid_module._deal([5] * 11, 3) == [[0, 3, 6, 9], [1, 4, 7, 10], [2, 5, 8]]
+    usable_cpus(monkeypatch, 3)
+    job = lambda k: (k, os.getpid())  # noqa: E731
+    listed = grid_module._shared_map(job, list(range(11)), [grid_module._SHARE_MIN_VALUES] * 11)
+    scalar = grid_module._shared_map(job, list(range(11)), grid_module._SHARE_MIN_VALUES)
+    assert [k for k, _ in listed] == list(range(11)) and forks[0] == 4
+    assert shares_of(listed) == shares_of(scalar) == [[0, 3, 6, 9], [1, 4, 7, 10], [2, 5, 8]]
+    assert [k for k, pid in listed if pid == os.getpid()] == [0, 3, 6, 9]
+    assert_no_children()
+
+
+def test_unequal_weights_keep_the_heaviest_item_here(monkeypatch, forks):
+    """The heaviest item (3) goes first, to this process; every lighter one then
+    goes to the less-loaded child."""
+    weights = [1, 2, 1, 10, 1]
+    assert grid_module._deal(weights, 2) == [[3], [0, 1, 2, 4]]
+    usable_cpus(monkeypatch, 2)
+    results = grid_module._shared_map(lambda k: (k, os.getpid()), list(range(5)), weights, 1)
+    assert [k for k, _ in results] == list(range(5)) and forks[0] == 1
+    assert [k for k, pid in results if pid == os.getpid()] == [3]
+    assert_no_children()
+
+
+def test_weighted_deal_raises_the_first_failing_item(monkeypatch, forks):
+    """Items 1 (the child's) and 3 (this process's, the heaviest) both fail:
+    item 1's error is raised, as the in-process loop would."""
+    usable_cpus(monkeypatch, 2)
+
+    def job(k):
+        if k in (1, 3):
+            raise ValueError(f"item {k} is bad")
+        return k
+
+    with pytest.raises(ValueError, match="^item 1 is bad$"):
+        grid_module._shared_map(job, list(range(5)), [1, 2, 1, 10, 1], 1)
+    assert forks[0] == 1
+    assert_no_children()
+
+
+def test_weighted_job_too_light_to_share_stays_here(monkeypatch):
+    """Each process must get at least min_share of the total weight."""
+    usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    results = grid_module._shared_map(lambda k: (k, os.getpid()), list(range(5)),
+                                      [1, 2, 1, 10, 1], 8)
+    assert results == [(k, os.getpid()) for k in range(5)]
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_shared_and_in_process_field_jobs_agree_bit_for_bit(tmp_path, monkeypatch, forks,
                                                              cpus):
