@@ -47,7 +47,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .grid import Grid, TemperatureField, _shared_map, field_name, read_field_csv, \
-    read_field_csvs, write_field_csv, write_fields
+    read_field_csvs, write_field_csv, write_field_csvs, write_fields
 from .heat import HeatTrajectory, OperatorCoefficients, conservation_residual, \
     eval_time, signed_value, solve_dirichlet, step_count, write_trajectory
 from .mollifier import admissible_mask, bump_profile, build_kernel, mollify, smoothness_report
@@ -515,11 +515,14 @@ def _run_solve3d(config: ExperimentConfig, outdir: Path) -> tuple[dict, list[str
     rep = result.report
 
     files = ["config.json", "report.json", "manifest.json", "u_final.csv"]
-    names = write_fields(map(front_field, result.fronts, result.times), outdir, "front")
+    names = [field_name("front", k) for k in range(len(result.fronts))]
     files.extend(names)
     final = result.final
-    write_field_csv(TemperatureField(final.grid, final.time, final.values),
-                    outdir / "u_final.csv")
+    # one job: on a large box u_final.csv stays here while a child writes the fronts
+    write_field_csvs([(front_field(f, t), outdir / n)
+                      for f, t, n in zip(result.fronts, result.times, names)]
+                     + [(TemperatureField(final.grid, final.time, final.values),
+                         outdir / "u_final.csv")])
     write_manifest(outdir, float(rep["dt"]), result.times, names,
                    float(rep["stability_limit"]), {"mode": "solve3d", "seed": config.seed},
                    final_field="u_final.csv")

@@ -29,10 +29,11 @@ Serialization: every CSV is one header line, then rows of ``%.17g`` values
 ``read_csv_rows``.  Field CSVs carry ``# grid dim=<d> counts=<...>
 spacing=<...> time=<t>`` and one value per row, row-major; ``front.csv``
 carries ``t,s,sdot`` and three values per row.  Both directions cost about
-0.5 us per value in one thread, so the many-file jobs, ``write_fields``
-(every trajectory, snapshot and front write) and ``read_field_csvs`` (the
-level load of ``verify``), run on every usable CPU when their files are large
-enough to pay for a fork.
+0.5 us per value in one thread, so the many-file jobs, ``write_field_csvs``
+(every trajectory, snapshot and front write through ``write_fields``, and a
+solve3d run's ``u_final.csv`` together with its fronts) and
+``read_field_csvs`` (the level load of ``verify``), run on every usable CPU
+when their files are large enough to pay for a fork.
 
 Independent jobs share processes through ``_shared_map``: it deals weighted
 items between this process and forked children, the heaviest first, each to
@@ -67,6 +68,7 @@ __all__ = [
     "read_field_csvs",
     "field_name",
     "write_fields",
+    "write_field_csvs",
     "format_float",
 ]
 
@@ -561,17 +563,25 @@ def _write_field_job(item: tuple[TemperatureField, Path]) -> None:
     write_field_csv(*item)
 
 
-def write_fields(fields: Iterable[TemperatureField], outdir: str | Path,
-                 prefix: str) -> list[str]:
-    """Write the fields to :func:`field_name` files in ``outdir``; returns the names.
+def write_field_csvs(jobs: Iterable[tuple[TemperatureField, str | Path]]) -> None:
+    """:func:`write_field_csv` of each ``(field, path)`` pair.
 
-    The files are shared between processes as :func:`_shared_map` decides; the
+    The files are shared between processes as :func:`_shared_map` decides,
+    each weighted by :func:`_file_weight` of its value count: equal files
+    deal round-robin, and the heaviest file stays in this process.  The
     bytes of each file do not depend on that.
     """
+    jobs = list(jobs)
+    _shared_map(_write_field_job, jobs, [_file_weight(f.values.size) for f, _ in jobs])
+
+
+def write_fields(fields: Iterable[TemperatureField], outdir: str | Path,
+                 prefix: str) -> list[str]:
+    """Write the fields to :func:`field_name` files in ``outdir`` through
+    :func:`write_field_csvs`; returns the names."""
     fields = list(fields)
     names = [field_name(prefix, k) for k in range(len(fields))]
-    _shared_map(_write_field_job, [(f, Path(outdir) / n) for f, n in zip(fields, names)],
-                _file_weight(min((f.values.size for f in fields), default=0)))
+    write_field_csvs(zip(fields, (Path(outdir) / n for n in names)))
     return names
 
 

@@ -9,7 +9,8 @@ from its printed ``measured`` and ``tolerance`` under one named rule of
 Reports follow ``REPORT_SCHEMA`` and are validated against it before they
 are written.  Everything except the ``created_utc`` provenance field is a
 pure function of (config, seed), so repeated runs produce byte-identical
-CSVs; :func:`compare_runs` ignores the timestamp when diffing reports.
+CSVs; :func:`compare_runs` ignores the timestamp when diffing reports, and
+at tolerance 0 asks for identical bytes.
 """
 
 from __future__ import annotations
@@ -252,9 +253,10 @@ def compare_runs(dir_a: str | Path, dir_b: str | Path,
     Raises :class:`UsageError` for a negative or NaN tolerance, and when the
     manifests, the file sets or a CSV's header, value count or body cannot be
     compared; reports fail (not raise) when values differ beyond the
-    tolerance.  ``report.json`` files are compared with the ``created_utc``
-    provenance field removed; two report-only (benchmark) directories are
-    compared by their reports alone.
+    tolerance, and at tolerance 0 when any CSV's bytes differ (``-0``
+    against ``0`` too).  ``report.json`` files are compared by their sorted
+    serialization with the ``created_utc`` provenance field removed; two
+    report-only (benchmark) directories are compared by their reports alone.
     """
     if not tolerance >= 0.0:  # NaN too: no difference would pass it
         raise UsageError(f"tolerance must be a nonnegative number, got {tolerance}")
@@ -297,17 +299,23 @@ def compare_runs(dir_a: str | Path, dir_b: str | Path,
 
     reports_match = None
     if (dir_a / "report.json").exists() and (dir_b / "report.json").exists():
-        reports_match = _read_report(dir_a) == _read_report(dir_b)
+        # serialized: 0.0 against -0.0, or 1 against 1.0, is a difference
+        reports_match = (json.dumps(_read_report(dir_a), sort_keys=True)
+                         == json.dumps(_read_report(dir_b), sort_keys=True))
 
     diagnostics = {
         "csv_max_abs": _rule("at_most", max_abs, tolerance),
         "csv_max_rel": _rule("at_most", max_rel, tolerance,
                              "relative to the largest magnitude in the file"),
     }
+    if tolerance == 0.0:
+        differing = sum(not entry["identical"] for entry in per_file.values())
+        diagnostics["csv_files_differing"] = _rule(
+            "at_most", differing, 0, "CSV files whose bytes differ")
     if reports_match is not None:
         diagnostics["reports_match"] = _check(
             1.0 if reports_match else 0.0, None, reports_match,
-            "report.json equality with timestamps removed")
+            "report.json serializations equal with timestamps removed")
 
     anchor = "manifest.json" if manifested else "config.json"
     digest = hashlib.sha256(

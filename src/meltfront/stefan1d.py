@@ -108,7 +108,8 @@ class StefanRangeError(ValueError):
 def similarity_oracle(stefan_number: float) -> SimilaritySolution:
     """Solve the transcendental front equation by bisection on ``[1e-8, 10]``.
 
-    The returned root has residual at most 1e-12.  A Stefan number whose root
+    The returned root has residual at most ``1e-12 max(1, St / sqrt(pi))``,
+    relative to the residual's constant term.  A Stefan number whose root
     the bracket does not contain, outside about ``[2e-16, 4.76e44]``, raises
     :class:`StefanRangeError`.
     """
@@ -130,8 +131,11 @@ def similarity_oracle(stefan_number: float) -> SimilaritySolution:
         if hi - lo < 1e-16 * max(1.0, lo):
             break
     lam = 0.5 * (lo + hi)
-    if abs(transcendental_residual(lam, stefan_number)) > 1e-12:
-        raise ValueError(f"bisection residual above 1e-12 at St={stefan_number:g}")
+    # at the root the residual subtracts two terms of size St / sqrt(pi): its
+    # rounding scales with them
+    bound = 1e-12 * max(1.0, stefan_number / math.sqrt(math.pi))
+    if abs(transcendental_residual(lam, stefan_number)) > bound:
+        raise ValueError(f"bisection residual above {bound:g} at St={stefan_number:g}")
     return SimilaritySolution(float(stefan_number), float(lam))
 
 

@@ -39,7 +39,7 @@ A step touches only the active block: layers ``0..max(layers)``, one solid
 layer above the highest liquid cell (capped at the box).  The solid layers
 above it hold 0 and are never stepped; the block grows as the front climbs.
 ``solve3d`` keeps one block across its steps and builds the full cube only
-at snapshots; ``coupled_step_3d`` runs the same step on a block of its
+at its last snapshot; ``coupled_step_3d`` runs the same step on a block of its
 domain and wraps the result in a ``PhaseDomain``.  The block takes the
 grid's spacing, z centers and stability limit once, and holds the front in
 one edge-padded ``(a, b, rho)`` buffer: a step writes the column fits and
@@ -55,8 +55,12 @@ Lipschitz monitor reads the padded heights every step without
 The front only advances (see ``_front_derivative``), so no column ever
 loses a liquid layer.  What holds by construction (solid cells exactly 0,
 the front grid matching the box section) is checked when a ``PhaseDomain``
-is built.  ``solve3d`` builds one at each snapshot for that check and keeps
-only its front, except for the last, which it returns as the final domain.
+is built.  At every snapshot but the last, ``solve3d`` runs the checks of
+that build on the block interior instead (``_ActiveBlock.checked_front``):
+the heights inside the box, solid cells exactly 0 against the block's layer
+counts and the temperature rule, in the same order and with the same
+messages, and keeps a ``GraphFront`` of the heights.  The last snapshot
+builds the full ``PhaseDomain``, which it returns as the final domain.
 """
 
 from __future__ import annotations
@@ -373,6 +377,20 @@ class _ActiveBlock:
         return np.pad(self.u[1:-1, 1:-1, 1:-1],
                       ((0, 0), (0, 0), (0, self.grid.counts[2] + 2 - self.u.shape[2])))
 
+    def checked_front(self, fx: Grid) -> GraphFront:
+        """``GraphFront(fx, heights)`` after the checks of
+        ``PhaseDomain(grid, GraphFront(fx, heights), self.cube())``, in its order
+        and with its messages, run on the block interior: every cell above it
+        is 0, and unless it spans the box its top layer is solid, so it holds
+        the cube's extremes."""
+        front = GraphFront(fx, self.heights)
+        _require_inside(front.heights, self.grid)
+        u = self.u[1:-1, 1:-1, 1:-1]
+        if np.any(np.greater(u != 0.0, np.arange(u.shape[2]) < self.layers[:, :, None])):
+            raise ValueError("solid cells must hold exactly 0")
+        _check_temperatures(u)
+        return front
+
     def _heat_step(self, m: np.ndarray, theta: np.ndarray, bottom_value: float,
                    dt: float) -> None:
         k, u, new, dz = self.k, self.u, self.new, self.spacing[2]
@@ -532,6 +550,11 @@ def solve3d(spec: StefanSpec3D) -> Stefan3DResult:
     The report carries the front Lipschitz constant, the enforced stability
     limit and ``thin_cell_steps``, a diagnostic that selects nothing: the
     columns with ``theta < 1/2``, counted every step and summed.
+
+    Each snapshot but the last is checked on the active block
+    (``_ActiveBlock.checked_front``), raising where and as a ``PhaseDomain``
+    of the full cube would; the last builds that ``PhaseDomain``, the final
+    domain.
     """
     domain = _initial_domain(spec)
     grid, fx = spec.grid, domain.front.grid
@@ -552,11 +575,15 @@ def solve3d(spec: StefanSpec3D) -> Stefan3DResult:
         lipschitz_max = max(lipschitz_max, lipschitz)
         # cells above the block hold 0, and so does the block's top layer
         u_min = min(u_min, block.u_min)
-        if (k + 1) % snap_every == 0 or k + 1 == n_steps:
+        if k + 1 == n_steps:  # the last snapshot is the returned final domain
             domain = PhaseDomain(grid, GraphFront(fx, block.heights), block.cube(),
                                  time=t)
             fronts.append(domain.front)
-            times.append(t)
+        elif (k + 1) % snap_every == 0:
+            fronts.append(block.checked_front(fx))
+        else:
+            continue
+        times.append(t)
 
     report = {
         "dt": dt,

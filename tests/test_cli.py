@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import meltfront
+import meltfront.grid as grid_module
 from meltfront import (
     Grid,
     HeatTrajectory,
@@ -877,6 +878,42 @@ def test_verify_missing_level_is_io_error(tmp_path, monkeypatch, capsys, cpus):
     assert_no_children()
 
 
+# 11 steps on a 32^3 box: u_final.csv's 2^15 values are above the sharing size
+# rule on two CPUs, and its 12 front files of 1024 values are below it
+SHARED_3D = {"mode": "solve3d", "k1": 1, "t0": 0.25, "duration": 0.001,
+             "grid": {"origin": [0, 0, 0], "extent": [1, 1, 1], "counts": [32, 32, 32]},
+             "front": {"kind": "bump", "height": 0.6, "amplitude": 0.08, "width": 0.3},
+             "initial": {"kind": "similarity"}}
+
+
+def test_shared_solve3d_run_directory_is_identical(tmp_path, monkeypatch):
+    """u_final.csv and the front files are one job: on two CPUs this process
+    writes u_final.csv and one child writes the fronts; the run directory is
+    the one a single CPU writes, byte for byte but for created_utc."""
+    cfg = write_config(tmp_path, SHARED_3D)
+    write = grid_module.write_field_csv
+    runs = []
+    for cpus, here in ((1, 13), (2, 1)):
+        forks = fork_counter(monkeypatch, cpus)
+        written = []
+        monkeypatch.setattr(grid_module, "write_field_csv",
+                            lambda field, path: written.append(path.name) or write(field, path))
+        out = tmp_path / f"run{cpus}"
+        assert main(["solve3d", "--config", cfg, "--out", str(out)]) == 0
+        assert forks[0] == cpus - 1
+        assert_no_children()
+        assert len(written) == here and "u_final.csv" in written
+        runs.append(out)
+    single, shared = runs
+    assert sorted(p.name for p in shared.iterdir()) == sorted(p.name for p in single.iterdir())
+    assert len(list(single.glob("front_*.csv"))) == 12
+    for path in single.iterdir():
+        if path.name != "report.json":
+            assert (shared / path.name).read_bytes() == path.read_bytes(), path.name
+    assert (json.dumps(report_without_timestamp(shared), sort_keys=True)
+            == json.dumps(report_without_timestamp(single), sort_keys=True))
+
+
 # ---------------------------------------------------------------------------
 # benchmark solves shared between forked processes
 # ---------------------------------------------------------------------------
@@ -1065,6 +1102,42 @@ def test_compare_relative_difference_is_normwise(tmp_path, capsys):
     assert diag["csv_max_abs"]["measured"] == 1e-300
     assert diag["reports_match"]["pass"]
     assert main(["compare", str(a), str(b)]) == 3
+
+
+def test_compare_at_tolerance_zero_asks_for_identical_bytes(tmp_path, capsys):
+    """A CSV holding ``-0`` where the other holds ``0`` has equal values and
+    unequal bytes: tolerance 0 fails it, any positive tolerance passes it."""
+    a, b = two_identical_runs(tmp_path)
+    lines = (b / "u_000001.csv").read_text().splitlines()
+    lines[lines.index("0")] = "-0"
+    (b / "u_000001.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["compare", "--tolerance", "0", str(a), str(b)]) == 3
+    diag = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert diag["csv_max_abs"]["measured"] == 0.0 and diag["csv_max_abs"]["pass"]
+    assert diag["csv_files_differing"] == {
+        "measured": 1.0, "tolerance": 0.0, "pass": False, "notes": "CSV files whose bytes differ"}
+    assert diag["reports_match"]["pass"]
+    assert main(["compare", "--tolerance", "1e-300", str(a), str(b)]) == 0
+    assert "csv_files_differing" not in json.loads(capsys.readouterr().out)["diagnostics"]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda report: report["diagnostics"]["max_principle"].update(measured=-0.0),
+    lambda report: report["data"].update(steps=float(report["data"]["steps"])),
+], ids=["negative_zero", "int_as_float"])
+def test_compare_reports_by_serialization(tmp_path, capsys, edit):
+    """``0.0`` against ``-0.0``, and ``1`` against ``1.0``, are equal in Python
+    and differ in ``report.json``: ``reports_match`` fails them."""
+    a, b = two_identical_runs(tmp_path)
+    before = json.loads((b / "report.json").read_text())
+    report = json.loads((b / "report.json").read_text())
+    edit(report)
+    assert report == before
+    (b / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    capsys.readouterr()
+    assert main(["compare", "--tolerance", "0", str(a), str(b)]) == 3
+    assert not json.loads(capsys.readouterr().out)["diagnostics"]["reports_match"]["pass"]
 
 
 def test_compare_non_numeric_body_is_usage_error(tmp_path, capsys):

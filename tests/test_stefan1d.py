@@ -46,6 +46,23 @@ def test_oracle_roots_frozen(st, lam):
     assert abs(transcendental_residual(sol.lam, st)) <= 1e-12
 
 
+@pytest.mark.parametrize("st,lam_hex", [(1.0, "0x1.3d78d9771b68ap-1"),
+                                         (1e-10, "0x1.da88051e884dap-18")])
+def test_oracle_root_bits_frozen(st, lam_hex):
+    """Where an absolute residual bound of 1e-12 passed, the root keeps its bits."""
+    assert similarity_oracle(st).lam.hex() == lam_hex
+
+
+@pytest.mark.parametrize("st", [1e4, 1e20, 4e44])
+def test_oracle_accepts_large_stefan_numbers(st):
+    """The residual's rounding scales with St / sqrt(pi), and so does its bound:
+    an absolute 1e-12 refused St 1e4."""
+    sol = similarity_oracle(st)
+    assert abs(transcendental_residual(sol.lam, st)) <= 1e-12 * st / math.sqrt(math.pi)
+    assert sol.lam * math.exp(sol.lam**2) * erf(sol.lam) == pytest.approx(
+        st / math.sqrt(math.pi), rel=1e-12)
+
+
 def test_oracle_small_stefan_asymptote():
     # lam -> sqrt(St/2) as St -> 0
     assert similarity_oracle(1e-6).lam == pytest.approx(math.sqrt(5e-7), abs=1e-9)

@@ -26,8 +26,8 @@ from meltfront import (
     stability_limit_3d,
 )
 from meltfront.grid import read_field_csv
-from meltfront.stefan3d import _column_fits, _front_buffer, _front_derivative, \
-    _front_offsets, _initial_domain, _padded_lipschitz, time_steps
+from meltfront.stefan3d import _ActiveBlock, _column_fits, _front_buffer, \
+    _front_derivative, _front_offsets, _initial_domain, _padded_lipschitz, time_steps
 
 DATA = Path(__file__).parent / "data"
 
@@ -549,3 +549,68 @@ def test_solve3d_off_cadence_last_snapshot():
     np.testing.assert_array_equal(res.times, t0 + dt * np.array([0, 4, 8, 10]))
     assert res.final.time == res.times[-1]
     assert np.array_equal(bits(res.final.front.heights), bits(res.fronts[-1].heights))
+
+
+# ---------------------------------------------------------------------------
+# snapshot checks on the active block
+# ---------------------------------------------------------------------------
+
+def stepped_block():
+    """A climbing bump's active block after 5 steps, and its section grid."""
+    from meltfront.cli import _build_spec3d
+    spec = _build_spec3d(CLIMBING_BUMP)
+    domain = _initial_domain(spec)
+    block = _ActiveBlock(spec.grid, domain.cube(), domain.front.heights)
+    _, dt, _ = time_steps(spec)
+    t = spec.t0
+    for _ in range(5):
+        block.step(t, spec.k1, spec.bottom, dt)
+        t += dt
+    assert block.u.shape[2] - 2 < spec.grid.counts[2]  # cells above the block
+    return block, domain.front.grid
+
+
+def corrupted_block(edits):
+    """:func:`stepped_block` with each ``(where, value)`` of ``edits`` written:
+    into a liquid or a solid cell of the corner column (0, 15), or the height
+    of the corner column (15, 0)."""
+    block, fx = stepped_block()
+    layers = int(block.layers[0, 15])
+    for where, value in edits:
+        if where == "height":
+            block.heights[15, 0] = value
+        else:
+            k = layers // 2 if where == "liquid" else layers
+            block.u[1, 16, k + 1] = value  # the block is edge-padded
+    return block, fx
+
+
+@pytest.mark.parametrize("edits, message", [
+    ([("liquid", np.nan)], "finite"),
+    ([("liquid", -1e-9)], "nonnegative"),
+    ([("solid", 5e-324)], "exactly 0"),
+    ([("solid", np.nan)], "exactly 0"),
+    ([("height", 1.0)], "vertical extent"),
+    ([("height", 1.0), ("solid", 1.0)], "vertical extent"),
+    ([("height", np.nan)], "finite"),
+], ids=["nan_liquid", "negative_liquid", "nonzero_solid", "nan_solid", "height_at_top",
+        "top_before_solid", "nan_height"])
+def test_block_snapshot_check_raises_as_the_full_domain(edits, message):
+    """The block check raises the error that a PhaseDomain of the padded cube
+    raises, the first failing check first."""
+    block, fx = corrupted_block(edits)
+    with pytest.raises(ValueError, match=message) as full:
+        PhaseDomain(block.grid, GraphFront(fx, block.heights), block.cube())
+    with pytest.raises(ValueError) as checked:
+        block.checked_front(fx)
+    assert str(checked.value) == str(full.value)
+
+
+def test_block_snapshot_check_keeps_the_heights():
+    block, fx = stepped_block()
+    front = block.checked_front(fx)
+    assert front.grid == fx
+    assert np.array_equal(bits(front.heights), bits(GraphFront(fx, block.heights).heights))
+    assert not front.heights.flags.writeable
+    block.heights[0, 0] += 0.01  # a copy, not a view of the block
+    assert not np.array_equal(front.heights, block.heights)
