@@ -131,6 +131,14 @@ def _check_temperatures(values: np.ndarray) -> float:
     return lo
 
 
+def _check_cells(u: np.ndarray, layers: np.ndarray) -> None:
+    """Raise unless the cells of ``u`` at or above ``layers`` per column hold
+    exactly 0 and its temperatures pass ``_check_temperatures``."""
+    if np.any(np.greater(u != 0.0, np.arange(u.shape[2]) < layers[:, :, None])):
+        raise ValueError("solid cells must hold exactly 0")
+    _check_temperatures(u)
+
+
 def _padded_lipschitz(rp: np.ndarray, spacing) -> float:
     """``GraphFront.lipschitz_constant`` of the heights inside the edge-padded
     ``rp``, bit for bit.
@@ -208,20 +216,14 @@ class PhaseDomain:
         v = np.asarray(self.values, dtype=float)
         if v.size != self.grid.total_cells:
             raise ValueError(f"expected {self.grid.total_cells} values, got {v.size}")
-        cube = v.reshape(self.grid.shape)
-        if np.any(np.greater(cube != 0.0, self._liquid_cube())):
-            raise ValueError("solid cells must hold exactly 0")
-        _check_temperatures(cube)
+        _check_cells(v.reshape(self.grid.shape), self.liquid_layers())
         v = v.reshape(-1).copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def _liquid_cube(self) -> np.ndarray:
-        return np.arange(self.grid.counts[2]) < self.liquid_layers()[:, :, None]
-
     def liquid_mask(self) -> np.ndarray:
         """Flat boolean mask of liquid cells."""
-        return self._liquid_cube().reshape(-1)
+        return (np.arange(self.grid.counts[2]) < self.liquid_layers()[:, :, None]).reshape(-1)
 
     def cube(self) -> np.ndarray:
         return self.values.reshape(self.grid.shape)
@@ -385,10 +387,7 @@ class _ActiveBlock:
         the cube's extremes."""
         front = GraphFront(fx, self.heights)
         _require_inside(front.heights, self.grid)
-        u = self.u[1:-1, 1:-1, 1:-1]
-        if np.any(np.greater(u != 0.0, np.arange(u.shape[2]) < self.layers[:, :, None])):
-            raise ValueError("solid cells must hold exactly 0")
-        _check_temperatures(u)
+        _check_cells(self.u[1:-1, 1:-1, 1:-1], self.layers)
         return front
 
     def _heat_step(self, m: np.ndarray, theta: np.ndarray, bottom_value: float,

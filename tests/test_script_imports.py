@@ -1,7 +1,7 @@
 """The scripts that run outside the test suite import only names meltfront has.
 
-They are the demos, the benchmark harness, the Python heredocs of the CI
-workflow and README's ``python`` blocks.  A public name removed from the
+They are the demos, the benchmark harness, the identity gate under
+``tools/`` and README's ``python`` blocks.  A public name removed from the
 package would otherwise surface only when one of them is run.  Each script
 is parsed, not run: every ``meltfront`` module it imports is imported, and
 every name it takes from one must resolve.  So must every name that
@@ -13,22 +13,17 @@ import ast
 import importlib
 import pkgutil
 import re
-import textwrap
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SCRIPTS = sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("benchmarks/*.py")])
+SCRIPTS = sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("benchmarks/*.py"),
+                  *ROOT.glob("tools/*.py")])
 
 
 def embedded_scripts():
-    """``(label, source)`` per ``cat > ".../<name>.py" <<'EOF'`` heredoc of the
-    CI workflow and per fenced ``python`` block of README.md."""
-    workflow = ROOT / ".github" / "workflows" / "tests.yml"
-    heredoc = re.compile(r"""cat > "[^"\n]*/([\w.]+\.py)" <<'EOF'\n(.*?)\n[ \t]*EOF\n""", re.S)
-    for name, body in heredoc.findall(workflow.read_text()):
-        yield f"tests.yml/{name}", textwrap.dedent(body)
+    """``(label, source)`` per fenced ``python`` block of README.md."""
     blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
     for k, body in enumerate(blocks, start=1):
         yield f"README.md/python-{k}", body
@@ -67,13 +62,12 @@ def assert_imports_resolve(source: str, label: str):
 
 def test_scripts_are_found():
     names = {f"{p.parent.name}/{p.name}" for p in SCRIPTS}
-    assert {"demos/front_3d.py", "benchmarks/workloads.py"} <= names
+    assert {"demos/front_3d.py", "benchmarks/workloads.py", "tools/identity.py"} <= names
 
 
 def test_embedded_scripts_are_found():
     labels = {label for label, _ in EMBEDDED}
-    assert {"tests.yml/march.py", "tests.yml/replace.py", "README.md/python-1",
-            "README.md/python-2"} <= labels
+    assert {"README.md/python-1", "README.md/python-2"} <= labels
     for label, source in EMBEDDED:
         assert any(meltfront_imports(source, label)), f"{label} imports nothing from meltfront"
 
