@@ -23,7 +23,16 @@ SCRIPTS = sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("benchmarks/*.py"),
 
 
 def embedded_scripts():
-    """``(label, source)`` per fenced ``python`` block of README.md."""
+    """``(label, source)`` per sub-command of the identity gate that imports
+    meltfront, and per fenced ``python`` block of README.md.
+
+    The sub-commands ``march`` and ``replace`` of ``tools/identity.py`` were
+    the heredocs ``march.py`` and ``replace.py`` of the CI workflow; their
+    labels keep those names."""
+    gate = (ROOT / "tools" / "identity.py").read_text()
+    for node in ast.parse(gate).body:
+        if isinstance(node, ast.FunctionDef) and node.name in ("march", "replace"):
+            yield f"tests.yml/{node.name}.py", ast.get_source_segment(gate, node)
     blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
     for k, body in enumerate(blocks, start=1):
         yield f"README.md/python-{k}", body
@@ -67,7 +76,8 @@ def test_scripts_are_found():
 
 def test_embedded_scripts_are_found():
     labels = {label for label, _ in EMBEDDED}
-    assert {"README.md/python-1", "README.md/python-2"} <= labels
+    assert {"tests.yml/march.py", "tests.yml/replace.py", "README.md/python-1",
+            "README.md/python-2"} <= labels
     for label, source in EMBEDDED:
         assert any(meltfront_imports(source, label)), f"{label} imports nothing from meltfront"
 
