@@ -46,8 +46,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .grid import Grid, TemperatureField, _shared_map, field_name, read_field_csv, \
-    read_field_csvs, write_field_csv, write_field_csvs, write_fields
+from .grid import Grid, TemperatureField, _file_weight, _shared_map, field_name, \
+    read_field_csv, read_field_csvs, write_field_csv, write_field_csvs
 from .heat import HeatTrajectory, OperatorCoefficients, conservation_residual, \
     eval_time, signed_value, solve_dirichlet, step_count, write_trajectory
 from .mollifier import admissible_mask, bump_profile, build_kernel, mollify, smoothness_report
@@ -412,18 +412,26 @@ def _run_solve1d(config: ExperimentConfig, outdir: Path) -> tuple[dict, list[str
     result = _solve_1d(spec)
     rep = result.report
 
-    files = ["config.json", "report.json", "front.csv"]
-    write_front_csv(result.front, outdir / "front.csv")
+    # one write job, whose heaviest file (front.csv, on a run of many steps)
+    # stays in this process; the partials bind this module's write_front_csv
+    # and write_field_csv, so wrappers installed here (benchmarks/tracing.py)
+    # see the writes they make
+    writes = [(partial(write_front_csv, result.front, outdir / "front.csv"),
+               _file_weight(3 * len(result.front.times)))]
+    solid = [] if result.solid_trajectory is None else result.solid_trajectory.snapshots
+    solid_names = [field_name("w", k) for k in range(len(solid))]
+    writes += [(partial(write_field_csv, f, outdir / n), _file_weight(f.values.size))
+               for f, n in zip(solid, solid_names)]
     write_trajectory(
         result.trajectory, outdir,
         stability_limit_used=rep["stability_limit_initial"],
         diagnostics={"mode": "solve1d", "seed": config.seed,
                      "fronts": [float(s) for s in result.snapshot_fronts]},
+        also=writes,
     )
-    files.append("manifest.json")
+    files = ["config.json", "report.json", "front.csv", "manifest.json"]
     files.extend(field_name("u", k) for k in range(len(result.trajectory)))
-    if result.solid_trajectory is not None:
-        files.extend(write_fields(result.solid_trajectory.snapshots, outdir, "w"))
+    files.extend(solid_names)
 
     bounds = f"bounds [{rep['bound_low']:.6g}, {rep['bound_high']:.6g}]"
     diagnostics = {

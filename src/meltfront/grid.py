@@ -30,17 +30,19 @@ Serialization: every CSV is one header line, then rows of ``%.17g`` values
 spacing=<...> time=<t>`` and one value per row, row-major; ``front.csv``
 carries ``t,s,sdot`` and three values per row.  Both directions cost about
 0.5 us per value in one thread, so the many-file jobs, ``write_field_csvs``
-(every trajectory, snapshot and front write through ``write_fields``, and a
-solve3d run's ``u_final.csv`` together with its fronts) and
-``read_field_csvs`` (the level load of ``verify``), run on every usable CPU
-when their files are large enough to pay for a fork.
+(every trajectory, snapshot and front write through ``write_fields``, a
+solve3d run's ``u_final.csv`` together with its fronts, and a solve1d run's
+``front.csv`` together with its snapshots) and ``read_field_csvs`` (the
+level load of ``verify``), run on every usable CPU when their files are
+large enough to pay for a fork.
 
 Independent jobs share processes through ``_shared_map``: it deals weighted
 items between this process and forked children, the heaviest first, each to
 the least-loaded process, and equal weights round-robin.  Besides the CSV
-jobs, whose weight is a file's value count, the benchmark mode of ``cli``
-deals its solves by step count.  Each file's bytes, each loaded field's bits
-and each solve's result are the same on any number of CPUs.
+jobs, where a file weighs its value count plus a creation cost, the
+benchmark mode of ``cli`` deals its solves by step count.  Each file's
+bytes, each loaded field's bits and each solve's result are the same on any
+number of CPUs.
 """
 
 from __future__ import annotations
@@ -420,21 +422,29 @@ def field_name(prefix: str, k: int) -> str:
 
 
 # A CSV job of many files is shared between processes only where that pays:
-# each file must hold at least _SHARE_MIN_FILE_VALUES values, and each process
-# at least _SHARE_MIN_VALUES of the job's values, since a fork plus its wait
-# costs about 5 ms and formatting or parsing a value about 0.5 us.  Speed-ups
-# of two processes over one, write | read, by files x values per file (a
-# 2-vCPU VM, Python 3.11, numpy 2.4): 202 x 201: 0.85 | -; 202 x 1024: 0.97 | 0.89;
-# 51 x 1024: 0.87 | -; 51 x 2048: 1.39 | 1.10; 12 x 4096: 1.70 | 1.48;
-# 101 x 4096: 1.90 | 1.88.  Only two processes were measured.
-_SHARE_MIN_FILE_VALUES = 2**11
+# each process must get at least _SHARE_MIN_VALUES of the job's weight, since
+# a fork plus its wait costs about 5 ms and formatting or parsing a value
+# about 0.45 us.  A file weighs its value count plus _FILE_COST for its
+# creation: 30-60 us, some 70-120 values, in a warm process (best of 7), and
+# more in a freshly forked child.  On a solve1d run's front.csv with its 201
+# snapshots, the costs 0, 2^7 and 2^8 deal [1, 201], [1, 201] and [16, 186]
+# files and time within noise of each other.  Speed-ups of two processes
+# over one, write | read, by files x values per file (a 2-vCPU VM, Python
+# 3.11, numpy 2.4; ranges of three runs, each the ratio of medians of 25
+# alternating repeats): 12 x 1024 (weight 15,360, not shared): 0.80-0.84 |
+# 0.57-1.05; 202 x 201: 1.12-1.32 | 0.80-1.04; 202 x 1024: 1.36-1.51 |
+# 1.32-1.44; 51 x 1024: 1.32-1.42 | 0.99-1.15; 51 x 2048: 1.28-1.49 |
+# 0.90-1.34; 12 x 4096: 1.31-1.35 | 0.95-1.15; 101 x 4096: 1.64 | 1.58-1.66;
+# a solve1d run's front.csv (78k values) with 201 x 201 snapshots: 1.39-1.65.
+# Only two processes were measured.
+_FILE_COST = 2**8
 _SHARE_MIN_VALUES = 2**14
 
 
 def _file_weight(values_per_file: int) -> int:
-    """A field file's weight in :func:`_shared_map`: its value count, or 0 (a
-    job that never pays for a fork) under ``_SHARE_MIN_FILE_VALUES`` values."""
-    return values_per_file if values_per_file >= _SHARE_MIN_FILE_VALUES else 0
+    """A field file's weight in :func:`_shared_map`: its value count plus
+    ``_FILE_COST`` for creating it."""
+    return values_per_file + _FILE_COST
 
 
 def _share_count(items: int, weight: int, min_share: int) -> int:
@@ -557,31 +567,39 @@ def _shared_map(job: Callable, items: Sequence, weights: int | Sequence[int],
     return out
 
 
-def _write_field_job(item: tuple[TemperatureField, Path]) -> None:
+def _write_field_job(item: tuple[TemperatureField, Path] | Callable[[], None]) -> None:
     # looks write_field_csv up per call, so a wrapper installed on this module
     # (benchmarks/tracing.py) sees every file this process writes
-    write_field_csv(*item)
+    if callable(item):
+        item()
+    else:
+        write_field_csv(*item)
 
 
-def write_field_csvs(jobs: Iterable[tuple[TemperatureField, str | Path]]) -> None:
-    """:func:`write_field_csv` of each ``(field, path)`` pair.
+def write_field_csvs(jobs: Iterable[tuple[TemperatureField, str | Path]],
+                     also: Sequence[tuple[Callable[[], None], int]] = ()) -> None:
+    """:func:`write_field_csv` of each ``(field, path)`` pair, and each
+    ``(write, weight)`` pair of ``also``: ``write()``, a further file's write.
 
     The files are shared between processes as :func:`_shared_map` decides,
-    each weighted by :func:`_file_weight` of its value count: equal files
-    deal round-robin, and the heaviest file stays in this process.  The
-    bytes of each file do not depend on that.
+    each pair weighted by :func:`_file_weight` of its value count, and each
+    write of ``also`` by its ``weight``: files of one size deal round-robin,
+    and the heaviest file stays in this process.  Each process runs its share
+    in order, the writes of ``also`` first.  The bytes of each file do not
+    depend on that.
     """
     jobs = list(jobs)
-    _shared_map(_write_field_job, jobs, [_file_weight(f.values.size) for f, _ in jobs])
+    _shared_map(_write_field_job, [write for write, _ in also] + jobs,
+                [weight for _, weight in also] + [_file_weight(f.values.size) for f, _ in jobs])
 
 
-def write_fields(fields: Iterable[TemperatureField], outdir: str | Path,
-                 prefix: str) -> list[str]:
+def write_fields(fields: Iterable[TemperatureField], outdir: str | Path, prefix: str,
+                 also: Sequence[tuple[Callable[[], None], int]] = ()) -> list[str]:
     """Write the fields to :func:`field_name` files in ``outdir`` through
-    :func:`write_field_csvs`; returns the names."""
+    :func:`write_field_csvs`, with the writes of ``also``; returns the names."""
     fields = list(fields)
     names = [field_name(prefix, k) for k in range(len(fields))]
-    write_field_csvs(zip(fields, (Path(outdir) / n for n in names)))
+    write_field_csvs(zip(fields, (Path(outdir) / n for n in names)), also)
     return names
 
 

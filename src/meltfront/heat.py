@@ -512,14 +512,21 @@ def write_trajectory(
     outdir: str | Path,
     stability_limit_used: float | None = None,
     diagnostics: dict | None = None,
+    also: Sequence[tuple[Callable[[], None], int]] = (),
 ) -> Path:
     """Write one CSV per snapshot, ``u_<k:06d>.csv``, plus a manifest JSON;
-    returns the manifest path."""
+    returns the manifest path.
+
+    ``also`` holds further writes of the same run directory as ``(write,
+    weight)`` pairs, weighed against the snapshots' ``grid._file_weight``:
+    one :func:`grid.write_field_csvs` job writes them and the snapshots, on
+    every usable CPU when they are large enough to pay for a fork, and all of
+    it is written before the manifest."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     # grid.write_fields looks grid.write_field_csv up per call, so a wrapper
     # installed there (benchmarks/tracing.py) sees every snapshot this process
     # writes: all of them, or its share when write_fields forks
-    names = write_fields(traj.snapshots, outdir, "u")
+    names = write_fields(traj.snapshots, outdir, "u", also)
     return write_manifest(outdir, traj.dt, traj.times, names, stability_limit_used,
                           diagnostics or {})

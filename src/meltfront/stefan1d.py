@@ -273,22 +273,28 @@ def _phases(spec: StefanSpec1D) -> list[_Phase]:
     return phases
 
 
-def _front_speed(phases: list[_Phase], fields: list[np.ndarray], s: float,
-                 h: float) -> tuple[float, float]:
+def _laws(phases: list[_Phase], fields: list[np.ndarray]) -> list[tuple]:
+    """The front law's inputs per phase, bound once for :func:`_front_speed`:
+    ``(k, sigma, anchor, tail)`` with ``tail`` the view of the phase's last
+    three nodes in ``fields``."""
+    return [(p.k, p.sigma, p.anchor, vals[-3:]) for p, vals in zip(phases, fields)]
+
+
+def _front_speed(laws: list[tuple], s: float, h: float) -> tuple[float, float]:
     """The front law ``s' = -sum_p k_p D(U_p) / w_p`` and the diffusion/advection
     rate ``2 / (w^2 h^2) + |s'| / (w h)`` of the mapped update at the narrowest
-    phase width ``w`` (``1 / rate`` is the largest stable step).  ``D`` is the
-    one-sided second-order 3-point ``dU/deta`` at the last node and ``w_p =
-    sigma_p (s - anchor_p)``, in Python floats: numpy's IEEE arithmetic at a
-    fraction of the call cost."""
+    phase width ``w`` (``1 / rate`` is the largest stable step), from the
+    phases' :func:`_laws`.  ``D`` is the one-sided second-order 3-point
+    ``dU/deta`` at the last node and ``w_p = sigma_p (s - anchor_p)``, in
+    Python floats: numpy's IEEE arithmetic at a fraction of the call cost."""
     v = -0.0  # a still front keeps the sign -k1 * 0 gives it
     narrow = math.inf
-    for p, vals in zip(phases, fields):
-        w = p.sigma * (s - p.anchor)
+    for k, sigma, anchor, tail in laws:
+        w = sigma * (s - anchor)
         if w < narrow:
             narrow = w
-        far, near, front = vals[-3:].tolist()
-        v -= p.k * ((3.0 * front - 4.0 * near + far) / (2.0 * h * w))
+        far, near, front = tail.tolist()
+        v -= k * ((3.0 * front - 4.0 * near + far) / (2.0 * h * w))
     return v, 2.0 / (narrow * narrow * h * h) + abs(v) / (narrow * h)
 
 
@@ -299,31 +305,31 @@ _BLOCK_STEPS = 64
 
 
 def _plan(phases: list[_Phase], srcs: list[np.ndarray], dsts: list[np.ndarray],
-          uts: list[np.ndarray], work: tuple) -> tuple[list[np.ndarray], list[tuple]]:
+          uts: list[np.ndarray], work: tuple) -> tuple[list[tuple], list[tuple]]:
     """The plan of a step from the state rows ``srcs`` into ``dsts`` that
     leaves its heating rates in ``uts`` (one row of each per phase): the
-    source rows the front law reads, and per phase the tuple
-    ``(phase, sigma, anchor, edge, left, mid, right, dst, dst_mid, ut, *work)``.
-    ``edge`` is the phase's edge data if it is callable, else ``None``;
-    ``(left, mid, right)`` are the source's stencil views
+    front law's inputs on the source rows (:func:`_laws`), and per phase the
+    tuple ``(phase, sigma, anchor, edge, left, mid, right, dst, dst_mid, ut,
+    *work)``.  ``edge`` is the phase's edge data if it is callable, else
+    ``None``; ``(left, mid, right)`` are the source's stencil views
     ``(u[:-2], u[1:-1], u[2:])`` and ``dst_mid`` is ``dst[1:-1]``.  ``work``
     is shared by all plans of a solve: the interior nodes ``eta``, a scratch
     row and two 0-d scratch arrays for the step's scalar factors."""
-    return srcs, [(p, p.sigma, p.anchor, p.edge if callable(p.edge) else None,
-                   u[:-2], u[1:-1], u[2:], new, new[1:-1], ut, *work)
-                  for p, u, new, ut in zip(phases, srcs, dsts, uts)]
+    return _laws(phases, srcs), [(p, p.sigma, p.anchor, p.edge if callable(p.edge) else None,
+                                  u[:-2], u[1:-1], u[2:], new, new[1:-1], ut, *work)
+                                 for p, u, new, ut in zip(phases, srcs, dsts, uts)]
 
 
-def _step(phases: list[_Phase], plan: tuple, t: float, s: float, dt: float,
-          dt_arr: np.ndarray, h: float) -> tuple[float, float]:
+def _step(plan: tuple, t: float, s: float, dt: float, dt_arr: np.ndarray,
+          h: float) -> tuple[float, float]:
     """One explicit step along ``plan`` (as :func:`_plan` cuts it), with
     ``dt_arr`` holding ``dt`` as a 0-d array; returns ``(s_new, v)`` with the
     front speed ``v`` of the pre-step state, and leaves its interior heating
     rates ``U_etaeta / w^2`` in the plan's rate rows.  Only a callable edge is
     written: the caller fills the constant edge and the front node of every
     row once."""
-    fields, moves = plan
-    v, rate = _front_speed(phases, fields, s, h)
+    laws, moves = plan
+    v, rate = _front_speed(laws, s, h)
     if dt * rate > 1.0 + 1e-12:
         raise ValueError(
             f"dt={dt:g} violates the mapped-grid stability limit {1.0 / rate:g} "
@@ -399,7 +405,7 @@ def time_steps(spec: StefanSpec1D, fields: list[np.ndarray] | None = None
     phases, h = _phases(spec), 1.0 / spec.nx
     if fields is None:
         fields = _initial_nodes(spec, phases, np.linspace(0.0, 1.0, spec.nx + 1))
-    limit = 1.0 / _front_speed(phases, fields, spec.b, h)[1]
+    limit = 1.0 / _front_speed(_laws(phases, fields), spec.b, h)[1]
     dt = spec.dt if spec.dt is not None else 0.8 * limit
     return limit, dt, step_count(spec.duration, dt)
 
@@ -416,10 +422,11 @@ def solve_stefan(spec: StefanSpec1D) -> StefanResult:
 
     Steps write into preallocated per-phase blocks of up to 64 state rows,
     and the monitors behind the report (per-step extremes of the states and
-    of the liquid's heating rates, and of both edges) are reduced once per
-    block.  Everything a step reads besides the state is bound once per
-    solve: one plan per block row (:func:`_plan`: the rows, the stencil
-    views, a callable edge, the scratch), ``dt`` and the warm-up's
+    of the liquid's heating rates, and of each callable edge: a constant edge
+    holds its initial node in every row) are reduced once per block.
+    Everything a step reads besides the state is bound once per solve: one
+    plan per block row (:func:`_plan`: the front law's inputs, the rows, the
+    stencil views, a callable edge, the scratch), ``dt`` and the warm-up's
     ``dt / 10`` as 0-d arrays; only a warm-up step cuts plans as it goes,
     for its ten substeps through the scratch rows.  Fronts and velocities
     collect in Python lists; the times ``t0 + k dt``, the snapshot fronts
@@ -458,7 +465,10 @@ def solve_stefan(spec: StefanSpec1D) -> StefanResult:
         raise MemoryError(f"a run of {n_steps:.6g} steps does not fit in memory: {exc}") from None
     ut_max = -math.inf
     # the maximum principle bounds u by its parabolic-boundary data: the
-    # initial nodes and both edges; g_min is the solid's far edge over the steps
+    # initial nodes and both edges; g_min is the solid's far edge over the
+    # steps.  A constant edge holds its initial node in every row, and that
+    # node is already in f_max, f_min and phi_min, so only a callable edge's
+    # column is reduced
     f_max = f_min = float(fields[0][0])
     g_min = 0.0
     phi_max = max(float(np.max(vals)) for vals in fields)
@@ -495,12 +505,12 @@ def solve_stefan(spec: StefanSpec1D) -> StefanResult:
                 # the block's rates row r
                 route = [rows[r], *(spares[j % 2] for j in range(9)), rows[r + 1]]
                 for j in range(10):
-                    s, v = _step(phases, _plan(phases, route[j], route[j + 1], ut_rows[r], work),
+                    s, v = _step(_plan(phases, route[j], route[j + 1], ut_rows[r], work),
                                  t + j * sub_dt, s, sub_dt, sub_arr, h)
                     if j == 0:
                         vels.append(v)
             else:
-                s, v = _step(phases, plans[r], t, s, dt, dt_arr, h)
+                s, v = _step(plans[r], t, s, dt, dt_arr, h)
                 vels.append(v)
             t = spec.t0 + (k + 1) * dt
             fronts.append(s)
@@ -511,9 +521,10 @@ def solve_stefan(spec: StefanSpec1D) -> StefanResult:
         liquid = states[0][1:m + 1]
         liquid.max(axis=1, out=umax)
         liquid.min(axis=1, out=umin)
-        for buf in states[1:]:
+        for p, buf in zip(phases[1:], states[1:]):
             np.minimum(umin, buf[1:m + 1].min(axis=1), out=umin)
-            g_min = min(g_min, float(buf[1:m + 1, 0].min()))
+            if callable(p.edge):
+                g_min = min(g_min, float(buf[1:m + 1, 0].min()))
         rates[0][:m].min(axis=1, out=utmin)
         finite = np.isfinite(block_monitors).all(axis=0)
         if not finite.all():
@@ -521,14 +532,15 @@ def solve_stefan(spec: StefanSpec1D) -> StefanResult:
             raise ValueError(f"solve_stefan step {q} (t={spec.t0 + q * dt:g}) "
                              f"holds non-finite values")
         ut_max = max(ut_max, float(rates[0][:m].max()))
-        f_max = max(f_max, float(liquid[:, 0].max()))
-        f_min = min(f_min, float(liquid[:, 0].min()))
+        if callable(phases[0].edge):
+            f_max = max(f_max, float(liquid[:, 0].max()))
+            f_min = min(f_min, float(liquid[:, 0].min()))
         # the block's states q = k0 + 1, ..., k0 + m that fall on the cadence
         for q in range(k0 - k0 % snap_every + snap_every, k0 + m + 1, snap_every):
             _record(snapshots, phases, rows[q - k0], grid, spec.t0 + q * dt)
         for buf in states:
             buf[0] = buf[m]
-    vels.append(_front_speed(phases, rows[0], s, h)[0])
+    vels.append(_front_speed(_laws(phases, rows[0]), s, h)[0])
     fronts, vels = np.array(fronts, dtype=float), np.array(vels, dtype=float)
     times = spec.t0 + np.arange(n_steps + 1) * dt
     times[0] = spec.t0  # a -0.0 start keeps its sign

@@ -4,6 +4,7 @@ Exit codes: 0 pass, 2 usage/config problems, 3 numerical failures or failed
 checks, 4 I/O problems.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -878,8 +879,8 @@ def test_verify_missing_level_is_io_error(tmp_path, monkeypatch, capsys, cpus):
     assert_no_children()
 
 
-# 11 steps on a 32^3 box: u_final.csv's 2^15 values are above the sharing size
-# rule on two CPUs, and its 12 front files of 1024 values are below it
+# 11 steps on a 32^3 box: u_final.csv's 2^15 values outweigh its 12 front files
+# of 1024 values, and together they are above the sharing size rule on two CPUs
 SHARED_3D = {"mode": "solve3d", "k1": 1, "t0": 0.25, "duration": 0.001,
              "grid": {"origin": [0, 0, 0], "extent": [1, 1, 1], "counts": [32, 32, 32]},
              "front": {"kind": "bump", "height": 0.6, "amplitude": 0.08, "width": 0.3},
@@ -907,6 +908,53 @@ def test_shared_solve3d_run_directory_is_identical(tmp_path, monkeypatch):
     single, shared = runs
     assert sorted(p.name for p in shared.iterdir()) == sorted(p.name for p in single.iterdir())
     assert len(list(single.glob("front_*.csv"))) == 12
+    for path in single.iterdir():
+        if path.name != "report.json":
+            assert (shared / path.name).read_bytes() == path.read_bytes(), path.name
+    assert (json.dumps(report_without_timestamp(shared), sort_keys=True)
+            == json.dumps(report_without_timestamp(single), sort_keys=True))
+
+
+def identity_gate():
+    """tools/identity.py, the identity gate, loaded as a module."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "identity.py"
+    spec = importlib.util.spec_from_file_location("identity", path)
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    return gate
+
+
+@pytest.mark.parametrize("name", ["similarity", "refreeze"])
+def test_shared_solve1d_run_directory_is_identical(tmp_path, monkeypatch, name):
+    """front.csv and the snapshots (w_* too on the two-phase refreeze) are one
+    job: on two CPUs this process writes front.csv and a few snapshots, one
+    child the rest; the run directory is the one a single CPU writes, byte
+    for byte but for created_utc."""
+    cfg = write_config(tmp_path, identity_gate().CONFIGS[name])
+    write_front, write_field = meltfront.cli.write_front_csv, grid_module.write_field_csv
+    runs = []
+    for cpus in (1, 2):
+        forks = fork_counter(monkeypatch, cpus)
+        written = []
+        monkeypatch.setattr(meltfront.cli, "write_front_csv",
+                            lambda front, path: written.append(path.name) or write_front(front, path))
+        for module in (meltfront.cli, grid_module):
+            monkeypatch.setattr(module, "write_field_csv",
+                                lambda field, path: written.append(path.name) or write_field(field, path))
+        out = tmp_path / f"run{cpus}"
+        assert main(["solve1d", "--config", cfg, "--out", str(out)]) == 0
+        assert forks[0] == cpus - 1
+        assert_no_children()
+        csvs = sorted(p.name for p in out.glob("*.csv"))
+        assert "front.csv" in written and any(n.startswith("u_") for n in written)
+        if cpus == 1:
+            assert sorted(written) == csvs
+        else:
+            assert len(written) < len(csvs) / 2
+        runs.append(out)
+    single, shared = runs
+    assert sorted(p.name for p in shared.iterdir()) == sorted(p.name for p in single.iterdir())
+    assert bool(list(single.glob("w_*.csv"))) == (name == "refreeze")
     for path in single.iterdir():
         if path.name != "report.json":
             assert (shared / path.name).read_bytes() == path.read_bytes(), path.name

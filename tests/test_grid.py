@@ -474,6 +474,43 @@ def test_field_jobs_that_cannot_pay_never_fork(tmp_path, monkeypatch, setup):
     assert len(read_field_csvs([tmp_path / n for n in names])) == len(fields)
 
 
+def test_snapshot_sets_of_one_dimensional_runs_share(tmp_path, monkeypatch, forks):
+    """202 files of 201 values (a solve1d run's snapshots) weigh 202 x (201 +
+    _FILE_COST) = 92,314, so two CPUs fork once, and the bytes are those of
+    one process."""
+    fields = level_fields(202, counts=(201,))
+    usable_cpus(monkeypatch, 1)
+    (tmp_path / "single").mkdir()
+    names = write_fields(fields, tmp_path / "single", "u")
+    assert forks[0] == 0
+    usable_cpus(monkeypatch, 2)
+    (tmp_path / "shared").mkdir()
+    assert write_fields(fields, tmp_path / "shared", "u") == names
+    assert forks[0] == 1
+    assert_no_children()
+    for name in names:
+        assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "single" / name).read_bytes()
+
+
+def test_further_writes_deal_with_the_fields(tmp_path, monkeypatch, forks):
+    """A write of ``also`` heavier than any file stays in this process, ahead
+    of the files of its share, and the files it outweighs go to the child."""
+    usable_cpus(monkeypatch, 2)
+    here = []  # a child appends to its own copy
+    write = grid_module.write_field_csv
+    monkeypatch.setattr(grid_module, "write_field_csv",
+                        lambda f, path: here.append(path.name) or write(f, path))
+    front = tmp_path / "front.txt"
+    names = write_fields(level_fields(12), tmp_path, "u",
+                         also=[(lambda: here.append(front.name) or front.write_text("s\n"),
+                                11 * grid_module._file_weight(4096))])
+    assert forks[0] == 1
+    assert_no_children()
+    assert here == ["front.txt", names[-1]]
+    assert front.read_text() == "s\n"
+    assert all((tmp_path / n).exists() for n in names)
+
+
 def test_field_jobs_stay_in_process_beside_a_live_thread(tmp_path, monkeypatch):
     usable_cpus(monkeypatch, 2)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))

@@ -6,21 +6,17 @@ the differences they exist to catch, and its one-CPU/all-CPU pairs must
 share work on two CPUs, or each would compare one process against one.
 """
 
-import importlib.util
 import json
 import shutil
 from pathlib import Path
 
 import pytest
-from test_cli import assert_no_children, fork_counter
+from test_cli import assert_no_children, fork_counter, identity_gate
 
 from meltfront.cli import ExperimentConfig, main
 
-ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("identity", ROOT / "tools" / "identity.py")
-gate = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(gate)
-HEAD = ROOT / "src"
+gate = identity_gate()
+HEAD = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_every_config_is_valid_and_every_pair_names_a_defined_one():

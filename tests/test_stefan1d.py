@@ -23,7 +23,7 @@ from meltfront import (
     transcendental_residual,
     write_front_csv,
 )
-from meltfront.stefan1d import _front_speed, _phases
+from meltfront.stefan1d import _front_speed, _laws, _phases
 
 # bisection roots of lam e^(lam^2) erf(lam) = St/sqrt(pi), frozen
 LAMBDA = {
@@ -116,7 +116,7 @@ def test_front_gradient_exact_on_quadratics():
     u = 2.0 - 3.0 * (eta * s) + (eta * s) ** 2
     r = (length - eta * (length - s)) - s
     w = 5.0 * r - 2.0 * r**2
-    v, rate = _front_speed(_phases(spec), [u, w], s, 0.1)
+    v, rate = _front_speed(_laws(_phases(spec), [u, w]), s, 0.1)
     assert v == pytest.approx(-k1 * (-3.0 + 2.0 * s) + k2 * 5.0, rel=1e-13)
     # the narrower phase, the solid's L - s, sets the stable rate
     narrow = length - s
@@ -450,7 +450,7 @@ def test_warm_up_steps_are_ten_reference_substeps(two_phase, nx):
         subs = 10 if k < 5 else 1
         sub_dt = dt / subs
         for j in range(subs):
-            v, _ = _front_speed(phases, state, s, h)
+            v, _ = _front_speed(_laws(phases, state), s, h)
             if j == 0:
                 assert res.front.velocities[k] == v, k
             ds = sub_dt * v

@@ -76,6 +76,9 @@ ONE_CPU_ALL = {
                 "--out", "{out}.json"),
     "ladder3": ("benchmark", "--config", "{work}/configs/ladder3.json", "--out", "{out}"),
     "bump64": ("solve3d", "--config", "{work}/configs/bump64.json", "--out", "{out}"),
+    # front.csv with the snapshots, u_* and on refreeze w_*, as one write job
+    "similarity": ("solve1d", "--config", "{work}/configs/similarity.json", "--out", "{out}"),
+    "refreeze": ("solve1d", "--config", "{work}/configs/refreeze.json", "--out", "{out}"),
 }
 # head's run directories that both sides verify, and whether both also take
 # caloric replacements of it; the similarity run fails its checks (exit 3) on
