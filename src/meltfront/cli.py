@@ -46,7 +46,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .grid import Grid, TemperatureField, _file_weight, _shared_map, field_name, \
+from .grid import Grid, TemperatureField, _file_weight, _shared_map, field_job, field_name, \
     read_field_csv, read_field_csvs, write_field_csv, write_field_csvs
 from .heat import HeatTrajectory, OperatorCoefficients, conservation_residual, \
     eval_time, signed_value, solve_dirichlet, step_count, write_trajectory
@@ -197,7 +197,8 @@ CONFIG_SCHEMAS: dict[str, dict] = {
             "stefan": {"type": "number", "exclusiveMinimum": 0},
             "t0": {"type": "number", "exclusiveMinimum": 0},
             "duration": {"type": "number", "exclusiveMinimum": 0},
-            "time_nx": {"type": "integer", "minimum": 8},
+            # the time study's reference is a dense (time_nx - 2)^2 matrix
+            "time_nx": {"type": "integer", "minimum": 8, "maximum": 1024},
             "time_refinements": {"type": "integer", "minimum": 2},
             "seed": {"type": ["integer", "null"]},
         },
@@ -412,22 +413,20 @@ def _run_solve1d(config: ExperimentConfig, outdir: Path) -> tuple[dict, list[str
     result = _solve_1d(spec)
     rep = result.report
 
-    # one write job, whose heaviest file (front.csv, on a run of many steps)
-    # stays in this process; the partials bind this module's write_front_csv
-    # and write_field_csv, so wrappers installed here (benchmarks/tracing.py)
-    # see the writes they make
-    writes = [(partial(write_front_csv, result.front, outdir / "front.csv"),
-               _file_weight(3 * len(result.front.times)))]
+    # front.csv and the w_* snapshots join the u_* snapshots' write job, whose
+    # heaviest file (front.csv, on a run of many steps) stays in this process;
+    # the partial binds this module's write_front_csv, so a wrapper installed
+    # here (benchmarks/tracing.py) sees the write
     solid = [] if result.solid_trajectory is None else result.solid_trajectory.snapshots
     solid_names = [field_name("w", k) for k in range(len(solid))]
-    writes += [(partial(write_field_csv, f, outdir / n), _file_weight(f.values.size))
-               for f, n in zip(solid, solid_names)]
     write_trajectory(
         result.trajectory, outdir,
         stability_limit_used=rep["stability_limit_initial"],
         diagnostics={"mode": "solve1d", "seed": config.seed,
                      "fronts": [float(s) for s in result.snapshot_fronts]},
-        also=writes,
+        also=[(partial(write_front_csv, result.front, outdir / "front.csv"),
+               _file_weight(3 * len(result.front.times))),
+              *(field_job(f, outdir / n) for f, n in zip(solid, solid_names))],
     )
     files = ["config.json", "report.json", "front.csv", "manifest.json"]
     files.extend(field_name("u", k) for k in range(len(result.trajectory)))
@@ -527,10 +526,10 @@ def _run_solve3d(config: ExperimentConfig, outdir: Path) -> tuple[dict, list[str
     files.extend(names)
     final = result.final
     # one job: on a large box u_final.csv stays here while a child writes the fronts
-    write_field_csvs([(front_field(f, t), outdir / n)
+    write_field_csvs([field_job(front_field(f, t), outdir / n)
                       for f, t, n in zip(result.fronts, result.times, names)]
-                     + [(TemperatureField(final.grid, final.time, final.values),
-                         outdir / "u_final.csv")])
+                     + [field_job(TemperatureField(final.grid, final.time, final.values),
+                                  outdir / "u_final.csv")])
     write_manifest(outdir, float(rep["dt"]), result.times, names,
                    float(rep["stability_limit"]), {"mode": "solve3d", "seed": config.seed},
                    final_field="u_final.csv")
@@ -618,10 +617,6 @@ def _residual_ratios(ladder):
     ratios = [values[k] / values[k + 1] for k in range(len(values) - 1)]
     return values, ratios
 
-def _call(job: Callable):
-    return job()
-
-
 # The space and time studies share processes (grid._shared_map) when each
 # process gets at least _SHARE_MIN_STEPS of their solves' steps.  Two-process
 # speed-ups of the shared solves alone, by total steps (a 2-vCPU VM, Python
@@ -650,7 +645,7 @@ def _run_benchmark(config: ExperimentConfig, outdir: Path) -> tuple[dict, list[s
 
     specs = _space_study(ladder, sim, t0, duration)
     dts, time_weights, time_jobs = _time_study(time_nx, refinements)
-    errors = _shared_map(_call, [partial(_front_error, spec, sim) for spec in specs] + time_jobs,
+    errors = _shared_map([partial(_front_error, spec, sim) for spec in specs] + time_jobs,
                          [time_steps(spec)[2] for spec in specs] + time_weights,
                          _SHARE_MIN_STEPS)
     space_errs, time_errs = errors[:len(specs)], errors[len(specs):]

@@ -29,20 +29,20 @@ Serialization: every CSV is one header line, then rows of ``%.17g`` values
 ``read_csv_rows``.  Field CSVs carry ``# grid dim=<d> counts=<...>
 spacing=<...> time=<t>`` and one value per row, row-major; ``front.csv``
 carries ``t,s,sdot`` and three values per row.  Both directions cost about
-0.5 us per value in one thread, so the many-file jobs, ``write_field_csvs``
-(every trajectory, snapshot and front write through ``write_fields``, a
-solve3d run's ``u_final.csv`` together with its fronts, and a solve1d run's
-``front.csv`` together with its snapshots) and ``read_field_csvs`` (the
-level load of ``verify``), run on every usable CPU when their files are
-large enough to pay for a fork.
+0.5 us per value in one thread, so the many-file jobs run on every usable
+CPU when their files are large enough to pay for a fork: the writes of a
+run directory through ``write_field_csvs`` (a trajectory's snapshots, a
+solve3d run's fronts with its ``u_final.csv``, and a solve1d run's
+``front.csv`` with its snapshots) and the level load of ``verify`` through
+``read_field_csvs``.
 
-Independent jobs share processes through ``_shared_map``: it deals weighted
-items between this process and forked children, the heaviest first, each to
-the least-loaded process, and equal weights round-robin.  Besides the CSV
-jobs, where a file weighs its value count plus a creation cost, the
-benchmark mode of ``cli`` deals its solves by step count.  Each file's
-bytes, each loaded field's bits and each solve's result are the same on any
-number of CPUs.
+Independent jobs share processes through ``_shared_map``.  Every job is a
+thunk with a weight: ``field_job`` makes a file's write, weighing its value
+count plus a creation cost, and the benchmark mode of ``cli`` weighs its
+solves by step count.  The jobs are dealt between this process and forked
+children, the heaviest first, each to the least-loaded process, and equal
+weights round-robin.  Each file's bytes, each loaded field's bits and each
+solve's result are the same on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ import os
 import pickle
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -69,7 +70,7 @@ __all__ = [
     "read_field_csv",
     "read_field_csvs",
     "field_name",
-    "write_fields",
+    "field_job",
     "write_field_csvs",
     "format_float",
 ]
@@ -432,9 +433,10 @@ def field_name(prefix: str, k: int) -> str:
 # over one, write | read, by files x values per file (a 2-vCPU VM, Python
 # 3.11, numpy 2.4; ranges of three runs, each the ratio of medians of 25
 # alternating repeats): 12 x 1024 (weight 15,360, not shared): 0.80-0.84 |
-# 0.57-1.05; 202 x 201: 1.12-1.32 | 0.80-1.04; 202 x 1024: 1.36-1.51 |
-# 1.32-1.44; 51 x 1024: 1.32-1.42 | 0.99-1.15; 51 x 2048: 1.28-1.49 |
-# 0.90-1.34; 12 x 4096: 1.31-1.35 | 0.95-1.15; 101 x 4096: 1.64 | 1.58-1.66;
+# 0.57-1.05; 202 x 201: 1.12-1.32 | 0.76-1.11 (six runs); 202 x 1024:
+# 1.36-1.51 | 1.32-1.44; 51 x 1024: 1.32-1.42 | 0.99-1.15; 51 x 2048:
+# 1.28-1.49 | 0.90-1.34; 12 x 4096: 1.31-1.35 | 0.95-1.15; 101 x 4096: 1.64 |
+# 1.58-1.66;
 # a solve1d run's front.csv (78k values) with 201 x 201 snapshots: 1.39-1.65.
 # Only two processes were measured.
 _FILE_COST = 2**8
@@ -470,25 +472,25 @@ def _deal(weights: Sequence[int], workers: int) -> list[list[int]]:
     return [sorted(share) for share in shares]
 
 
-def _run_share(job: Callable, share: Sequence) -> tuple[list, Exception | None]:
-    """``job`` over ``share`` in order up to the first failure: returns the
-    results and ``None``, or the results so far and the exception."""
+def _run_share(share: Sequence[Callable]) -> tuple[list, Exception | None]:
+    """Call each job of ``share`` in order up to the first failure: returns
+    the results and ``None``, or the results so far and the exception."""
     results = []
     try:
-        for item in share:
-            results.append(job(item))
+        for job in share:
+            results.append(job())
     except Exception as exc:
         return results, exc
     return results, None
 
 
-def _serve_share(job, share, read_fd: int, write_fd: int):
+def _serve_share(share: Sequence[Callable], read_fd: int, write_fd: int):
     """Body of a forked child: run its share and pickle ``(results, error)``
     into the pipe.  It leaves only through ``os._exit``."""
     status = 1
     try:
         os.close(read_fd)
-        results, error = _run_share(job, share)
+        results, error = _run_share(share)
         if error is not None:
             try:  # the parent must be able to rebuild it
                 pickle.loads(pickle.dumps(error))
@@ -510,27 +512,25 @@ def _receive_share(pipe) -> tuple[list, Exception | None] | None:
             return None
 
 
-def _shared_map(job: Callable, items: Sequence, weights: int | Sequence[int],
+def _shared_map(jobs: Sequence[Callable], weights: Sequence[int],
                 min_share: int = _SHARE_MIN_VALUES) -> list:
-    """``[job(item) for item in items]``, dealt between this process and one
-    forked child per further usable CPU.
+    """``[job() for job in jobs]``, dealt between this process and one forked
+    child per further usable CPU.
 
-    ``weights`` gives each item's cost, or one number for every item; the
-    deal (:func:`_deal`) keeps the heaviest item in this process and deals
-    equal weights round-robin.  The in-process path is taken from facts of
-    the run, never from an option: one usable CPU, no ``os.fork`` or
-    ``os.sched_getaffinity``, another Python thread alive, or a job whose
-    total weight gives no process ``min_share``.  Results come back in item
-    order, and whatever ``job`` writes or returns cannot depend on the path.
-    A failure raises the exception of the first failing item, as the
-    in-process loop would; a child's comes back pickled, with its type and
-    message.  Every child is reaped before this returns or raises.
+    ``weights[k]`` is the cost of ``jobs[k]``; the deal (:func:`_deal`) keeps
+    the heaviest job in this process and deals equal weights round-robin.
+    The in-process path is taken from facts of the run, never from an
+    option: one usable CPU, no ``os.fork`` or ``os.sched_getaffinity``,
+    another Python thread alive, or a total weight that gives no process
+    ``min_share``.  Results come back in job order, and whatever a job writes
+    or returns cannot depend on the path.  A failure raises the exception of
+    the first failing job, as the in-process loop would; a child's comes
+    back pickled, with its type and message.  Every child is reaped before
+    this returns or raises.
     """
-    if not isinstance(weights, Sequence):
-        weights = [weights] * len(items)
-    workers = _share_count(len(items), sum(weights), min_share)
+    workers = _share_count(len(jobs), sum(weights), min_share)
     if workers == 1:
-        return [job(item) for item in items]
+        return [job() for job in jobs]
     shares = _deal(weights, workers)
     pids, pipes = [], []
     try:
@@ -543,11 +543,11 @@ def _shared_map(job: Callable, items: Sequence, weights: int | Sequence[int],
                 os.close(write_fd)
                 raise
             if pid == 0:
-                _serve_share(job, [items[k] for k in share], read_fd, write_fd)
+                _serve_share([jobs[k] for k in share], read_fd, write_fd)
             os.close(write_fd)
             pids.append(pid)
             pipes.append(os.fdopen(read_fd, "rb"))
-        runs = [_run_share(job, [items[k] for k in shares[0]])]
+        runs = [_run_share([jobs[k] for k in shares[0]])]
         runs += [_receive_share(pipe) for pipe in pipes]
     finally:
         for pipe in pipes:  # a child still writing gets EPIPE and exits
@@ -560,47 +560,31 @@ def _shared_map(job: Callable, items: Sequence, weights: int | Sequence[int],
               for share, (results, error) in zip(shares, runs) if error is not None]
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
-    out = [None] * len(items)
+    out = [None] * len(jobs)
     for share, (results, _) in zip(shares, runs):
         for k, result in zip(share, results):
             out[k] = result
     return out
 
 
-def _write_field_job(item: tuple[TemperatureField, Path] | Callable[[], None]) -> None:
-    # looks write_field_csv up per call, so a wrapper installed on this module
-    # (benchmarks/tracing.py) sees every file this process writes
-    if callable(item):
-        item()
-    else:
-        write_field_csv(*item)
+def field_job(field: TemperatureField, path: str | Path) -> tuple[Callable[[], None], int]:
+    """The ``(write, weight)`` job of :func:`write_field_csv` of ``field`` to
+    ``path``, weighed by :func:`_file_weight`.  It binds this module's
+    ``write_field_csv`` when it is made, so a wrapper installed here before
+    then (benchmarks/tracing.py) sees the write in whichever process runs it."""
+    return partial(write_field_csv, field, path), _file_weight(field.values.size)
 
 
-def write_field_csvs(jobs: Iterable[tuple[TemperatureField, str | Path]],
-                     also: Sequence[tuple[Callable[[], None], int]] = ()) -> None:
-    """:func:`write_field_csv` of each ``(field, path)`` pair, and each
-    ``(write, weight)`` pair of ``also``: ``write()``, a further file's write.
+def write_field_csvs(jobs: Iterable[tuple[Callable[[], None], int]]) -> None:
+    """Run the ``(write, weight)`` jobs of a run directory's files, such as
+    :func:`field_job` makes, as one :func:`_shared_map` job.
 
-    The files are shared between processes as :func:`_shared_map` decides,
-    each pair weighted by :func:`_file_weight` of its value count, and each
-    write of ``also`` by its ``weight``: files of one size deal round-robin,
-    and the heaviest file stays in this process.  Each process runs its share
-    in order, the writes of ``also`` first.  The bytes of each file do not
-    depend on that.
+    Files of one weight deal round-robin, and the heaviest stays in this
+    process; each process runs its share in list order.  The bytes of each
+    file do not depend on that.
     """
     jobs = list(jobs)
-    _shared_map(_write_field_job, [write for write, _ in also] + jobs,
-                [weight for _, weight in also] + [_file_weight(f.values.size) for f, _ in jobs])
-
-
-def write_fields(fields: Iterable[TemperatureField], outdir: str | Path, prefix: str,
-                 also: Sequence[tuple[Callable[[], None], int]] = ()) -> list[str]:
-    """Write the fields to :func:`field_name` files in ``outdir`` through
-    :func:`write_field_csvs`, with the writes of ``also``; returns the names."""
-    fields = list(fields)
-    names = [field_name(prefix, k) for k in range(len(fields))]
-    write_field_csvs(zip(fields, (Path(outdir) / n for n in names)), also)
-    return names
+    _shared_map([write for write, _ in jobs], [weight for _, weight in jobs])
 
 
 def _parse_header(path: str | Path, header: str) -> tuple[Grid, float]:
@@ -660,6 +644,6 @@ def read_field_csvs(paths: Sequence[str | Path]) -> list[TemperatureField]:
     file's header and values; this process builds and validates every field.
     """
     paths = list(paths)
-    rows = _shared_map(read_csv_rows, paths,
-                       _file_weight(_declared_cells(paths[0]) if paths else 0))
+    weight = _file_weight(_declared_cells(paths[0]) if paths else 0)
+    rows = _shared_map([partial(read_csv_rows, p) for p in paths], [weight] * len(paths))
     return [_field_from_rows(p, header, values) for p, (header, values) in zip(paths, rows)]

@@ -283,8 +283,7 @@ def _column_fits(u0: np.ndarray, u1: np.ndarray, u2: np.ndarray, theta: np.ndarr
 
 
 def _front_derivative(fronts: np.ndarray, spacing, samples, theta: np.ndarray):
-    """Directional derivative ``D = u_z - rho_x u_x - rho_y u_y``, capped at 0,
-    and slopes.
+    """Directional derivative ``D = u_z - rho_x u_x - rho_y u_y``, capped at 0.
 
     ``fronts`` is the edge-padded ``(a, b, rho)`` buffer of
     :func:`_front_buffer` holding the current heights; the column fits are
@@ -319,7 +318,7 @@ def _front_derivative(fronts: np.ndarray, spacing, samples, theta: np.ndarray):
     gy = (fit_value(_NORTH) - fit_value(_SOUTH)) / (2.0 * dy)
     rx = (rp[_EAST] - rp[_WEST]) / (2.0 * dx)
     ry = (rp[_NORTH] - rp[_SOUTH]) / (2.0 * dy)
-    return np.minimum(a - rx * gx - ry * gy, 0.0), rx, ry
+    return np.minimum(a - rx * gx - ry * gy, 0.0)
 
 
 def _move_front(heights: np.ndarray, d: np.ndarray, k1: float, dt: float,
@@ -428,7 +427,7 @@ class _ActiveBlock:
         self._heat_step(m, theta, f_val, dt)
         self.u_min = _check_temperatures(self.centre[1 - self.k])
         samples = self.new.reshape(-1)[(self.base + m) - _DEPTHS]
-        d, _, _ = _front_derivative(self.fronts, self.spacing, samples, theta)
+        d = _front_derivative(self.fronts, self.spacing, samples, theta)
         heights = _move_front(self.heights, d, k1, dt, self.ceiling, t + dt)
         self.k, self.u, self.new = 1 - self.k, self.new, self.u
         self.heights[...] = heights  # the one write of rho per step

@@ -480,6 +480,26 @@ def test_benchmark_refuses_a_ladder_that_does_not_double(tmp_path, capsys, monke
     assert not (out / "FAILED.json").exists()
 
 
+def test_benchmark_refuses_a_time_grid_too_large_for_its_dense_reference(tmp_path, capsys,
+                                                                         monkeypatch):
+    """The time study's exact decay is a dense ``(time_nx - 2)^2`` matrix,
+    26.8 GiB at 60000 cells, so ``time_nx`` above 1024 (8 MB) is a config
+    error, refused before anything is allocated or solved."""
+    def no_study(*args, **kwargs):
+        raise AssertionError("built the study of a refused config")
+
+    for name in ("_time_study", "solve_stefan", "solve_dirichlet"):
+        monkeypatch.setattr(meltfront.cli, name, no_study)
+    ExperimentConfig.from_dict(dict(BENCH, time_nx=1024))
+    out = tmp_path / "bench"
+    assert main(["benchmark", "--config", write_config(tmp_path, dict(BENCH, time_nx=60000)),
+                 "--out", str(out)]) == 2
+    assert "config error at $.time_nx: 60000 is greater than the maximum of 1024" in \
+        capsys.readouterr().err
+    assert not (out / "report.json").exists()
+    assert not (out / "FAILED.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # mollify command
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import os
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from meltfront import (
     write_field_csv,
 )
 from meltfront import grid as grid_module
-from meltfront.grid import interior_index, read_field_csvs, refresh_edge_padding, \
-    second_differences, span_stencil, write_fields
+from meltfront.grid import field_job, field_name, interior_index, read_field_csvs, \
+    refresh_edge_padding, second_differences, span_stencil, write_field_csvs
 
 
 def test_grid_basic_geometry():
@@ -310,10 +311,22 @@ def level_fields(levels, counts=(64, 64)):
             for k in range(levels)]
 
 
+def write_levels(fields, outdir):
+    """Write ``fields`` to ``u_*`` files in ``outdir`` as one job of
+    ``field_job`` writes; returns the file names."""
+    names = [field_name("u", k) for k in range(len(fields))]
+    write_field_csvs([field_job(f, outdir / n) for f, n in zip(fields, names)])
+    return names
+
+
+def tagged(n):
+    """``n`` jobs; job ``k`` returns ``(k, pid)``, the pid of the process running it."""
+    return [lambda k=k: (k, os.getpid()) for k in range(n)]
+
+
 def test_shared_map_returns_results_in_item_order(monkeypatch, forks):
     usable_cpus(monkeypatch, 3)
-    results = grid_module._shared_map(lambda k: (k, os.getpid()), list(range(11)),
-                                      grid_module._SHARE_MIN_VALUES)
+    results = grid_module._shared_map(tagged(11), [grid_module._SHARE_MIN_VALUES] * 11)
     assert [k for k, _ in results] == list(range(11))
     assert len({pid for _, pid in results}) == 3 and forks[0] == 2
     assert {pid for k, pid in results if k % 3 == 0} == {os.getpid()}
@@ -331,7 +344,8 @@ def test_shared_map_raises_the_first_failing_item(monkeypatch, forks):
         return k
 
     with pytest.raises(ValueError, match="^item 3 is bad$"):
-        grid_module._shared_map(job, list(range(9)), grid_module._SHARE_MIN_VALUES)
+        grid_module._shared_map([partial(job, k) for k in range(9)],
+                                [grid_module._SHARE_MIN_VALUES] * 9)
     assert forks[0] == 1
     assert_no_children()
 
@@ -342,15 +356,12 @@ def shares_of(results):
 
 
 def test_equal_weights_deal_round_robin(monkeypatch, forks):
-    """Per-item equal weights deal as one weight for every item does: item k
-    to process k mod 3, this process first."""
+    """Equal weights deal item k to process k mod 3, this process first."""
     assert grid_module._deal([5] * 11, 3) == [[0, 3, 6, 9], [1, 4, 7, 10], [2, 5, 8]]
     usable_cpus(monkeypatch, 3)
-    job = lambda k: (k, os.getpid())  # noqa: E731
-    listed = grid_module._shared_map(job, list(range(11)), [grid_module._SHARE_MIN_VALUES] * 11)
-    scalar = grid_module._shared_map(job, list(range(11)), grid_module._SHARE_MIN_VALUES)
-    assert [k for k, _ in listed] == list(range(11)) and forks[0] == 4
-    assert shares_of(listed) == shares_of(scalar) == [[0, 3, 6, 9], [1, 4, 7, 10], [2, 5, 8]]
+    listed = grid_module._shared_map(tagged(11), [grid_module._SHARE_MIN_VALUES] * 11)
+    assert [k for k, _ in listed] == list(range(11)) and forks[0] == 2
+    assert shares_of(listed) == [[0, 3, 6, 9], [1, 4, 7, 10], [2, 5, 8]]
     assert [k for k, pid in listed if pid == os.getpid()] == [0, 3, 6, 9]
     assert_no_children()
 
@@ -361,7 +372,7 @@ def test_unequal_weights_keep_the_heaviest_item_here(monkeypatch, forks):
     weights = [1, 2, 1, 10, 1]
     assert grid_module._deal(weights, 2) == [[3], [0, 1, 2, 4]]
     usable_cpus(monkeypatch, 2)
-    results = grid_module._shared_map(lambda k: (k, os.getpid()), list(range(5)), weights, 1)
+    results = grid_module._shared_map(tagged(5), weights, 1)
     assert [k for k, _ in results] == list(range(5)) and forks[0] == 1
     assert [k for k, pid in results if pid == os.getpid()] == [3]
     assert_no_children()
@@ -378,7 +389,7 @@ def test_weighted_deal_raises_the_first_failing_item(monkeypatch, forks):
         return k
 
     with pytest.raises(ValueError, match="^item 1 is bad$"):
-        grid_module._shared_map(job, list(range(5)), [1, 2, 1, 10, 1], 1)
+        grid_module._shared_map([partial(job, k) for k in range(5)], [1, 2, 1, 10, 1], 1)
     assert forks[0] == 1
     assert_no_children()
 
@@ -387,8 +398,7 @@ def test_weighted_job_too_light_to_share_stays_here(monkeypatch):
     """Each process must get at least min_share of the total weight."""
     usable_cpus(monkeypatch, 2)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-    results = grid_module._shared_map(lambda k: (k, os.getpid()), list(range(5)),
-                                      [1, 2, 1, 10, 1], 8)
+    results = grid_module._shared_map(tagged(5), [1, 2, 1, 10, 1], 8)
     assert results == [(k, os.getpid()) for k in range(5)]
 
 
@@ -399,13 +409,13 @@ def test_shared_and_in_process_field_jobs_agree_bit_for_bit(tmp_path, monkeypatc
     usable_cpus(monkeypatch, 1)
     reference = tmp_path / "reference"
     reference.mkdir()
-    names = write_fields(fields, reference, "u")
+    names = write_levels(fields, reference)
     assert forks[0] == 0
 
     usable_cpus(monkeypatch, cpus)
     out = tmp_path / "out"
     out.mkdir()
-    assert write_fields(fields, out, "u") == names
+    write_levels(fields, out)
     back = read_field_csvs([out / n for n in names])
     assert forks[0] == 2 * (cpus - 1)
     assert_no_children()
@@ -442,7 +452,7 @@ def test_bad_field_csv_error_names_its_file(tmp_path, monkeypatch, forks, damage
     """The ValueError names the file in process and from a child's share (file
     1 of 12 on two CPUs), with one message."""
     usable_cpus(monkeypatch, 1)
-    names = write_fields(level_fields(12), tmp_path, "u")
+    names = write_levels(level_fields(12), tmp_path)
     damage(tmp_path / names[1])
     message = f"{tmp_path / names[1]}: {reason}"
     with pytest.raises(ValueError) as single:
@@ -470,7 +480,7 @@ def _one_cpu(monkeypatch):
 def test_field_jobs_that_cannot_pay_never_fork(tmp_path, monkeypatch, setup):
     fields = setup(monkeypatch)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-    names = write_fields(fields, tmp_path, "u")
+    names = write_levels(fields, tmp_path)
     assert len(read_field_csvs([tmp_path / n for n in names])) == len(fields)
 
 
@@ -481,11 +491,11 @@ def test_snapshot_sets_of_one_dimensional_runs_share(tmp_path, monkeypatch, fork
     fields = level_fields(202, counts=(201,))
     usable_cpus(monkeypatch, 1)
     (tmp_path / "single").mkdir()
-    names = write_fields(fields, tmp_path / "single", "u")
+    names = write_levels(fields, tmp_path / "single")
     assert forks[0] == 0
     usable_cpus(monkeypatch, 2)
     (tmp_path / "shared").mkdir()
-    assert write_fields(fields, tmp_path / "shared", "u") == names
+    write_levels(fields, tmp_path / "shared")
     assert forks[0] == 1
     assert_no_children()
     for name in names:
@@ -493,17 +503,19 @@ def test_snapshot_sets_of_one_dimensional_runs_share(tmp_path, monkeypatch, fork
 
 
 def test_further_writes_deal_with_the_fields(tmp_path, monkeypatch, forks):
-    """A write of ``also`` heavier than any file stays in this process, ahead
-    of the files of its share, and the files it outweighs go to the child."""
+    """A further write listed first and heavier than any file stays in this
+    process, ahead of the files of its share, and the files it outweighs go
+    to the child."""
     usable_cpus(monkeypatch, 2)
     here = []  # a child appends to its own copy
     write = grid_module.write_field_csv
     monkeypatch.setattr(grid_module, "write_field_csv",
                         lambda f, path: here.append(path.name) or write(f, path))
     front = tmp_path / "front.txt"
-    names = write_fields(level_fields(12), tmp_path, "u",
-                         also=[(lambda: here.append(front.name) or front.write_text("s\n"),
-                                11 * grid_module._file_weight(4096))])
+    names = [field_name("u", k) for k in range(12)]
+    write_field_csvs([(lambda: here.append(front.name) or front.write_text("s\n"),
+                       11 * grid_module._file_weight(4096)),
+                      *(field_job(f, tmp_path / n) for f, n in zip(level_fields(12), names))])
     assert forks[0] == 1
     assert_no_children()
     assert here == ["front.txt", names[-1]]
@@ -518,7 +530,7 @@ def test_field_jobs_stay_in_process_beside_a_live_thread(tmp_path, monkeypatch):
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        names = write_fields(level_fields(12), tmp_path, "u")
+        names = write_levels(level_fields(12), tmp_path)
         assert len(read_field_csvs([tmp_path / n for n in names])) == 12
     finally:
         release.set()

@@ -28,6 +28,9 @@ def test_every_config_is_valid_and_every_pair_names_a_defined_one():
     assert sorted(set(named)) == sorted(gate.CONFIGS)
     assert "{work}/march/head/audit64" in gate.ONE_CPU_ALL["audit64"]
     assert "audit64" in gate.MARCHES
+    # written by the similarity pair, which runs before the one-CPU/all pairs
+    assert "{work}/runs/head/similarity" in gate.ONE_CPU_ALL["similarity_levels"]
+    assert "similarity" in gate.BASE_HEAD
     for run in gate.VERIFIED:
         kind, side, name = run.split("/")
         assert side == "head" and name in {"march": gate.MARCHES, "runs": gate.BASE_HEAD}[kind]
@@ -107,10 +110,15 @@ def test_one_cpu_and_all_pairs_share_on_two_cpus(tmp_path, monkeypatch, name):
     """Head's job from the gate's table forks on two CPUs: a sharing size or
     step count moved above it would leave its pair comparing one process
     against one process."""
-    gate.write_configs(tmp_path)
-    gate.march("audit64", tmp_path / "march" / "head" / "audit64")
+    configs = gate.write_configs(tmp_path)
+    args = gate.ONE_CPU_ALL[name]
+    if "{work}/march/head/audit64" in args:
+        gate.march("audit64", tmp_path / "march" / "head" / "audit64")
+    if "{work}/runs/head/similarity" in args:
+        assert main(["solve1d", "--config", str(configs / "similarity.json"),
+                     "--out", str(tmp_path / "runs" / "head" / "similarity")]) == 0
     forks = fork_counter(monkeypatch, 2)
-    argv = [a.format(work=tmp_path, out=tmp_path / name) for a in gate.ONE_CPU_ALL[name]]
+    argv = [a.format(work=tmp_path, out=tmp_path / name) for a in args]
     assert main(argv) == 0
     assert forks[0] >= 1
     assert_no_children()

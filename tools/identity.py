@@ -79,6 +79,10 @@ ONE_CPU_ALL = {
     # front.csv with the snapshots, u_* and on refreeze w_*, as one write job
     "similarity": ("solve1d", "--config", "{work}/configs/similarity.json", "--out", "{out}"),
     "refreeze": ("solve1d", "--config", "{work}/configs/refreeze.json", "--out", "{out}"),
+    # verify's level load of a solve1d run, 202 files of 201 values, under
+    # the checks that pass on a mapped run
+    "similarity_levels": ("verify", "--run", "{work}/runs/head/similarity", "--checks",
+                          "max_principle,positivity_spread", "--out", "{out}.json"),
 }
 # head's run directories that both sides verify, and whether both also take
 # caloric replacements of it; the similarity run fails its checks (exit 3) on
@@ -233,8 +237,8 @@ def march(name, out):
     """Writes the Dirichlet march ``name`` to ``out``: the sine decay of
     demos/audit_run.py, a 2D march under a callable boundary, a 3D march, and
     an audit-sized one whose 101 levels of 4096 values are above the size at
-    which write_fields and verify's level load share their files between
-    processes."""
+    which write_trajectory's field_job writes and verify's level load share
+    their files between processes."""
     import numpy as np
 
     from meltfront import (Grid, OperatorCoefficients, TemperatureField, solve_dirichlet,
