@@ -577,8 +577,8 @@ def _sine_start(nx: int) -> TemperatureField:
     return TemperatureField(grid, 0.0, u0)
 
 def _time_study(nx: int, refinements: int):
-    """Step sizes, step counts and error jobs of the time study: explicit
-    stepping against the exact semi-discrete decay at ``dt0 / 2^k``.
+    """Step sizes and ``(error job, step count)`` pairs of the time study:
+    explicit stepping against the exact semi-discrete decay at ``dt0 / 2^k``.
 
     The sine start vanishes on the boundary cells, so the march is forward
     Euler on the interior system exactly and the measured error is purely
@@ -593,8 +593,8 @@ def _time_study(nx: int, refinements: int):
     dt0 = 0.2 * h**2
     duration = 200 * dt0
     dts = [dt0 / 2**k for k in range(refinements)]
-    return (dts, [step_count(duration, dt) for dt in dts],
-            [partial(_decay_error, initial, a_mat, duration, dt) for dt in dts])
+    return dts, [(partial(_decay_error, initial, a_mat, duration, dt), step_count(duration, dt))
+                 for dt in dts]
 
 def _decay_error(initial: TemperatureField, a_mat: np.ndarray, duration: float,
                  dt: float) -> float:
@@ -644,10 +644,9 @@ def _run_benchmark(config: ExperimentConfig, outdir: Path) -> tuple[dict, list[s
     refinements = int(payload.get("time_refinements", 3))
 
     specs = _space_study(ladder, sim, t0, duration)
-    dts, time_weights, time_jobs = _time_study(time_nx, refinements)
-    errors = _shared_map([partial(_front_error, spec, sim) for spec in specs] + time_jobs,
-                         [time_steps(spec)[2] for spec in specs] + time_weights,
-                         _SHARE_MIN_STEPS)
+    dts, time_jobs = _time_study(time_nx, refinements)
+    errors = _shared_map([(partial(_front_error, spec, sim), time_steps(spec)[2])
+                          for spec in specs] + time_jobs, _SHARE_MIN_STEPS)
     space_errs, time_errs = errors[:len(specs)], errors[len(specs):]
     space_order = _fit_order(np.array([1.0 / nx for nx in ladder]), np.array(space_errs))
     time_order = _fit_order(np.array(dts), np.array(time_errs))

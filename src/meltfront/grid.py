@@ -512,13 +512,14 @@ def _receive_share(pipe) -> tuple[list, Exception | None] | None:
             return None
 
 
-def _shared_map(jobs: Sequence[Callable], weights: Sequence[int],
+def _shared_map(jobs: Sequence[tuple[Callable, int]],
                 min_share: int = _SHARE_MIN_VALUES) -> list:
-    """``[job() for job in jobs]``, dealt between this process and one forked
-    child per further usable CPU.
+    """``[job() for job, _ in jobs]``, dealt between this process and one
+    forked child per further usable CPU.
 
-    ``weights[k]`` is the cost of ``jobs[k]``; the deal (:func:`_deal`) keeps
-    the heaviest job in this process and deals equal weights round-robin.
+    Each job is a ``(thunk, weight)`` pair, the weight its cost; the deal
+    (:func:`_deal`) keeps the heaviest job in this process and deals equal
+    weights round-robin.
     The in-process path is taken from facts of the run, never from an
     option: one usable CPU, no ``os.fork`` or ``os.sched_getaffinity``,
     another Python thread alive, or a total weight that gives no process
@@ -528,9 +529,10 @@ def _shared_map(jobs: Sequence[Callable], weights: Sequence[int],
     back pickled, with its type and message.  Every child is reaped before
     this returns or raises.
     """
+    thunks, weights = [job for job, _ in jobs], [weight for _, weight in jobs]
     workers = _share_count(len(jobs), sum(weights), min_share)
     if workers == 1:
-        return [job() for job in jobs]
+        return [job() for job in thunks]
     shares = _deal(weights, workers)
     pids, pipes = [], []
     try:
@@ -543,11 +545,11 @@ def _shared_map(jobs: Sequence[Callable], weights: Sequence[int],
                 os.close(write_fd)
                 raise
             if pid == 0:
-                _serve_share([jobs[k] for k in share], read_fd, write_fd)
+                _serve_share([thunks[k] for k in share], read_fd, write_fd)
             os.close(write_fd)
             pids.append(pid)
             pipes.append(os.fdopen(read_fd, "rb"))
-        runs = [_run_share([jobs[k] for k in shares[0]])]
+        runs = [_run_share([thunks[k] for k in shares[0]])]
         runs += [_receive_share(pipe) for pipe in pipes]
     finally:
         for pipe in pipes:  # a child still writing gets EPIPE and exits
@@ -583,8 +585,7 @@ def write_field_csvs(jobs: Iterable[tuple[Callable[[], None], int]]) -> None:
     process; each process runs its share in list order.  The bytes of each
     file do not depend on that.
     """
-    jobs = list(jobs)
-    _shared_map([write for write, _ in jobs], [weight for _, weight in jobs])
+    _shared_map(list(jobs))
 
 
 def _parse_header(path: str | Path, header: str) -> tuple[Grid, float]:
@@ -645,5 +646,5 @@ def read_field_csvs(paths: Sequence[str | Path]) -> list[TemperatureField]:
     """
     paths = list(paths)
     weight = _file_weight(_declared_cells(paths[0]) if paths else 0)
-    rows = _shared_map([partial(read_csv_rows, p) for p in paths], [weight] * len(paths))
+    rows = _shared_map([(partial(read_csv_rows, p), weight) for p in paths])
     return [_field_from_rows(p, header, values) for p, (header, values) in zip(paths, rows)]

@@ -6,7 +6,7 @@ is one step path: the Laplacian on the flat interior span of each row
 (``grid.span_stencil``) of one ``(levels, cells)`` matrix.
 :func:`solve_dirichlet` marches it and returns the matrix in a
 :class:`HeatTrajectory`; ``caloric_replacement`` steps a copy of its slab of
-levels, cut to the ball's bounding box, with it.  The stability limit ``dt <= 1 / (2 sum_j 1 / h_j^2)``,
+levels with it.  The stability limit ``dt <= 1 / (2 sum_j 1 / h_j^2)``,
 ``h^2 / (2 n)`` on isotropic grids, is enforced, never assumed: each march
 checks it once, before its first step.
 
@@ -213,19 +213,17 @@ class HeatTrajectory:
 _BLOCK_LEVELS = 64
 
 
-def _stepper(shape: Sequence[int], spacing: Sequence[float], levels: np.ndarray,
-             dt: float) -> Callable[[int], None]:
+def _stepper(grid: Grid, levels: np.ndarray, dt: float) -> Callable[[int], None]:
     """``step(k)`` writes ``u + dt lap u`` on the interior of row ``k + 1`` of
-    ``levels``, rows of a box of ``shape`` cells of ``spacing``, where ``u``
-    is row ``k``.  It may write boundary cells of row ``k + 1`` too; the
-    caller overwrites them.
+    ``levels``, where ``u`` is row ``k``.  It may write boundary cells of row
+    ``k + 1`` too; the caller overwrites them.
 
     The Laplacian runs on the flat interior span of each row, its terms
     summed as sum() does, so interior cells equal the sliced form
     (``grid.discrete_laplacian``) bit for bit.  Each span position off the
     interior is a boundary cell."""
-    _, center, laplacian_terms = span_stencil(levels.reshape((-1, *shape)), spacing)
-    acc, *rest = terms = list(np.empty((len(shape), center.shape[1])))
+    _, center, laplacian_terms = span_stencil(levels.reshape((-1,) + grid.shape), grid.spacing)
+    acc, *rest = terms = list(np.empty((grid.dim, center.shape[1])))
 
     def step(k: int) -> None:
         laplacian_terms(k, terms)
@@ -277,7 +275,7 @@ def solve_dirichlet(
     bpts.setflags(write=False)  # every step's boundary call shares these centres
     levels = np.empty((n_steps + 1, g.total_cells))
     levels[0] = initial.values
-    step = _stepper(g.shape, g.spacing, levels, dt)
+    step = _stepper(g, levels, dt)
     t = initial.time
     times = [t]
     checked = 1  # levels[:checked] are known finite
@@ -435,9 +433,7 @@ def caloric_replacement(w: HeatTrajectory, cyl: ParabolicCylinder) -> HeatTrajec
     The returned trajectory copies ``w`` outside the ball and on the lateral
     cells, starts from ``w`` on the cylinder's bottom time slice, and steps
     interior ball cells with :func:`solve_dirichlet`'s Laplacian step, on
-    the sub-range of ``w``'s levels covering the cylinder's time slab.  Only
-    a copy of the interior cells' bounding box plus one cell, which holds
-    every cell their step reads, is marched.
+    the sub-range of ``w``'s levels covering the cylinder's time slab.
 
     Raises
     ------
@@ -462,17 +458,12 @@ def caloric_replacement(w: HeatTrajectory, cyl: ParabolicCylinder) -> HeatTrajec
         raise ValueError("cylinder ball has no interior cells at this resolution")
 
     times, data = times[i_bot:i_top + 1], w.values_matrix()[i_bot:i_top + 1]
-    inside = interior.reshape(g.shape)
-    box = (slice(None),) + tuple(slice(ax.min() - 1, ax.max() + 2) for ax in np.nonzero(inside))
-    held = data.reshape((-1, *g.shape))[box]  # w's levels on the box
-    marched = held.copy()
-    step = _stepper(marched.shape[1:], g.spacing, marched, w.dt)
-    kept = ~inside[box[1:]]  # box cells that keep w's values
-    for k in range(len(marched) - 1):
-        step(k)
-        np.copyto(marched[k + 1], held[k + 1], where=kept)
     z = data.copy()
-    z.reshape((-1, *g.shape))[box] = marched
+    step = _stepper(g, z, w.dt)
+    kept = ~interior  # cells that keep w's values
+    for k in range(len(z) - 1):
+        step(k)
+        np.copyto(z[k + 1], data[k + 1], where=kept)
     _require_finite_levels("caloric_replacement", z, times, 1, len(z))
     return HeatTrajectory._from_levels(TemperatureField(g, times[0], z[0]), times, z, w.dt)
 

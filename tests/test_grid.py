@@ -319,14 +319,15 @@ def write_levels(fields, outdir):
     return names
 
 
-def tagged(n):
-    """``n`` jobs; job ``k`` returns ``(k, pid)``, the pid of the process running it."""
-    return [lambda k=k: (k, os.getpid()) for k in range(n)]
+def tagged(weights):
+    """One ``(thunk, weight)`` job per weight; job ``k`` returns ``(k, pid)``,
+    the pid of the process running it."""
+    return [(lambda k=k: (k, os.getpid()), w) for k, w in enumerate(weights)]
 
 
 def test_shared_map_returns_results_in_item_order(monkeypatch, forks):
     usable_cpus(monkeypatch, 3)
-    results = grid_module._shared_map(tagged(11), [grid_module._SHARE_MIN_VALUES] * 11)
+    results = grid_module._shared_map(tagged([grid_module._SHARE_MIN_VALUES] * 11))
     assert [k for k, _ in results] == list(range(11))
     assert len({pid for _, pid in results}) == 3 and forks[0] == 2
     assert {pid for k, pid in results if k % 3 == 0} == {os.getpid()}
@@ -344,8 +345,8 @@ def test_shared_map_raises_the_first_failing_item(monkeypatch, forks):
         return k
 
     with pytest.raises(ValueError, match="^item 3 is bad$"):
-        grid_module._shared_map([partial(job, k) for k in range(9)],
-                                [grid_module._SHARE_MIN_VALUES] * 9)
+        grid_module._shared_map([(partial(job, k), grid_module._SHARE_MIN_VALUES)
+                                 for k in range(9)])
     assert forks[0] == 1
     assert_no_children()
 
@@ -359,7 +360,7 @@ def test_equal_weights_deal_round_robin(monkeypatch, forks):
     """Equal weights deal item k to process k mod 3, this process first."""
     assert grid_module._deal([5] * 11, 3) == [[0, 3, 6, 9], [1, 4, 7, 10], [2, 5, 8]]
     usable_cpus(monkeypatch, 3)
-    listed = grid_module._shared_map(tagged(11), [grid_module._SHARE_MIN_VALUES] * 11)
+    listed = grid_module._shared_map(tagged([grid_module._SHARE_MIN_VALUES] * 11))
     assert [k for k, _ in listed] == list(range(11)) and forks[0] == 2
     assert shares_of(listed) == [[0, 3, 6, 9], [1, 4, 7, 10], [2, 5, 8]]
     assert [k for k, pid in listed if pid == os.getpid()] == [0, 3, 6, 9]
@@ -372,7 +373,7 @@ def test_unequal_weights_keep_the_heaviest_item_here(monkeypatch, forks):
     weights = [1, 2, 1, 10, 1]
     assert grid_module._deal(weights, 2) == [[3], [0, 1, 2, 4]]
     usable_cpus(monkeypatch, 2)
-    results = grid_module._shared_map(tagged(5), weights, 1)
+    results = grid_module._shared_map(tagged(weights), 1)
     assert [k for k, _ in results] == list(range(5)) and forks[0] == 1
     assert [k for k, pid in results if pid == os.getpid()] == [3]
     assert_no_children()
@@ -389,7 +390,8 @@ def test_weighted_deal_raises_the_first_failing_item(monkeypatch, forks):
         return k
 
     with pytest.raises(ValueError, match="^item 1 is bad$"):
-        grid_module._shared_map([partial(job, k) for k in range(5)], [1, 2, 1, 10, 1], 1)
+        grid_module._shared_map([(partial(job, k), w) for k, w in enumerate([1, 2, 1, 10, 1])],
+                                1)
     assert forks[0] == 1
     assert_no_children()
 
@@ -398,7 +400,7 @@ def test_weighted_job_too_light_to_share_stays_here(monkeypatch):
     """Each process must get at least min_share of the total weight."""
     usable_cpus(monkeypatch, 2)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-    results = grid_module._shared_map(tagged(5), [1, 2, 1, 10, 1], 8)
+    results = grid_module._shared_map(tagged([1, 2, 1, 10, 1]), 8)
     assert results == [(k, os.getpid()) for k in range(5)]
 
 
