@@ -197,7 +197,8 @@ CONFIG_SCHEMAS: dict[str, dict] = {
             "stefan": {"type": "number", "exclusiveMinimum": 0},
             "t0": {"type": "number", "exclusiveMinimum": 0},
             "duration": {"type": "number", "exclusiveMinimum": 0},
-            # the time study's reference is a dense (time_nx - 2)^2 matrix
+            # bounds the time study's level matrices: at the default three
+            # refinements the finest march holds 801 x 1024 values (6.6 MB)
             "time_nx": {"type": "integer", "minimum": 8, "maximum": 1024},
             "time_refinements": {"type": "integer", "minimum": 2},
             "seed": {"type": ["integer", "null"]},
@@ -408,6 +409,12 @@ def _build_spec1d(payload: Mapping):
     return spec, sim
 
 
+# similarity_front_error's C: error / (h^2 + dt) reads 0.0098-0.17 on one-phase
+# runs with k1 and heating in [0.1, 8] and nx in [25, 200]; a 1% error in the
+# front law's k1 reads 1.17 or more, but 0.086 at nx 25 with k1 = heating = 8
+_FRONT_ERROR_C = 0.5
+
+
 def _run_solve1d(config: ExperimentConfig, outdir: Path) -> tuple[dict, list[str], dict]:
     spec, sim = _build_spec1d(config.payload)
     result = _solve_1d(spec)
@@ -450,8 +457,11 @@ def _run_solve1d(config: ExperimentConfig, outdir: Path) -> tuple[dict, list[str
         if sim is not None:
             s_ref = float(sim.front(float(result.front.times[-1])))
             err = abs(float(result.front.positions[-1]) - s_ref) / s_ref
+            h = rep["front_final"] / spec.nx
             diagnostics["similarity_front_error"] = _rule(
-                "at_most", err, 1e-2, "relative front error against the closed form")
+                "at_most", err, _FRONT_ERROR_C * (h * h + rep["dt"]),
+                "relative front error against the closed form, at most C (h^2 + dt) "
+                "with h the final mapped spacing")
 
     data = {k: rep[k] for k in ("front_initial", "front_final", "steps", "warmup_steps")}
     data["dt"] = float(rep["dt"])  # a config may give an integer step
@@ -569,10 +579,10 @@ def _front_error(spec: StefanSpec1D, sim) -> float:
     return abs(float(result.front.positions[-1]) - float(sim.front(t_end)))
 
 def _sine_start(nx: int) -> TemperatureField:
-    """``sin(pi x)`` at the centers of ``nx`` cells on ``[0, 1]``, zeroed on
-    the two boundary cells."""
+    """The slowest mode of the interior second difference on ``nx`` cells of
+    ``[0, 1]``: ``sin(pi j / (nx - 1))`` at cell ``j``, 0 on both boundary cells."""
     grid = Grid(origin=(0.0,), extent=(1.0,), counts=(nx,))
-    u0 = np.sin(math.pi * grid.axis_centers(0))
+    u0 = np.sin(math.pi * np.arange(nx) / (nx - 1))
     u0[0] = u0[-1] = 0.0
     return TemperatureField(grid, 0.0, u0)
 
@@ -581,28 +591,24 @@ def _time_study(nx: int, refinements: int):
     explicit stepping against the exact semi-discrete decay at ``dt0 / 2^k``.
 
     The sine start vanishes on the boundary cells, so the march is forward
-    Euler on the interior system exactly and the measured error is purely
-    temporal.
+    Euler on the interior system exactly; the start is a mode of that system,
+    decaying as ``exp(rate t)``, so the measured error is purely temporal.
     """
     initial = _sine_start(nx)
     h = initial.grid.spacing[0]
-    n_int = nx - 2
-    a_mat = (np.diag(np.full(n_int - 1, 1.0), -1)
-             + np.diag(np.full(n_int, -2.0))
-             + np.diag(np.full(n_int - 1, 1.0), 1)) / h**2
+    rate = -(2.0 / h * math.sin(math.pi / (2 * (nx - 1)))) ** 2
     dt0 = 0.2 * h**2
     duration = 200 * dt0
     dts = [dt0 / 2**k for k in range(refinements)]
-    return dts, [(partial(_decay_error, initial, a_mat, duration, dt), step_count(duration, dt))
+    return dts, [(partial(_decay_error, initial, rate, duration, dt), step_count(duration, dt))
                  for dt in dts]
 
-def _decay_error(initial: TemperatureField, a_mat: np.ndarray, duration: float,
+def _decay_error(initial: TemperatureField, rate: float, duration: float,
                  dt: float) -> float:
-    """Largest interior error of the march at ``dt`` against ``expm``."""
-    from scipy.linalg import expm  # imported on use: keeps scipy out of start-up
-
+    """Largest interior error of the march at ``dt`` against the mode's exact
+    decay ``exp(rate t) u0``."""
     traj = solve_dirichlet(OperatorCoefficients.laplacian(), initial, 0.0, duration, dt)
-    ref = expm(a_mat * traj.times[-1]) @ initial.values[1:-1]
+    ref = math.exp(rate * traj.times[-1]) * initial.values[1:-1]
     return float(np.max(np.abs(traj.values_matrix()[-1, 1:-1] - ref)))
 
 def _residual_ratios(ladder):

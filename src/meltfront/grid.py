@@ -360,12 +360,15 @@ def neighborhood_radius(grid: Grid, cells_a: np.ndarray, cells_b: np.ndarray) ->
 
 def radius_to(grid: Grid, cells_b: np.ndarray) -> Callable[[np.ndarray], float]:
     """``cells_a -> neighborhood_radius(grid, cells_a, cells_b)`` for a fixed,
-    non-empty ``B``: every cell center is queried against one KD-tree over
-    ``B`` once, and each call takes the maximum over ``A`` of those distances."""
-    from scipy.spatial import cKDTree  # imported on use: keeps scipy out of start-up
-
-    pts = grid.cell_centers()
-    dist_to_b, _ = cKDTree(pts[cells_b]).query(pts)
+    non-empty ``B``, the maximum over ``A`` of distances found once: the squared
+    distance is minimised one axis (axis 0 first) and one target index at a
+    time, which keeps temporaries grid-sized and, as rounded addition is
+    monotone, equals ``min_B ((0 + dx^2) + dy^2) + dz^2`` bit for bit."""
+    d2 = np.where(np.reshape(cells_b, grid.shape), 0.0, np.inf)
+    for ax in range(grid.dim):
+        c, d = grid.axis_centers(ax), np.moveaxis(d2, ax, -1)
+        d2 = np.stack([np.min(d + (ci - c) ** 2, axis=-1) for ci in c], axis=ax)
+    dist_to_b = np.sqrt(d2).ravel()
 
     def radius(cells_a: np.ndarray) -> float:
         if not cells_a.any():

@@ -185,6 +185,25 @@ def test_solve1d_similarity_run(tmp_path, capsys):
     assert stored == SIM_1D
 
 
+def test_similarity_front_error_sees_a_one_percent_error_in_the_front_law(tmp_path,
+                                                                        monkeypatch):
+    """The front error's tolerance follows the run's resolution, C (h^2 + dt),
+    so a front law that moves the front at 1.01 k1 fails the closed form."""
+    laws = meltfront.stefan1d._laws
+
+    def fast_laws(phases, fields):
+        (k, sigma, anchor, tail), *rest = laws(phases, fields)
+        return [(1.01 * k, sigma, anchor, tail), *rest]
+
+    monkeypatch.setattr(meltfront.stefan1d, "_laws", fast_laws)
+    out = tmp_path / "run"
+    cfg = dict(SIM_1D, duration=0.1, nx=50)
+    assert main(["solve1d", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert [name for name, d in report["diagnostics"].items() if not d["pass"]] == \
+        ["similarity_front_error"]
+
+
 def test_solve1d_mode_mismatch(tmp_path, capsys):
     rc = main(["solve3d", "--config", write_config(tmp_path, SIM_1D),
                "--out", str(tmp_path / "x")])
@@ -482,9 +501,10 @@ def test_benchmark_refuses_a_ladder_that_does_not_double(tmp_path, capsys, monke
 
 def test_benchmark_refuses_a_time_grid_too_large_for_its_dense_reference(tmp_path, capsys,
                                                                          monkeypatch):
-    """The time study's exact decay is a dense ``(time_nx - 2)^2`` matrix,
-    26.8 GiB at 60000 cells, so ``time_nx`` above 1024 (8 MB) is a config
-    error, refused before anything is allocated or solved."""
+    """The time study's marches keep every level: at the default three
+    refinements the finest holds 801 levels of ``time_nx`` values, 6.6 MB at
+    1024 cells, so ``time_nx`` above 1024 is a config error, refused before
+    anything is allocated or solved."""
     def no_study(*args, **kwargs):
         raise AssertionError("built the study of a refused config")
 
@@ -1085,7 +1105,7 @@ def test_benchmark_stays_in_process_beside_a_live_thread(tmp_path, monkeypatch):
 
 
 # a fresh interpreter with the BLAS thread settings its platform defaults to,
-# shown two CPUs: the time study's expm and @ run in the forked child
+# shown two CPUs: the time study's marches run in the forked child
 SHARED_BLAS_RUN = """
 import os, sys
 from meltfront.cli import main
@@ -1341,6 +1361,28 @@ def test_cli_import_leaves_scipy_unloaded():
     code = ("import sys, meltfront.cli; print(' '.join(m for m in "
             "('scipy.spatial', 'scipy.linalg', 'jsonschema') if m in sys.modules))")
     assert run_python(["-c", code]).stdout.strip() == ""
+
+
+# the package needs numpy alone: each command runs with scipy unimportable
+NO_SCIPY = "import sys; sys.modules['scipy'] = None; from meltfront.cli import main; " \
+           "sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("command", ["solve1d", "solve3d", "benchmark", "verify", "mollify"])
+def test_commands_run_without_scipy(tmp_path, command):
+    configs = {"solve1d": SIM_1D,
+               "solve3d": dict(FLAT_3D, t0=0.25, initial={"kind": "similarity"}),
+               "benchmark": {"mode": "benchmark", "ladder": [16, 32]}}
+    out = str(tmp_path / "out")
+    if command in configs:
+        args = [command, "--config", write_config(tmp_path, configs[command]), "--out", out]
+    elif command == "verify":  # a stored Dirichlet march, so positivity_spread runs
+        args = ["verify", "--run", str(heat_rundir(tmp_path)), "--checks", "all",
+                "--out", out]
+    else:
+        args = ["mollify", "--input", smooth_field_csv(tmp_path), "--epsilon", "0.125",
+                "--out", out]
+    run_python(["-c", NO_SCIPY, *args])
 
 
 def cpu_has_avx512f():

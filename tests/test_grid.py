@@ -220,6 +220,44 @@ def test_neighborhood_radius():
         neighborhood_radius(g, a[:5], b)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_radius_to_matches_a_kd_tree_bit_for_bit(dim):
+    """Each cell's distance to B, read as the radius of that cell alone, is
+    the KD-tree's nearest-neighbour distance to the bit, on random grids with
+    random origins, extents and sets."""
+    from scipy.spatial import cKDTree
+
+    rng = np.random.default_rng(dim)
+    for _ in range(10):
+        counts = tuple(int(c) for c in rng.integers(4, {1: 300, 2: 24, 3: 9}[dim], size=dim))
+        g = Grid(origin=tuple(rng.uniform(-5.0, 5.0, dim)),
+                 extent=tuple(rng.uniform(0.1, 10.0, dim)), counts=counts)
+        b = rng.random(g.total_cells) < rng.uniform(0.005, 0.5)
+        b[rng.integers(g.total_cells)] = True
+        pts = g.cell_centers()
+        expected, _ = cKDTree(pts[b]).query(pts)
+        radius = grid_module.radius_to(g, b)
+        cells = np.arange(g.total_cells)
+        got = np.array([radius(cells == k) for k in cells])
+        assert np.array_equal(got, expected), counts
+
+
+def test_radius_to_peak_memory_stays_a_few_cell_arrays():
+    """The distance pass folds one axis and one target index at a time: a
+    temporary of axis length x cells would read 32 arrays here."""
+    import tracemalloc
+
+    g = Grid(origin=(0.0,) * 3, extent=(1.0,) * 3, counts=(32,) * 3)
+    b = np.random.default_rng(0).random(g.total_cells) < 0.2
+    tracemalloc.start()
+    try:
+        grid_module.radius_to(g, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 * g.total_cells
+
+
 @pytest.mark.parametrize("extent, counts, values", [
     ((2.0, 1.0), (6, 4), np.random.default_rng(3).standard_normal(24)),
     ((2.0,), (4,), np.array([-0.0, 5e-324, 1e300, 1.0 / 3.0])),
