@@ -360,10 +360,10 @@ def neighborhood_radius(grid: Grid, cells_a: np.ndarray, cells_b: np.ndarray) ->
 
 def radius_to(grid: Grid, cells_b: np.ndarray) -> Callable[[np.ndarray], float]:
     """``cells_a -> neighborhood_radius(grid, cells_a, cells_b)`` for a fixed,
-    non-empty ``B``, the maximum over ``A`` of distances found once: the squared
-    distance is minimised one axis (axis 0 first) and one target index at a
-    time, which keeps temporaries grid-sized and, as rounded addition is
-    monotone, equals ``min_B ((0 + dx^2) + dy^2) + dz^2`` bit for bit."""
+    non-empty ``B``: squared distances to ``B``, minimised one axis (axis 0
+    first) and one target index at a time in grid-sized temporaries, equal
+    ``min_B ((0 + dx^2) + dy^2) + dz^2`` bit for bit, as rounded addition is
+    monotone; the cost is cells x sum(counts), quadratic in a 1D grid's length."""
     d2 = np.where(np.reshape(cells_b, grid.shape), 0.0, np.inf)
     for ax in range(grid.dim):
         c, d = grid.axis_centers(ax), np.moveaxis(d2, ax, -1)

@@ -185,10 +185,30 @@ def test_solve1d_similarity_run(tmp_path, capsys):
     assert stored == SIM_1D
 
 
+# (t0, duration) of SIM_1D under x -> a x, t -> a^2 t for a = 0.1, 1 and 10:
+# the same run, so the front error's reading must not move with the scale
+TIME_SCALES = [pytest.param(0.25 * a2, a2, id=f"t0={0.25 * a2:g}") for a2 in (0.01, 1.0, 100.0)]
+
+
+@pytest.mark.parametrize("t0, a2", TIME_SCALES)
+def test_similarity_front_error_passes_a_correct_run_at_any_time_scale(tmp_path, t0, a2):
+    """The front error's tolerance, C (h^2 + dt) / t, is free of units: the
+    rescaled SIM_1D run passes with the ratio it reads at t0 0.25."""
+    cfg = dict(SIM_1D, t0=t0, duration=0.02 * a2)
+    out = tmp_path / "run"
+    assert main(["solve1d", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    diag = json.loads((out / "report.json").read_text())["diagnostics"]
+    front = diag["similarity_front_error"]
+    assert front["pass"]
+    assert front["measured"] / front["tolerance"] == pytest.approx(0.0143, rel=1e-2)
+
+
+@pytest.mark.parametrize("t0, a2", TIME_SCALES)
 def test_similarity_front_error_sees_a_one_percent_error_in_the_front_law(tmp_path,
-                                                                        monkeypatch):
-    """The front error's tolerance follows the run's resolution, C (h^2 + dt),
-    so a front law that moves the front at 1.01 k1 fails the closed form."""
+                                                                        monkeypatch, t0, a2):
+    """The front error's tolerance follows the run's resolution, C (h^2 + dt) / t,
+    so a front law that moves the front at 1.01 k1 fails the closed form at
+    every time scale."""
     laws = meltfront.stefan1d._laws
 
     def fast_laws(phases, fields):
@@ -197,7 +217,7 @@ def test_similarity_front_error_sees_a_one_percent_error_in_the_front_law(tmp_pa
 
     monkeypatch.setattr(meltfront.stefan1d, "_laws", fast_laws)
     out = tmp_path / "run"
-    cfg = dict(SIM_1D, duration=0.1, nx=50)
+    cfg = dict(SIM_1D, t0=t0, duration=0.1 * a2, nx=50)
     assert main(["solve1d", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 3
     report = json.loads((out / "report.json").read_text())
     assert [name for name, d in report["diagnostics"].items() if not d["pass"]] == \
@@ -501,10 +521,10 @@ def test_benchmark_refuses_a_ladder_that_does_not_double(tmp_path, capsys, monke
 
 def test_benchmark_refuses_a_time_grid_too_large_for_its_dense_reference(tmp_path, capsys,
                                                                          monkeypatch):
-    """The time study's marches keep every level: at the default three
-    refinements the finest holds 801 levels of ``time_nx`` values, 6.6 MB at
-    1024 cells, so ``time_nx`` above 1024 is a config error, refused before
-    anything is allocated or solved."""
+    """The time study's marches keep every level: the finest holds 801 levels
+    of ``time_nx`` values at the default three refinements and 1601 at the
+    most, 13 MB at 1024 cells, so ``time_nx`` above 1024 is a config error,
+    refused before anything is allocated or solved."""
     def no_study(*args, **kwargs):
         raise AssertionError("built the study of a refused config")
 
@@ -518,6 +538,18 @@ def test_benchmark_refuses_a_time_grid_too_large_for_its_dense_reference(tmp_pat
         capsys.readouterr().err
     assert not (out / "report.json").exists()
     assert not (out / "FAILED.json").exists()
+
+
+def test_benchmark_refuses_more_time_refinements_than_its_cap(tmp_path, capsys):
+    """Each refinement doubles the finest time-study march, so more than four
+    is a config error: twelve at 1024 cells would keep a 3.4 GB level matrix."""
+    ExperimentConfig.from_dict(dict(BENCH, time_nx=1024, time_refinements=4))
+    out = tmp_path / "bench"
+    cfg = dict(BENCH, time_nx=1024, time_refinements=12)
+    assert main(["benchmark", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "config error at $.time_refinements: 12 is greater than the maximum of 4" in \
+        capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 # ---------------------------------------------------------------------------
